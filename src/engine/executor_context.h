@@ -20,6 +20,8 @@
 
 namespace idf {
 
+class SnapshotPins;  // indexed/indexed_relation.h
+
 class ExecutorContext {
  public:
   /// `config` is resolved (auto fields filled) and validated here.
@@ -60,6 +62,15 @@ class ExecutorContext {
   }
   const std::vector<Value>* parameters() const { return params_.get(); }
 
+  /// MVCC pins for this execution: an operator reading an indexed relation
+  /// the set pins reads that pinned version, and captures a fresh snapshot
+  /// of any other relation. Install before execution starts, like
+  /// SetParameters; null (the default) means "read the live versions".
+  void SetPins(std::shared_ptr<const SnapshotPins> pins) {
+    pins_ = std::move(pins);
+  }
+  const SnapshotPins* pins() const { return pins_.get(); }
+
   int num_partitions() const { return config_.num_partitions; }
 
   /// Rows per morsel for a job of `n` rows: the configured ceiling
@@ -76,6 +87,7 @@ class ExecutorContext {
   QueryMetrics metrics_;
   CancellationTokenPtr cancel_;
   std::shared_ptr<const std::vector<Value>> params_;
+  std::shared_ptr<const SnapshotPins> pins_;
 };
 
 using ExecutorContextPtr = std::shared_ptr<ExecutorContext>;

@@ -64,7 +64,7 @@ DataFrame IndexedDataFrame::ToDataFrame() const {
 }
 
 DataFrame IndexedDataFrame::PinnedView::ToDataFrame() const {
-  return DataFrame(session_, std::make_shared<SnapshotScanNode>(snapshot_));
+  return DataFrame(session_, std::make_shared<IndexedScanNode>(snapshot_));
 }
 
 IndexedDataFrame::PinnedView IndexedDataFrame::Pin() const {

@@ -68,6 +68,28 @@ Result<std::vector<Value>> ResolveLookupKeys(const std::vector<Value>& keys,
   return out;
 }
 
+/// The one read path for live and pinned data: the version of `rel` this
+/// execution reads. A relation the context pins (the query service installs
+/// its epoch's pins per execution) reads that pin, a PinnedSnapshot reads
+/// its frozen version, and a live relation reads a snapshot captured now,
+/// parked in `*scratch` (snapshots are move-only; `scratch` must outlive
+/// the returned pointer).
+Result<const IndexedRelationSnapshot*> ReadVersion(
+    ExecutorContext& ctx, const IndexedRelationBase& rel,
+    std::optional<IndexedRelationSnapshot>* scratch) {
+  if (ctx.pins() != nullptr) {
+    if (const PinnedSnapshot* pin = ctx.pins()->Find(rel)) return &pin->snapshot();
+  }
+  if (const auto* live = dynamic_cast<const IndexedRelation*>(&rel)) {
+    scratch->emplace(live->Snapshot());
+    return &**scratch;
+  }
+  if (const auto* pinned = dynamic_cast<const PinnedSnapshot*>(&rel)) {
+    return &pinned->snapshot();
+  }
+  return Status::Internal("indexed read of a foreign relation type: " + rel.name());
+}
+
 // ---------------------------------------------------------------------------
 // Morsel-driven execution helpers
 //
@@ -552,13 +574,13 @@ void FlushBuildCandidates(const VectorizedPredicate& vec, BuildCandidates* cand,
   cand->Clear();
 }
 
-/// Shared driver for point lookups (live and pinned): each key routes to
-/// its home partition and the backward-pointer chain is walked, applying a
-/// pushed filter while each node is cache-hot — the compiled part against
-/// the encoded payload (rejects never decode), the residual on the decoded
-/// row. Lookups are heavier per item than scan rows (trie descent + chain
-/// walk), so an IN-list splits into small per-task key ranges instead of
-/// counting as one task.
+/// Driver for point lookups: each key routes to its home partition and
+/// the backward-pointer chain is walked, applying a pushed filter while
+/// each node is cache-hot — the compiled part against the encoded payload
+/// (rejects never decode), the residual on the decoded row. Lookups are
+/// heavier per item than scan rows (trie descent + chain walk), so an
+/// IN-list splits into small per-task key ranges instead of counting as
+/// one task.
 Result<PartitionVec> LookupKeys(ExecutorContext& ctx,
                                 const IndexedRelationSnapshot& snap,
                                 const std::vector<Value>& keys,
@@ -625,16 +647,11 @@ Result<PartitionVec> LookupKeys(ExecutorContext& ctx,
 }  // namespace
 
 Result<PartitionVec> IndexedScanOp::Execute(ExecutorContext& ctx) {
-  IndexedRelationSnapshot snap = rel_->Snapshot();
+  std::optional<IndexedRelationSnapshot> scratch;
+  IDF_ASSIGN_OR_RETURN(const IndexedRelationSnapshot* version,
+                       ReadVersion(ctx, *rel_, &scratch));
+  const IndexedRelationSnapshot& snap = *version;
   const Schema& schema = *rel_->schema();
-  return MorselScanDense(ctx, snap, [&schema](const uint8_t* payload) {
-    return DecodeRow(payload, schema);
-  });
-}
-
-Result<PartitionVec> SnapshotScanOp::Execute(ExecutorContext& ctx) {
-  const IndexedRelationSnapshot& snap = snapshot_->snapshot();
-  const Schema& schema = *snapshot_->schema();
   return MorselScanDense(ctx, snap, [&schema](const uint8_t* payload) {
     return DecodeRow(payload, schema);
   });
@@ -642,8 +659,10 @@ Result<PartitionVec> SnapshotScanOp::Execute(ExecutorContext& ctx) {
 
 Result<PartitionVec> IndexedScanFilterOp::Execute(ExecutorContext& ctx) {
   std::optional<IndexedRelationSnapshot> scratch;
-  const IndexedRelationSnapshot& snap = source_.Snapshot(&scratch);
-  const Schema& schema = *source_.schema();
+  IDF_ASSIGN_OR_RETURN(const IndexedRelationSnapshot* version,
+                       ReadVersion(ctx, *rel_, &scratch));
+  const IndexedRelationSnapshot& snap = *version;
+  const Schema& schema = *rel_->schema();
   IDF_ASSIGN_OR_RETURN(PushedFilter filter, BindPushedFilter(filter_, ctx));
   if (filter.compiled) ctx.metrics().AddPredicatesCompiled(1);
   const CompiledPredicate* compiled =
@@ -669,7 +688,7 @@ Result<PartitionVec> IndexedScanFilterOp::Execute(ExecutorContext& ctx) {
 }
 
 std::string SecondaryIndexProbeOp::name() const {
-  std::string out = "SecondaryIndexProbe[" + source_.name() + "] ";
+  std::string out = "SecondaryIndexProbe[" + rel_->name() + "] ";
   for (size_t i = 0; i < probes_.size(); ++i) {
     if (i > 0) out += " AND ";
     out += probes_[i].ToString();
@@ -682,8 +701,10 @@ std::string SecondaryIndexProbeOp::name() const {
 Result<PartitionVec> SecondaryIndexProbeOp::Execute(ExecutorContext& ctx) {
   IDF_RETURN_NOT_OK(ctx.CheckCancelled());
   std::optional<IndexedRelationSnapshot> scratch;
-  const IndexedRelationSnapshot& snap = source_.Snapshot(&scratch);
-  const Schema& schema = *source_.schema();
+  IDF_ASSIGN_OR_RETURN(const IndexedRelationSnapshot* version,
+                       ReadVersion(ctx, *rel_, &scratch));
+  const IndexedRelationSnapshot& snap = *version;
+  const Schema& schema = *rel_->schema();
   IDF_ASSIGN_OR_RETURN(PushedFilter filter, BindPushedFilter(filter_, ctx));
   if (filter.compiled) ctx.metrics().AddPredicatesCompiled(1);
   const CompiledPredicate* compiled =
@@ -756,8 +777,10 @@ Result<PartitionVec> SecondaryIndexProbeOp::Execute(ExecutorContext& ctx) {
 
 Result<PartitionVec> IndexedScanProjectOp::Execute(ExecutorContext& ctx) {
   std::optional<IndexedRelationSnapshot> scratch;
-  const IndexedRelationSnapshot& snap = source_.Snapshot(&scratch);
-  const Schema& schema = *source_.schema();
+  IDF_ASSIGN_OR_RETURN(const IndexedRelationSnapshot* version,
+                       ReadVersion(ctx, *rel_, &scratch));
+  const IndexedRelationSnapshot& snap = *version;
+  const Schema& schema = *rel_->schema();
   return MorselScanDense(ctx, snap, [this, &schema](const uint8_t* payload) {
     Row row;
     row.reserve(cols_.size());
@@ -768,8 +791,10 @@ Result<PartitionVec> IndexedScanProjectOp::Execute(ExecutorContext& ctx) {
 
 Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
   std::optional<IndexedRelationSnapshot> scratch;
-  const IndexedRelationSnapshot& snap = source_.Snapshot(&scratch);
-  const Schema& schema = *source_.schema();
+  IDF_ASSIGN_OR_RETURN(const IndexedRelationSnapshot* version,
+                       ReadVersion(ctx, *rel_, &scratch));
+  const IndexedRelationSnapshot& snap = *version;
+  const Schema& schema = *rel_->schema();
   IDF_ASSIGN_OR_RETURN(PushedFilter filter, BindPushedFilter(filter_, ctx));
   if (filter.compiled) ctx.metrics().AddPredicatesCompiled(1);
   const CompiledPredicate* compiled =
@@ -942,24 +967,23 @@ Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
 }
 
 Result<PartitionVec> IndexLookupOp::Execute(ExecutorContext& ctx) {
-  IndexedRelationSnapshot snap = rel_->Snapshot();
+  std::optional<IndexedRelationSnapshot> scratch;
+  IDF_ASSIGN_OR_RETURN(const IndexedRelationSnapshot* version,
+                       ReadVersion(ctx, *rel_, &scratch));
+  const IndexedRelationSnapshot& snap = *version;
   IDF_ASSIGN_OR_RETURN(std::vector<Value> keys,
                        ResolveLookupKeys(keys_, key_params_, ctx));
   IDF_ASSIGN_OR_RETURN(PushedFilter filter, BindPushedFilter(filter_, ctx));
   return LookupKeys(ctx, snap, keys, filter);
 }
 
-Result<PartitionVec> SnapshotLookupOp::Execute(ExecutorContext& ctx) {
-  IDF_ASSIGN_OR_RETURN(std::vector<Value> keys,
-                       ResolveLookupKeys(keys_, key_params_, ctx));
-  IDF_ASSIGN_OR_RETURN(PushedFilter filter, BindPushedFilter(filter_, ctx));
-  return LookupKeys(ctx, snapshot_->snapshot(), keys, filter);
-}
-
 Result<PartitionVec> IndexedJoinOp::Execute(ExecutorContext& ctx) {
   IDF_RETURN_NOT_OK(ctx.CheckCancelled());
   IDF_ASSIGN_OR_RETURN(PartitionVec probe_parts, children()[0]->Execute(ctx));
-  IndexedRelationSnapshot snap = rel_->Snapshot();
+  std::optional<IndexedRelationSnapshot> scratch;
+  IDF_ASSIGN_OR_RETURN(const IndexedRelationSnapshot* version,
+                       ReadVersion(ctx, *rel_, &scratch));
+  const IndexedRelationSnapshot& snap = *version;
   const Schema& build_schema = *rel_->schema();
   const Schema& probe_schema = *children()[0]->schema();
   const size_t num_parts = static_cast<size_t>(snap.num_partitions());

@@ -2,6 +2,11 @@
 // rules dispatch to — IndexedScan (full scan of the row batches),
 // IndexLookup (cTrie point lookup), and IndexedEquiJoin (probe-side-only
 // shuffle or broadcast against the pre-built index).
+//
+// Every operator holds only the relation it reads and picks the version
+// at Execute: the pin the ExecutorContext carries for that relation, a
+// PinnedSnapshot's frozen version, or else a snapshot captured on entry.
+// Live and pinned reads therefore share one set of operators.
 #pragma once
 
 #include <optional>
@@ -45,55 +50,13 @@ struct PushedFilter {
 /// Spark's columnar cache).
 class IndexedScanOp : public PhysicalOp {
  public:
-  explicit IndexedScanOp(IndexedRelationPtr rel)
+  explicit IndexedScanOp(IndexedRelationBasePtr rel)
       : PhysicalOp(rel->schema()), rel_(std::move(rel)) {}
   std::string name() const override { return "IndexedScan[" + rel_->name() + "]"; }
   Result<PartitionVec> Execute(ExecutorContext& ctx) override;
 
  private:
-  IndexedRelationPtr rel_;
-};
-
-/// Scan of a pinned snapshot: always reads the frozen version, regardless
-/// of how much the live relation has grown since Pin().
-class SnapshotScanOp : public PhysicalOp {
- public:
-  explicit SnapshotScanOp(PinnedSnapshotPtr snapshot)
-      : PhysicalOp(snapshot->schema()), snapshot_(std::move(snapshot)) {}
-  std::string name() const override {
-    return "SnapshotScan[" + snapshot_->name() + "]";
-  }
-  Result<PartitionVec> Execute(ExecutorContext& ctx) override;
-
- private:
-  PinnedSnapshotPtr snapshot_;
-};
-
-/// The data a fused scan operator reads: a live indexed relation (fresh
-/// snapshot per execution) or a pinned one (always the frozen version).
-/// Exactly one of the two is set.
-struct ScanSource {
-  IndexedRelationPtr rel;
-  PinnedSnapshotPtr pin;
-
-  ScanSource(IndexedRelationPtr r) : rel(std::move(r)) {}  // NOLINT(runtime/explicit)
-  ScanSource(PinnedSnapshotPtr p) : pin(std::move(p)) {}   // NOLINT(runtime/explicit)
-
-  bool valid() const { return rel != nullptr || pin != nullptr; }
-
-  const std::string& name() const { return rel ? rel->name() : pin->name(); }
-  const SchemaPtr& schema() const { return rel ? rel->schema() : pin->schema(); }
-
-  /// The snapshot to read: freshly captured for a live relation (parked in
-  /// `scratch`, which must outlive the returned reference), the frozen one
-  /// for a pin. Snapshots are move-only (the per-partition views hold trie
-  /// roots), hence the out-parameter instead of a by-value return.
-  const IndexedRelationSnapshot& Snapshot(
-      std::optional<IndexedRelationSnapshot>* scratch) const {
-    if (pin) return pin->snapshot();
-    scratch->emplace(rel->Snapshot());
-    return **scratch;
-  }
+  IndexedRelationBasePtr rel_;
 };
 
 /// Fused scan + compiled filter over the row batches: the compiled program
@@ -101,30 +64,29 @@ struct ScanSource {
 /// the interpreter residual — if any — runs on the decoded survivors, and
 /// only matches materialize (optionally just the projected columns). This
 /// is the lazy-decoding advantage of the binary row layout; the planner
-/// fuses `[Project over] Filter(pred)` over an IndexedScan (or a pinned
-/// SnapshotScan) into this operator whenever at least one conjunct of the
-/// predicate compiles.
+/// fuses `[Project over] Filter(pred)` over an IndexedScan into this
+/// operator whenever at least one conjunct of the predicate compiles.
 class IndexedScanFilterOp : public PhysicalOp {
  public:
   /// `project_cols` empty means "all columns" (then `schema` must be the
   /// relation's schema).
-  IndexedScanFilterOp(ScanSource source, ExprPtr predicate, PushedFilter filter,
-                      std::vector<int> project_cols = {},
+  IndexedScanFilterOp(IndexedRelationBasePtr rel, ExprPtr predicate,
+                      PushedFilter filter, std::vector<int> project_cols = {},
                       SchemaPtr schema = nullptr)
-      : PhysicalOp(schema ? std::move(schema) : source.schema()),
-        source_(std::move(source)),
+      : PhysicalOp(schema ? std::move(schema) : rel->schema()),
+        rel_(std::move(rel)),
         predicate_(std::move(predicate)),
         filter_(std::move(filter)),
         project_cols_(std::move(project_cols)) {}
   std::string name() const override {
-    return "IndexedScanFilter[" + source_.name() + "] " + predicate_->ToString() +
+    return "IndexedScanFilter[" + rel_->name() + "] " + predicate_->ToString() +
            (filter_.compiled ? " (compiled)" : "") +
            (project_cols_.empty() ? "" : " (pruned)");
   }
   Result<PartitionVec> Execute(ExecutorContext& ctx) override;
 
  private:
-  ScanSource source_;
+  IndexedRelationBasePtr rel_;
   ExprPtr predicate_;
   PushedFilter filter_;
   std::vector<int> project_cols_;
@@ -143,12 +105,13 @@ class SecondaryIndexProbeOp : public PhysicalOp {
   /// `probes` ordered driver-first (lowest selectivity); `predicate` is the
   /// original full filter predicate (for display), `filter` the residual
   /// not implied by the probes. `project_cols` empty means "all columns".
-  SecondaryIndexProbeOp(ScanSource source, std::vector<SecondaryProbe> probes,
-                        ExprPtr predicate, PushedFilter filter,
+  SecondaryIndexProbeOp(IndexedRelationBasePtr rel,
+                        std::vector<SecondaryProbe> probes, ExprPtr predicate,
+                        PushedFilter filter,
                         std::vector<int> project_cols = {},
                         SchemaPtr schema = nullptr)
-      : PhysicalOp(schema ? std::move(schema) : source.schema()),
-        source_(std::move(source)),
+      : PhysicalOp(schema ? std::move(schema) : rel->schema()),
+        rel_(std::move(rel)),
         probes_(std::move(probes)),
         predicate_(std::move(predicate)),
         filter_(std::move(filter)),
@@ -157,7 +120,7 @@ class SecondaryIndexProbeOp : public PhysicalOp {
   Result<PartitionVec> Execute(ExecutorContext& ctx) override;
 
  private:
-  ScanSource source_;
+  IndexedRelationBasePtr rel_;
   std::vector<SecondaryProbe> probes_;
   ExprPtr predicate_;
   PushedFilter filter_;
@@ -168,18 +131,18 @@ class SecondaryIndexProbeOp : public PhysicalOp {
 /// projected columns per row (column pruning for the row store).
 class IndexedScanProjectOp : public PhysicalOp {
  public:
-  IndexedScanProjectOp(ScanSource source, std::vector<int> cols,
+  IndexedScanProjectOp(IndexedRelationBasePtr rel, std::vector<int> cols,
                        SchemaPtr schema)
       : PhysicalOp(std::move(schema)),
-        source_(std::move(source)),
+        rel_(std::move(rel)),
         cols_(std::move(cols)) {}
   std::string name() const override {
-    return "IndexedScanProject[" + source_.name() + "]";
+    return "IndexedScanProject[" + rel_->name() + "]";
   }
   Result<PartitionVec> Execute(ExecutorContext& ctx) override;
 
  private:
-  ScanSource source_;
+  IndexedRelationBasePtr rel_;
   std::vector<int> cols_;
 };
 
@@ -192,30 +155,30 @@ class IndexedScanProjectOp : public PhysicalOp {
 /// aggregate args and interpreter residuals decode lazily, once per row.
 /// Thread-local partial hash tables per morsel feed the hash-partitioned
 /// parallel merge of MergePartialGroups. The planner fuses
-/// `Aggregate([Filter] over IndexedScan/SnapshotScan)` into this operator.
+/// `Aggregate([Filter] over IndexedScan)` into this operator.
 class IndexedScanAggregateOp : public PhysicalOp {
  public:
   /// `predicate` is the original filter predicate (may be null when the
   /// aggregate sits directly on the scan); `schema` is the aggregate's
   /// output schema (group columns then aggregate columns).
-  IndexedScanAggregateOp(ScanSource source, ExprPtr predicate,
+  IndexedScanAggregateOp(IndexedRelationBasePtr rel, ExprPtr predicate,
                          PushedFilter filter, std::vector<ExprPtr> group_exprs,
                          std::vector<AggSpec> aggs, SchemaPtr schema)
       : PhysicalOp(std::move(schema)),
-        source_(std::move(source)),
+        rel_(std::move(rel)),
         predicate_(std::move(predicate)),
         filter_(std::move(filter)),
         group_exprs_(std::move(group_exprs)),
         aggs_(std::move(aggs)) {}
   std::string name() const override {
-    return "IndexedScanAggregate[" + source_.name() + "]" +
+    return "IndexedScanAggregate[" + rel_->name() + "]" +
            (predicate_ ? " " + predicate_->ToString() : "") +
            (filter_.compiled ? " (compiled)" : "");
   }
   Result<PartitionVec> Execute(ExecutorContext& ctx) override;
 
  private:
-  ScanSource source_;
+  IndexedRelationBasePtr rel_;
   ExprPtr predicate_;
   PushedFilter filter_;
   std::vector<ExprPtr> group_exprs_;
@@ -232,7 +195,7 @@ class IndexLookupOp : public PhysicalOp {
   /// `key_params` parallels `keys`: entry i >= 0 marks keys[i] as a
   /// placeholder filled from that prepared-statement parameter ordinal at
   /// execution time (empty = all literal keys).
-  IndexLookupOp(IndexedRelationPtr rel, std::vector<Value> keys,
+  IndexLookupOp(IndexedRelationBasePtr rel, std::vector<Value> keys,
                 PushedFilter filter = {}, std::vector<int> key_params = {})
       : PhysicalOp(rel->schema()),
         rel_(std::move(rel)),
@@ -253,40 +216,7 @@ class IndexLookupOp : public PhysicalOp {
   Result<PartitionVec> Execute(ExecutorContext& ctx) override;
 
  private:
-  IndexedRelationPtr rel_;
-  std::vector<Value> keys_;
-  PushedFilter filter_;
-  std::vector<int> key_params_;
-};
-
-/// Point lookup against a pinned snapshot: identical chain walk, but over
-/// the frozen per-partition views, so a service query reads its epoch's
-/// version at index speed while appends keep landing in the live relation.
-class SnapshotLookupOp : public PhysicalOp {
- public:
-  /// `key_params` as in IndexLookupOp.
-  SnapshotLookupOp(PinnedSnapshotPtr snapshot, std::vector<Value> keys,
-                   PushedFilter filter = {}, std::vector<int> key_params = {})
-      : PhysicalOp(snapshot->schema()),
-        snapshot_(std::move(snapshot)),
-        keys_(std::move(keys)),
-        filter_(std::move(filter)),
-        key_params_(std::move(key_params)) {}
-  std::string name() const override {
-    std::string out = "SnapshotLookup[" + snapshot_->name() + "] key=";
-    if (filter_.has_any()) out = "Filtered" + out;
-    auto render = [this](size_t i) {
-      return (i < key_params_.size() && key_params_[i] >= 0)
-                 ? "$" + std::to_string(key_params_[i] + 1)
-                 : keys_[i].ToString();
-    };
-    if (keys_.size() == 1) return out + render(0);
-    return out + "{" + std::to_string(keys_.size()) + " keys}";
-  }
-  Result<PartitionVec> Execute(ExecutorContext& ctx) override;
-
- private:
-  PinnedSnapshotPtr snapshot_;
+  IndexedRelationBasePtr rel_;
   std::vector<Value> keys_;
   PushedFilter filter_;
   std::vector<int> key_params_;
@@ -301,9 +231,9 @@ class SnapshotLookupOp : public PhysicalOp {
 /// walk, before the row is decoded or concatenated.
 class IndexedJoinOp : public PhysicalOp {
  public:
-  IndexedJoinOp(IndexedRelationPtr rel, PhysicalOpPtr probe, ExprPtr probe_key,
-                bool indexed_on_left, bool broadcast_probe, SchemaPtr schema,
-                PushedFilter build_filter = {})
+  IndexedJoinOp(IndexedRelationBasePtr rel, PhysicalOpPtr probe,
+                ExprPtr probe_key, bool indexed_on_left, bool broadcast_probe,
+                SchemaPtr schema, PushedFilter build_filter = {})
       : PhysicalOp(std::move(schema), {probe}),
         rel_(std::move(rel)),
         probe_key_(std::move(probe_key)),
@@ -318,7 +248,7 @@ class IndexedJoinOp : public PhysicalOp {
   Result<PartitionVec> Execute(ExecutorContext& ctx) override;
 
  private:
-  IndexedRelationPtr rel_;
+  IndexedRelationBasePtr rel_;
   ExprPtr probe_key_;
   bool indexed_on_left_;
   bool broadcast_probe_;

@@ -98,20 +98,26 @@ class IndexedRelationSnapshot {
   std::vector<IndexedPartition::View> views_;
 };
 
-/// \brief A pinned, named version of an indexed relation (implements the
-/// SQL layer's SnapshotRelationBase). Reads against it are frozen at the
-/// capture point while the live relation keeps growing.
-class PinnedSnapshot : public SnapshotRelationBase {
+/// \brief A pinned, named version of an indexed relation. Reads against it
+/// are frozen at the capture point while the live relation keeps growing;
+/// as an IndexedRelationBase it plugs into the same plan nodes and
+/// operators as the live relation.
+class PinnedSnapshot : public IndexedRelationBase {
  public:
+  /// `origin` identifies the relation the version was captured from
+  /// (never dereferenced; SnapshotPins match on it).
   PinnedSnapshot(std::string name, uint64_t version,
-                 IndexedRelationSnapshot snapshot)
+                 IndexedRelationSnapshot snapshot,
+                 const IndexedRelationBase* origin)
       : name_(std::move(name)),
         version_(version),
-        snapshot_(std::move(snapshot)) {}
+        snapshot_(std::move(snapshot)),
+        origin_(origin) {}
 
   const std::string& name() const override { return name_; }
   const SchemaPtr& schema() const override { return snapshot_.schema(); }
   int indexed_column() const override { return snapshot_.indexed_column(); }
+  int num_partitions() const override { return snapshot_.num_partitions(); }
   uint64_t version() const override { return version_; }
   size_t num_rows() const override { return snapshot_.num_rows(); }
   SecondaryIndexKind secondary_index_kind(int column) const override {
@@ -122,6 +128,7 @@ class PinnedSnapshot : public SnapshotRelationBase {
   }
 
   const IndexedRelationSnapshot& snapshot() const { return snapshot_; }
+  const IndexedRelationBase* origin() const { return origin_; }
 
   /// Point lookup against the frozen version.
   RowVec GetRows(const Value& key) const { return snapshot_.GetRows(key); }
@@ -130,8 +137,20 @@ class PinnedSnapshot : public SnapshotRelationBase {
   std::string name_;
   uint64_t version_;
   IndexedRelationSnapshot snapshot_;
+  const IndexedRelationBase* origin_;
 };
 using PinnedSnapshotPtr = std::shared_ptr<PinnedSnapshot>;
+
+/// \brief The versions one execution reads: a consistent set of pins of
+/// live relations (the query service's epoch snapshot implements it).
+/// Installed on an ExecutorContext, it makes every indexed read of a
+/// pinned relation read the pin instead of a fresh snapshot.
+class SnapshotPins {
+ public:
+  virtual ~SnapshotPins() = default;
+  /// The pin of `relation`, or null when the set does not pin it.
+  virtual const PinnedSnapshot* Find(const IndexedRelationBase& relation) const = 0;
+};
 
 class IndexedRelation : public IndexedRelationBase {
  public:
@@ -200,7 +219,7 @@ class IndexedRelation : public IndexedRelationBase {
   PinnedSnapshotPtr Pin() const {
     uint64_t v = version();
     return std::make_shared<PinnedSnapshot>(name_ + "@v" + std::to_string(v), v,
-                                            Snapshot());
+                                            Snapshot(), this);
   }
 
   /// Aggregated chain statistics across partitions (chain-length

@@ -83,22 +83,9 @@ Result<LogicalPlanPtr> IndexedFilterRule::Apply(const LogicalPlanPtr& node) cons
   if (node->kind() != PlanKind::kFilter) return LogicalPlanPtr(nullptr);
   const auto* filter = static_cast<const FilterNode*>(node.get());
   const LogicalPlanPtr& child = filter->children()[0];
-  // The rewrite applies to live indexed scans and to pinned snapshot scans
-  // alike: a pinned snapshot keeps the per-partition tries, so an equality
-  // on the indexed column stays a point lookup (this is what keeps service
-  // queries at index speed while they read a frozen epoch).
-  int indexed_col = -1;
-  if (child->kind() == PlanKind::kIndexedScan) {
-    indexed_col = static_cast<const IndexedScanNode*>(child.get())
-                      ->relation()
-                      ->indexed_column();
-  } else if (child->kind() == PlanKind::kSnapshotScan) {
-    indexed_col = static_cast<const SnapshotScanNode*>(child.get())
-                      ->snapshot()
-                      ->indexed_column();
-  } else {
-    return LogicalPlanPtr(nullptr);
-  }
+  if (child->kind() != PlanKind::kIndexedScan) return LogicalPlanPtr(nullptr);
+  const IndexedRelationBasePtr& rel =
+      static_cast<const IndexedScanNode*>(child.get())->relation();
 
   std::vector<ExprPtr> conjuncts;
   CollectConjuncts(filter->predicate(), &conjuncts);
@@ -109,21 +96,13 @@ Result<LogicalPlanPtr> IndexedFilterRule::Apply(const LogicalPlanPtr& node) cons
     std::vector<Value> keys;
     std::vector<int> key_params;
     bool any_param = false;
-    if (!MatchInList(conjuncts[i], indexed_col, &keys, &key_params,
+    if (!MatchInList(conjuncts[i], rel->indexed_column(), &keys, &key_params,
                      &any_param)) {
       continue;
     }
     if (!any_param) key_params.clear();
-    LogicalPlanPtr lookup;
-    if (child->kind() == PlanKind::kIndexedScan) {
-      lookup = std::make_shared<IndexedLookupNode>(
-          static_cast<const IndexedScanNode*>(child.get())->relation(),
-          std::move(keys), std::move(key_params));
-    } else {
-      lookup = std::make_shared<SnapshotLookupNode>(
-          static_cast<const SnapshotScanNode*>(child.get())->snapshot(),
-          std::move(keys), std::move(key_params));
-    }
+    LogicalPlanPtr lookup = std::make_shared<IndexedLookupNode>(
+        rel, std::move(keys), std::move(key_params));
     std::vector<ExprPtr> rest;
     for (size_t j = 0; j < conjuncts.size(); ++j) {
       if (j != i) rest.push_back(conjuncts[j]);
@@ -141,33 +120,23 @@ Result<LogicalPlanPtr> SecondaryIndexFilterRule::Apply(
   if (node->kind() != PlanKind::kFilter) return LogicalPlanPtr(nullptr);
   const auto* filter = static_cast<const FilterNode*>(node.get());
   const LogicalPlanPtr& child = filter->children()[0];
-  IndexedRelationBasePtr rel;
-  SnapshotRelationBasePtr snap;
-  if (child->kind() == PlanKind::kIndexedScan) {
-    rel = static_cast<const IndexedScanNode*>(child.get())->relation();
-  } else if (child->kind() == PlanKind::kSnapshotScan) {
-    snap = static_cast<const SnapshotScanNode*>(child.get())->snapshot();
-  } else {
-    return LogicalPlanPtr(nullptr);
-  }
-  const SchemaPtr& schema = rel ? rel->schema() : snap->schema();
-  const size_t total_rows = rel ? rel->num_rows() : snap->num_rows();
+  if (child->kind() != PlanKind::kIndexedScan) return LogicalPlanPtr(nullptr);
+  const IndexedRelationBasePtr& rel =
+      static_cast<const IndexedScanNode*>(child.get())->relation();
+  const size_t total_rows = rel->num_rows();
 
   std::vector<ExprPtr> conjuncts;
   CollectConjuncts(filter->predicate(), &conjuncts);
-  auto kind_of = [&](int col) {
-    return rel ? rel->secondary_index_kind(col) : snap->secondary_index_kind(col);
-  };
+  auto kind_of = [&rel](int col) { return rel->secondary_index_kind(col); };
   std::vector<SecondaryProbeCandidate> candidates =
-      CollectSecondaryProbeCandidates(conjuncts, *schema, kind_of);
+      CollectSecondaryProbeCandidates(conjuncts, *rel->schema(), kind_of);
   if (candidates.empty()) return LogicalPlanPtr(nullptr);
 
   // Index-kind costing: estimated matches from the index statistics become
   // a selectivity per candidate; the probe only beats the vectorized
   // scan's sequential bandwidth when selective enough.
   for (SecondaryProbeCandidate& c : candidates) {
-    const uint64_t est = rel ? rel->EstimateSecondaryMatches(c.probe)
-                             : snap->EstimateSecondaryMatches(c.probe);
+    const uint64_t est = rel->EstimateSecondaryMatches(c.probe);
     c.probe.selectivity =
         total_rows == 0
             ? 0.0
@@ -198,8 +167,7 @@ Result<LogicalPlanPtr> SecondaryIndexFilterRule::Apply(
   if (probes.empty()) return LogicalPlanPtr(nullptr);
 
   LogicalPlanPtr probe_node =
-      rel ? std::make_shared<SecondaryProbeNode>(rel, std::move(probes))
-          : std::make_shared<SecondaryProbeNode>(snap, std::move(probes));
+      std::make_shared<SecondaryProbeNode>(rel, std::move(probes));
   std::vector<ExprPtr> rest;
   for (size_t i = 0; i < conjuncts.size(); ++i) {
     if (!consumed[i]) rest.push_back(conjuncts[i]);
@@ -242,23 +210,29 @@ Result<LogicalPlanPtr> IndexedJoinRule::Apply(const LogicalPlanPtr& node) const 
   if (join->join_type() != JoinType::kInner) return LogicalPlanPtr(nullptr);
 
   // "In case of the indexed join, the indexed relation is always the build
-  //  side" — prefer the left side when both are indexed. A Filter over the
-  //  build-side scan is absorbed as the join's build predicate (children
-  //  are optimized before parents, so an indexed-column equality filter has
-  //  already become a lookup and no longer matches here).
-  IndexedRelationBasePtr rel;
-  ExprPtr build_pred;
-  if (MatchBuildSide(join->left(), &rel, &build_pred) &&
-      KeyIsIndexedColumn(join->left_key(), rel)) {
+  //  side". A Filter over the build-side scan is absorbed as the join's
+  //  build predicate (children are optimized before parents, so an
+  //  indexed-column equality filter has already become a lookup and no
+  //  longer matches here). When both sides are indexed on their keys, the
+  //  build is the side whose opposite (the probe, which is shuffled or
+  //  broadcast and walked row by row) is estimated smaller; ties keep the
+  //  left side.
+  IndexedRelationBasePtr left_rel, right_rel;
+  ExprPtr left_pred, right_pred;
+  const bool left_ok = MatchBuildSide(join->left(), &left_rel, &left_pred) &&
+                       KeyIsIndexedColumn(join->left_key(), left_rel);
+  const bool right_ok = MatchBuildSide(join->right(), &right_rel, &right_pred) &&
+                        KeyIsIndexedColumn(join->right_key(), right_rel);
+  if (right_ok && (!left_ok || EstimateRows(join->left()) <
+                                   EstimateRows(join->right()))) {
     return LogicalPlanPtr(std::make_shared<IndexedJoinNode>(
-        rel, join->right(), join->right_key(), /*indexed_on_left=*/true,
-        node->output_schema(), std::move(build_pred)));
+        right_rel, join->left(), join->left_key(), /*indexed_on_left=*/false,
+        node->output_schema(), std::move(right_pred)));
   }
-  if (MatchBuildSide(join->right(), &rel, &build_pred) &&
-      KeyIsIndexedColumn(join->right_key(), rel)) {
+  if (left_ok) {
     return LogicalPlanPtr(std::make_shared<IndexedJoinNode>(
-        rel, join->left(), join->left_key(), /*indexed_on_left=*/false,
-        node->output_schema(), std::move(build_pred)));
+        left_rel, join->right(), join->right_key(), /*indexed_on_left=*/true,
+        node->output_schema(), std::move(left_pred)));
   }
   return LogicalPlanPtr(nullptr);
 }
@@ -278,31 +252,17 @@ bool AllColumnRefs(const std::vector<ExprPtr>& exprs, std::vector<int>* cols) {
   return true;
 }
 
-/// True for the two leaf kinds a scan-filter / scan-project can fuse over.
-bool IsFusableScan(const LogicalPlanPtr& node) {
-  return node->kind() == PlanKind::kIndexedScan ||
-         node->kind() == PlanKind::kSnapshotScan;
+/// The relation under an IndexedScan leaf (the fused operators' input),
+/// else null.
+IndexedRelationBasePtr ScanRelation(const LogicalPlanPtr& node) {
+  if (node->kind() != PlanKind::kIndexedScan) return nullptr;
+  return static_cast<const IndexedScanNode*>(node.get())->relation();
 }
 
-/// ScanSource of an IndexedScan or SnapshotScan node. Invalid (both null)
-/// when the node holds a foreign relation/snapshot implementation.
-ScanSource SourceOfScan(const LogicalPlanPtr& scan) {
-  if (scan->kind() == PlanKind::kIndexedScan) {
-    return ScanSource(std::dynamic_pointer_cast<IndexedRelation>(
-        static_cast<const IndexedScanNode*>(scan.get())->relation()));
-  }
-  return ScanSource(std::dynamic_pointer_cast<PinnedSnapshot>(
-      static_cast<const SnapshotScanNode*>(scan.get())->snapshot()));
-}
-
-/// ScanSource of a SecondaryProbeNode's relation or snapshot. Invalid
-/// (both null) for foreign implementations.
-ScanSource SourceOfProbe(const SecondaryProbeNode* probe) {
-  if (probe->relation()) {
-    return ScanSource(
-        std::dynamic_pointer_cast<IndexedRelation>(probe->relation()));
-  }
-  return ScanSource(std::dynamic_pointer_cast<PinnedSnapshot>(probe->snapshot()));
+/// `node` as a SecondaryProbe leaf, else null.
+const SecondaryProbeNode* AsProbe(const LogicalPlanPtr& node) {
+  if (node->kind() != PlanKind::kSecondaryProbe) return nullptr;
+  return static_cast<const SecondaryProbeNode*>(node.get());
 }
 
 /// True when the aggregate can run on encoded payloads: every group
@@ -331,107 +291,69 @@ bool AggregateIsFusable(const AggregateNode* agg, const Schema& schema) {
 Result<PhysicalOpPtr> IndexedExecutionStrategy::Plan(
     const LogicalPlanPtr& node, std::vector<PhysicalOpPtr> children,
     const EngineConfig& config) const {
-  // Fuse Aggregate over an IndexedScan / pinned SnapshotScan — or over a
-  // Filter over one — into a morsel-parallel scan-aggregate that reads
-  // group keys and aggregate inputs straight from the encoded payloads.
-  // With a filter in between, the same compiled-predicate gate as the
-  // scan-filter fusion applies: at least one conjunct must compile, so
-  // survivor rows are selected on the payload bytes and flow into the
-  // partial tables without a decoded intermediate.
+  // Fuse Aggregate over an IndexedScan — or over a Filter over one — into
+  // a morsel-parallel scan-aggregate that reads group keys and aggregate
+  // inputs straight from the encoded payloads. With a filter in between,
+  // the same compiled-predicate gate as the scan-filter fusion applies: at
+  // least one conjunct must compile, so survivor rows are selected on the
+  // payload bytes and flow into the partial tables without a decoded
+  // intermediate.
   if (node->kind() == PlanKind::kAggregate) {
     const auto* agg = static_cast<const AggregateNode*>(node.get());
     const LogicalPlanPtr& child = node->children()[0];
-    if (IsFusableScan(child)) {
-      ScanSource source = SourceOfScan(child);
-      if (source.valid() && AggregateIsFusable(agg, *source.schema())) {
-        return PhysicalOpPtr(std::make_shared<IndexedScanAggregateOp>(
-            std::move(source), nullptr, PushedFilter{}, agg->group_exprs(),
-            agg->aggs(), node->output_schema()));
-      }
+    const bool filtered = child->kind() == PlanKind::kFilter;
+    IndexedRelationBasePtr rel = ScanRelation(filtered ? child->children()[0] : child);
+    if (rel == nullptr || !AggregateIsFusable(agg, *rel->schema())) {
       return PhysicalOpPtr(nullptr);
     }
-    if (child->kind() == PlanKind::kFilter &&
-        IsFusableScan(child->children()[0])) {
-      const auto* filter = static_cast<const FilterNode*>(child.get());
-      ScanSource source = SourceOfScan(child->children()[0]);
-      if (source.valid() && AggregateIsFusable(agg, *source.schema())) {
-        PredicateSplit split =
-            SplitForCompilation(filter->predicate(), *source.schema());
-        if (split.compiled.has_value()) {
-          return PhysicalOpPtr(std::make_shared<IndexedScanAggregateOp>(
-              std::move(source), filter->predicate(),
-              PushedFilter::FromSplit(std::move(split)), agg->group_exprs(),
-              agg->aggs(), node->output_schema()));
-        }
-      }
-      return PhysicalOpPtr(nullptr);
+    if (!filtered) {
+      return PhysicalOpPtr(std::make_shared<IndexedScanAggregateOp>(
+          std::move(rel), nullptr, PushedFilter{}, agg->group_exprs(), agg->aggs(),
+          node->output_schema()));
     }
-    return PhysicalOpPtr(nullptr);
+    const ExprPtr& predicate = static_cast<const FilterNode*>(child.get())->predicate();
+    PredicateSplit split = SplitForCompilation(predicate, *rel->schema());
+    if (!split.compiled.has_value()) return PhysicalOpPtr(nullptr);
+    return PhysicalOpPtr(std::make_shared<IndexedScanAggregateOp>(
+        std::move(rel), predicate, PushedFilter::FromSplit(std::move(split)),
+        agg->group_exprs(), agg->aggs(), node->output_schema()));
   }
-  // Fuse a Filter directly over an IndexedScan or a pinned SnapshotScan
-  // into a lazy-decoding scan-filter whenever at least one conjunct of the
-  // predicate compiles to an encoded-row program (the index itself only
-  // serves equality on the indexed column; that case was already rewritten
-  // to IndexedLookup/SnapshotLookup by the optimizer rule and never
-  // reaches this branch). A filter over a lookup pushes into the chain
-  // walk instead. Predicates where nothing compiles (LIKE, arithmetic,
-  // col-vs-col) fall back to the generic FilterOp over the scan.
+  // Fuse a Filter directly over an IndexedScan into a lazy-decoding
+  // scan-filter whenever at least one conjunct of the predicate compiles
+  // to an encoded-row program (the index itself only serves equality on
+  // the indexed column; that case was already rewritten to IndexedLookup
+  // by the optimizer rule and never reaches this branch). A filter over a
+  // lookup pushes into the chain walk instead. Predicates where nothing
+  // compiles (LIKE, arithmetic, col-vs-col) fall back to the generic
+  // FilterOp over the scan.
   if (node->kind() == PlanKind::kFilter) {
-    const auto* filter = static_cast<const FilterNode*>(node.get());
+    const ExprPtr& predicate = static_cast<const FilterNode*>(node.get())->predicate();
     const LogicalPlanPtr& child = node->children()[0];
-    if (IsFusableScan(child)) {
-      ScanSource source = SourceOfScan(child);
-      if (source.valid()) {
-        PredicateSplit split =
-            SplitForCompilation(filter->predicate(), *source.schema());
-        if (split.compiled.has_value()) {
-          return PhysicalOpPtr(std::make_shared<IndexedScanFilterOp>(
-              std::move(source), filter->predicate(),
-              PushedFilter::FromSplit(std::move(split))));
-        }
-      }
-      return PhysicalOpPtr(nullptr);  // fall back to Filter over the scan
+    if (IndexedRelationBasePtr rel = ScanRelation(child)) {
+      PredicateSplit split = SplitForCompilation(predicate, *rel->schema());
+      if (!split.compiled.has_value()) return PhysicalOpPtr(nullptr);
+      return PhysicalOpPtr(std::make_shared<IndexedScanFilterOp>(
+          std::move(rel), predicate, PushedFilter::FromSplit(std::move(split))));
     }
-    if (child->kind() == PlanKind::kSecondaryProbe) {
+    if (const SecondaryProbeNode* probe = AsProbe(child)) {
       // Push the residual filter into the probe operator: the compiled
       // part gates survivors on the encoded payload, the interpreter rest
       // runs on the decoded row. No compilation gate — the probe already
       // restricted the row set, so even a fully interpreted residual over
       // few survivors beats a separate filter pass.
-      const auto* probe = static_cast<const SecondaryProbeNode*>(child.get());
-      ScanSource source = SourceOfProbe(probe);
-      if (source.valid()) {
-        PredicateSplit split =
-            SplitForCompilation(filter->predicate(), *source.schema());
-        return PhysicalOpPtr(std::make_shared<SecondaryIndexProbeOp>(
-            std::move(source), probe->probes(), filter->predicate(),
-            PushedFilter::FromSplit(std::move(split))));
-      }
-      return PhysicalOpPtr(nullptr);
+      PredicateSplit split =
+          SplitForCompilation(predicate, *probe->relation()->schema());
+      return PhysicalOpPtr(std::make_shared<SecondaryIndexProbeOp>(
+          probe->relation(), probe->probes(), predicate,
+          PushedFilter::FromSplit(std::move(split))));
     }
     if (child->kind() == PlanKind::kIndexedLookup) {
       const auto* lookup = static_cast<const IndexedLookupNode*>(child.get());
-      auto rel = std::dynamic_pointer_cast<IndexedRelation>(lookup->relation());
-      if (rel) {
-        PredicateSplit split =
-            SplitForCompilation(filter->predicate(), *rel->schema());
-        return PhysicalOpPtr(std::make_shared<IndexLookupOp>(
-            std::move(rel), lookup->keys(),
-            PushedFilter::FromSplit(std::move(split)), lookup->key_params()));
-      }
-      return PhysicalOpPtr(nullptr);
-    }
-    if (child->kind() == PlanKind::kSnapshotLookup) {
-      const auto* lookup = static_cast<const SnapshotLookupNode*>(child.get());
-      auto snap = std::dynamic_pointer_cast<PinnedSnapshot>(lookup->snapshot());
-      if (snap) {
-        PredicateSplit split =
-            SplitForCompilation(filter->predicate(), *snap->schema());
-        return PhysicalOpPtr(std::make_shared<SnapshotLookupOp>(
-            std::move(snap), lookup->keys(),
-            PushedFilter::FromSplit(std::move(split)), lookup->key_params()));
-      }
-      return PhysicalOpPtr(nullptr);
+      PredicateSplit split =
+          SplitForCompilation(predicate, *lookup->relation()->schema());
+      return PhysicalOpPtr(std::make_shared<IndexLookupOp>(
+          lookup->relation(), lookup->keys(),
+          PushedFilter::FromSplit(std::move(split)), lookup->key_params()));
     }
     return PhysicalOpPtr(nullptr);
   }
@@ -441,109 +363,54 @@ Result<PhysicalOpPtr> IndexedExecutionStrategy::Plan(
   if (node->kind() == PlanKind::kProject) {
     const auto* project = static_cast<const ProjectNode*>(node.get());
     std::vector<int> cols;
-    if (AllColumnRefs(project->exprs(), &cols)) {
-      const LogicalPlanPtr& child = node->children()[0];
-      if (IsFusableScan(child)) {
-        ScanSource source = SourceOfScan(child);
-        if (source.valid()) {
-          return PhysicalOpPtr(std::make_shared<IndexedScanProjectOp>(
-              std::move(source), std::move(cols), node->output_schema()));
-        }
-      }
-      if (child->kind() == PlanKind::kFilter &&
-          IsFusableScan(child->children()[0])) {
-        const auto* filter = static_cast<const FilterNode*>(child.get());
-        ScanSource source = SourceOfScan(child->children()[0]);
-        if (source.valid()) {
-          PredicateSplit split =
-              SplitForCompilation(filter->predicate(), *source.schema());
-          if (split.compiled.has_value()) {
-            return PhysicalOpPtr(std::make_shared<IndexedScanFilterOp>(
-                std::move(source), filter->predicate(),
-                PushedFilter::FromSplit(std::move(split)), std::move(cols),
-                node->output_schema()));
-          }
-        }
-      }
-      if (child->kind() == PlanKind::kSecondaryProbe) {
-        const auto* probe = static_cast<const SecondaryProbeNode*>(child.get());
-        ScanSource source = SourceOfProbe(probe);
-        if (source.valid()) {
-          return PhysicalOpPtr(std::make_shared<SecondaryIndexProbeOp>(
-              std::move(source), probe->probes(), nullptr, PushedFilter{},
-              std::move(cols), node->output_schema()));
-        }
-      }
-      if (child->kind() == PlanKind::kFilter &&
-          child->children()[0]->kind() == PlanKind::kSecondaryProbe) {
-        const auto* filter = static_cast<const FilterNode*>(child.get());
-        const auto* probe =
-            static_cast<const SecondaryProbeNode*>(child->children()[0].get());
-        ScanSource source = SourceOfProbe(probe);
-        if (source.valid()) {
-          PredicateSplit split =
-              SplitForCompilation(filter->predicate(), *source.schema());
-          return PhysicalOpPtr(std::make_shared<SecondaryIndexProbeOp>(
-              std::move(source), probe->probes(), filter->predicate(),
-              PushedFilter::FromSplit(std::move(split)), std::move(cols),
-              node->output_schema()));
-        }
-      }
+    if (!AllColumnRefs(project->exprs(), &cols)) return PhysicalOpPtr(nullptr);
+    const LogicalPlanPtr& child = node->children()[0];
+    if (IndexedRelationBasePtr rel = ScanRelation(child)) {
+      return PhysicalOpPtr(std::make_shared<IndexedScanProjectOp>(
+          std::move(rel), std::move(cols), node->output_schema()));
+    }
+    if (const SecondaryProbeNode* probe = AsProbe(child)) {
+      return PhysicalOpPtr(std::make_shared<SecondaryIndexProbeOp>(
+          probe->relation(), probe->probes(), nullptr, PushedFilter{},
+          std::move(cols), node->output_schema()));
+    }
+    if (child->kind() != PlanKind::kFilter) return PhysicalOpPtr(nullptr);
+    const ExprPtr& predicate = static_cast<const FilterNode*>(child.get())->predicate();
+    const LogicalPlanPtr& leaf = child->children()[0];
+    if (IndexedRelationBasePtr rel = ScanRelation(leaf)) {
+      PredicateSplit split = SplitForCompilation(predicate, *rel->schema());
+      if (!split.compiled.has_value()) return PhysicalOpPtr(nullptr);
+      return PhysicalOpPtr(std::make_shared<IndexedScanFilterOp>(
+          std::move(rel), predicate, PushedFilter::FromSplit(std::move(split)),
+          std::move(cols), node->output_schema()));
+    }
+    if (const SecondaryProbeNode* probe = AsProbe(leaf)) {
+      PredicateSplit split =
+          SplitForCompilation(predicate, *probe->relation()->schema());
+      return PhysicalOpPtr(std::make_shared<SecondaryIndexProbeOp>(
+          probe->relation(), probe->probes(), predicate,
+          PushedFilter::FromSplit(std::move(split)), std::move(cols),
+          node->output_schema()));
     }
     return PhysicalOpPtr(nullptr);
   }
   switch (node->kind()) {
-    case PlanKind::kIndexedScan: {
-      auto rel = std::dynamic_pointer_cast<IndexedRelation>(
-          static_cast<const IndexedScanNode*>(node.get())->relation());
-      if (!rel) {
-        return Status::Internal("IndexedScan over a foreign relation type");
-      }
-      return PhysicalOpPtr(std::make_shared<IndexedScanOp>(std::move(rel)));
-    }
+    case PlanKind::kIndexedScan:
+      return PhysicalOpPtr(std::make_shared<IndexedScanOp>(
+          static_cast<const IndexedScanNode*>(node.get())->relation()));
     case PlanKind::kIndexedLookup: {
       const auto* lookup = static_cast<const IndexedLookupNode*>(node.get());
-      auto rel = std::dynamic_pointer_cast<IndexedRelation>(lookup->relation());
-      if (!rel) {
-        return Status::Internal("IndexedLookup over a foreign relation type");
-      }
       return PhysicalOpPtr(std::make_shared<IndexLookupOp>(
-          std::move(rel), lookup->keys(), PushedFilter{},
-          lookup->key_params()));
-    }
-    case PlanKind::kSnapshotScan: {
-      auto snap = std::dynamic_pointer_cast<PinnedSnapshot>(
-          static_cast<const SnapshotScanNode*>(node.get())->snapshot());
-      if (!snap) {
-        return Status::Internal("SnapshotScan over a foreign snapshot type");
-      }
-      return PhysicalOpPtr(std::make_shared<SnapshotScanOp>(std::move(snap)));
-    }
-    case PlanKind::kSnapshotLookup: {
-      const auto* lookup = static_cast<const SnapshotLookupNode*>(node.get());
-      auto snap = std::dynamic_pointer_cast<PinnedSnapshot>(lookup->snapshot());
-      if (!snap) {
-        return Status::Internal("SnapshotLookup over a foreign snapshot type");
-      }
-      return PhysicalOpPtr(std::make_shared<SnapshotLookupOp>(
-          std::move(snap), lookup->keys(), PushedFilter{},
-          lookup->key_params()));
+          lookup->relation(), lookup->keys(), PushedFilter{}, lookup->key_params()));
     }
     case PlanKind::kSecondaryProbe: {
       const auto* probe = static_cast<const SecondaryProbeNode*>(node.get());
-      ScanSource source = SourceOfProbe(probe);
-      if (!source.valid()) {
-        return Status::Internal("SecondaryProbe over a foreign relation type");
-      }
       return PhysicalOpPtr(std::make_shared<SecondaryIndexProbeOp>(
-          std::move(source), probe->probes(), nullptr, PushedFilter{}));
+          probe->relation(), probe->probes(), nullptr, PushedFilter{}));
     }
     case PlanKind::kIndexedJoin: {
       const auto* join = static_cast<const IndexedJoinNode*>(node.get());
-      auto rel = std::dynamic_pointer_cast<IndexedRelation>(join->relation());
-      if (!rel) {
-        return Status::Internal("IndexedJoin over a foreign relation type");
-      }
+      const IndexedRelationBasePtr& rel = join->relation();
       bool broadcast_probe =
           EstimateBytes(join->probe()) <=
           static_cast<double>(config.broadcast_threshold_bytes);
@@ -553,7 +420,7 @@ Result<PhysicalOpPtr> IndexedExecutionStrategy::Plan(
             SplitForCompilation(join->build_predicate(), *rel->schema()));
       }
       return PhysicalOpPtr(std::make_shared<IndexedJoinOp>(
-          std::move(rel), children[0], join->probe_key(), join->indexed_on_left(),
+          rel, children[0], join->probe_key(), join->indexed_on_left(),
           broadcast_probe, node->output_schema(), std::move(build_filter)));
     }
     default:

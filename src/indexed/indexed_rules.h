@@ -21,7 +21,7 @@ class IndexedFilterRule : public OptimizerRule {
   Result<LogicalPlanPtr> Apply(const LogicalPlanPtr& node) const override;
 };
 
-/// Filter over IndexedScan/SnapshotScan whose conjuncts include bitmap or
+/// Filter over IndexedScan whose conjuncts include bitmap or
 /// range predicates on secondary-indexed columns becomes a SecondaryProbe
 /// when index-kind costing says the cheapest probe's estimated selectivity
 /// beats the vectorized scan (at most `max_selectivity`). Every candidate
@@ -42,7 +42,8 @@ class SecondaryIndexFilterRule : public OptimizerRule {
 
 /// Join with an IndexedScan on one side, keyed on the indexed column,
 /// becomes IndexedJoin: the index is the build side, the other relation is
-/// the probe side.
+/// the probe side. When both sides qualify, the side facing the smaller
+/// estimated probe builds.
 class IndexedJoinRule : public OptimizerRule {
  public:
   std::string name() const override { return "IndexedEquiJoin"; }

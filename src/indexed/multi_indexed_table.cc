@@ -86,10 +86,14 @@ Status MultiIndexedTable::AppendRows(const DataFrame& df) const {
 }
 
 Status MultiIndexedTable::AppendRowsDirect(const RowVec& rows) const {
+  return AppendRowsDirect(session_->exec(), rows);
+}
+
+Status MultiIndexedTable::AppendRowsDirect(ExecutorContext& ctx,
+                                           const RowVec& rows) const {
   // Encode the batch ONCE: the UnsafeRow bytes are index-independent, so
   // every index routes and links the same payloads by its own key column
   // instead of re-encoding per index.
-  ExecutorContext& ctx = session_->exec();
   IDF_ASSIGN_OR_RETURN(EncodedRowBatch enc, EncodeRowBatch(ctx, *schema_, rows));
   for (const std::string& column : order_) {
     const IndexedRelationPtr& rel = indexes_.at(column)->relation();

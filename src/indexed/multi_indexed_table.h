@@ -62,6 +62,9 @@ class MultiIndexedTable {
   /// per-partition; all indexes see the batch before this returns).
   Status AppendRows(const DataFrame& df) const;
   Status AppendRowsDirect(const RowVec& rows) const;
+  /// Same, encoding and maintaining indexes on `ctx` (its pool runs the
+  /// parallel encode; its metrics receive the index-maintenance time).
+  Status AppendRowsDirect(ExecutorContext& ctx, const RowVec& rows) const;
 
   /// Scan view through the first index (any index holds all rows).
   Result<DataFrame> ToDataFrame() const;

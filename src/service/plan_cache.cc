@@ -34,99 +34,6 @@ std::string NormalizeSql(const std::string& sql) {
   return out;
 }
 
-namespace {
-
-/// Service table name of a pinned snapshot: identity match against the
-/// snapshot's pins first (exact), then the pin's own name.
-std::string TableNameOfPin(const SnapshotRelationBasePtr& pin,
-                           const ServiceSnapshot& snap) {
-  for (const PinnedTable& t : snap.tables) {
-    for (const auto& [col, p] : t.pins) {
-      if (p.get() == pin.get()) return t.table;
-    }
-  }
-  return pin->name();
-}
-
-Result<SnapshotRelationBasePtr> DetachPin(const SnapshotRelationBasePtr& pin,
-                                          const ServiceSnapshot& snap) {
-  if (std::dynamic_pointer_cast<DetachedSnapshotRelation>(pin) != nullptr) {
-    return pin;  // already detached (idempotence)
-  }
-  return SnapshotRelationBasePtr(std::make_shared<DetachedSnapshotRelation>(
-      TableNameOfPin(pin, snap), *pin));
-}
-
-Result<SnapshotRelationBasePtr> AttachPin(const SnapshotRelationBasePtr& rel,
-                                          const ServiceSnapshot& snap) {
-  const auto detached = std::dynamic_pointer_cast<DetachedSnapshotRelation>(rel);
-  if (detached == nullptr) return rel;  // already a live pin
-  const PinnedTable* table = snap.find(detached->table());
-  if (table == nullptr) {
-    return Status::KeyError("prepared statement references table '" +
-                            detached->table() +
-                            "' which is no longer registered");
-  }
-  return SnapshotRelationBasePtr(table->primary());
-}
-
-using PinMapper = Result<SnapshotRelationBasePtr> (*)(
-    const SnapshotRelationBasePtr&, const ServiceSnapshot&);
-
-Result<LogicalPlanPtr> MapPins(const LogicalPlanPtr& node, PinMapper map_pin,
-                               const ServiceSnapshot& snap) {
-  std::vector<LogicalPlanPtr> kids;
-  kids.reserve(node->children().size());
-  bool changed = false;
-  for (const LogicalPlanPtr& child : node->children()) {
-    IDF_ASSIGN_OR_RETURN(LogicalPlanPtr k, MapPins(child, map_pin, snap));
-    changed = changed || (k != child);
-    kids.push_back(std::move(k));
-  }
-  switch (node->kind()) {
-    case PlanKind::kSnapshotScan: {
-      const auto* scan = static_cast<const SnapshotScanNode*>(node.get());
-      IDF_ASSIGN_OR_RETURN(SnapshotRelationBasePtr pin,
-                           map_pin(scan->snapshot(), snap));
-      if (pin == scan->snapshot()) return node;
-      return LogicalPlanPtr(std::make_shared<SnapshotScanNode>(std::move(pin)));
-    }
-    case PlanKind::kSnapshotLookup: {
-      const auto* lookup = static_cast<const SnapshotLookupNode*>(node.get());
-      IDF_ASSIGN_OR_RETURN(SnapshotRelationBasePtr pin,
-                           map_pin(lookup->snapshot(), snap));
-      if (pin == lookup->snapshot()) return node;
-      return LogicalPlanPtr(std::make_shared<SnapshotLookupNode>(
-          std::move(pin), lookup->keys(), lookup->key_params()));
-    }
-    case PlanKind::kSecondaryProbe: {
-      const auto* probe = static_cast<const SecondaryProbeNode*>(node.get());
-      if (probe->snapshot() == nullptr) break;  // relation-backed: no pins
-      IDF_ASSIGN_OR_RETURN(SnapshotRelationBasePtr pin,
-                           map_pin(probe->snapshot(), snap));
-      if (pin == probe->snapshot()) return node;
-      return LogicalPlanPtr(
-          std::make_shared<SecondaryProbeNode>(std::move(pin), probe->probes()));
-    }
-    default:
-      break;
-  }
-  if (!changed) return node;
-  return node->WithChildren(std::move(kids));
-}
-
-}  // namespace
-
-Result<LogicalPlanPtr> DetachSnapshots(const LogicalPlanPtr& plan,
-                                       const ServiceSnapshot& snap) {
-  return MapPins(plan, &DetachPin, snap);
-}
-
-Result<LogicalPlanPtr> RebindSnapshots(const LogicalPlanPtr& plan,
-                                       const ServiceSnapshot& snap) {
-  return MapPins(plan, &AttachPin, snap);
-}
-
 PreparedStatementPtr PlanCache::Lookup(const std::string& fingerprint) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_fingerprint_.find(fingerprint);

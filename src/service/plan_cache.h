@@ -1,24 +1,19 @@
 // Parameterized plan cache for prepared statements (DESIGN.md §15).
 //
-// A prepared statement is parsed, analyzed, type-inferred, and optimized
-// ONCE; the cached artifact is the optimized logical tree with its
-// snapshot leaves replaced by pin-free stand-ins (DetachSnapshots), so a
-// cached plan never keeps MVCC pins — and thus retired storage
-// generations — alive between executions. Each execution re-attaches the
-// current epoch's pins by table name (RebindSnapshots), lowers the tree
-// to physical operators WITHOUT re-running the optimizer
-// (Session::PlanOptimized), and re-binds the parameter values in place:
-// compiled predicates patch immediate slots (CompiledPredicate::
-// BindParams), interpreted filter/project expressions substitute
-// literals, and lookup operators fill key slots — no recompilation on the
-// hot path. The lowered plan is memoized per epoch under the statement's
-// mutex, so same-epoch executions share one physical tree and only an
-// append-driven epoch bump (or a DDL change) triggers re-lowering.
+// A prepared statement is parsed, analyzed, type-inferred, optimized, and
+// lowered to physical operators ONCE. The plan names the registered live
+// relations and holds no MVCC pins: each execution installs its epoch's
+// pins and its parameter values on the ExecutorContext, the operators
+// read the pinned version of each relation, compiled predicates patch
+// immediate slots (CompiledPredicate::BindParams), interpreted
+// filter/project expressions substitute literals, and lookup operators
+// fill key slots — no re-lowering and no recompilation on the hot path,
+// however far the epoch moves. Only a DDL change re-prepares.
 //
 // The cache is an LRU keyed on a normalized SQL fingerprint (lowercased
 // outside string literals, whitespace collapsed). Statements are
-// immutable after construction except for the per-epoch bound plan;
-// concurrent ExecutePrepared calls are safe.
+// immutable after construction; concurrent ExecutePrepared calls share
+// one physical plan safely.
 #pragma once
 
 #include <list>
@@ -28,7 +23,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "service/snapshot_manager.h"
 #include "sql/logical_plan.h"
 #include "sql/physical_plan.h"
 
@@ -40,76 +34,8 @@ namespace idf {
 /// `WHERE s = 'abc'` do not.
 std::string NormalizeSql(const std::string& sql);
 
-/// Pin-free stand-in for a pinned snapshot inside a cached plan: it
-/// carries the planning metadata (name, schema, index shape, stats as of
-/// prepare time) but holds no trie views, so caching a plan never retains
-/// storage. `table` is the service registration name used to re-attach
-/// the current pins at execution.
-class DetachedSnapshotRelation : public SnapshotRelationBase {
- public:
-  DetachedSnapshotRelation(std::string table, const SnapshotRelationBase& src)
-      : table_(std::move(table)),
-        name_(src.name()),
-        schema_(src.schema()),
-        indexed_column_(src.indexed_column()),
-        version_(src.version()),
-        num_rows_(src.num_rows()) {
-    const int cols = schema_->num_fields();
-    secondary_kinds_.reserve(static_cast<size_t>(cols));
-    for (int c = 0; c < cols; ++c) {
-      secondary_kinds_.push_back(src.secondary_index_kind(c));
-    }
-  }
-
-  const std::string& table() const { return table_; }
-
-  const std::string& name() const override { return name_; }
-  const SchemaPtr& schema() const override { return schema_; }
-  int indexed_column() const override { return indexed_column_; }
-  uint64_t version() const override { return version_; }
-  size_t num_rows() const override { return num_rows_; }
-  SecondaryIndexKind secondary_index_kind(int column) const override {
-    return column >= 0 && static_cast<size_t>(column) < secondary_kinds_.size()
-               ? secondary_kinds_[static_cast<size_t>(column)]
-               : SecondaryIndexKind::kNone;
-  }
-
- private:
-  std::string table_;
-  std::string name_;
-  SchemaPtr schema_;
-  int indexed_column_;
-  uint64_t version_;
-  size_t num_rows_;
-  std::vector<SecondaryIndexKind> secondary_kinds_;
-};
-
-/// Replaces every pinned snapshot leaf (SnapshotScan / SnapshotLookup /
-/// SecondaryProbe over a snapshot) with a DetachedSnapshotRelation
-/// stand-in. `snap` maps each pin back to its service table name (by
-/// pin identity); pins not found there fall back to the pin's own name.
-Result<LogicalPlanPtr> DetachSnapshots(const LogicalPlanPtr& plan,
-                                       const ServiceSnapshot& snap);
-
-/// Re-attaches the current epoch's pins to a detached plan by table name.
-/// Fails with KeyError when a table the plan references is no longer
-/// registered (DDL raced the execution).
-Result<LogicalPlanPtr> RebindSnapshots(const LogicalPlanPtr& plan,
-                                       const ServiceSnapshot& snap);
-
-/// One epoch's lowered physical plan. The rebound logical tree holds the
-/// epoch's pins, keeping the frozen version alive for exactly as long as
-/// this BoundPlan is the statement's current one (plus in-flight
-/// executions that still share the pointer).
-struct BoundPlan {
-  uint64_t epoch = 0;
-  LogicalPlanPtr rebound;   ///< pin-holding logical tree (keeps pins alive)
-  PhysicalOpPtr physical;   ///< lowered operators (immutable, share-safe)
-};
-
-/// A prepared statement: the cached planning artifact plus its per-epoch
-/// bound plan. Immutable after construction except `bound` (guarded by
-/// `mu`).
+/// A prepared statement: the cached planning artifact. Immutable after
+/// construction.
 struct PreparedStatement {
   std::string sql;
   std::string fingerprint;
@@ -117,21 +43,17 @@ struct PreparedStatement {
   std::vector<TypeId> param_types;  ///< inferred, one per ordinal
   SchemaPtr result_schema;
 
-  /// Analyzed, typed, detached tree (the substitute-and-replan fallback
-  /// re-optimizes this per execution).
+  /// Analyzed, typed tree (the substitute-and-replan fallback re-optimizes
+  /// this per execution).
   LogicalPlanPtr analyzed;
-  /// Optimized detached tree; set only when `patchable`.
-  LogicalPlanPtr optimized;
-  /// True when every parameter sits in a position the physical operators
-  /// re-bind per execution (sql/parameters.h); false forces the fallback.
-  bool patchable = false;
+  /// Lowered plan, shared by every execution; set only when every
+  /// parameter sits in a position the physical operators re-bind per
+  /// execution (sql/parameters.h). Null forces the fallback.
+  PhysicalOpPtr physical;
 
   /// Service DDL version at prepare time; a mismatch invalidates the
   /// statement (schema may have changed under the cached plan).
   uint64_t ddl_version = 0;
-
-  std::mutex mu;  ///< guards `bound`
-  std::shared_ptr<const BoundPlan> bound;
 };
 
 using PreparedStatementPtr = std::shared_ptr<PreparedStatement>;

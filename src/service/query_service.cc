@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "indexed/indexed_rules.h"
 #include "sql/parameters.h"
 #include "sql/sql_parser.h"
 
@@ -182,6 +181,7 @@ void QueryService::ReleaseExec(ExecutorContextPtr exec) {
   if (exec.use_count() != 1) return;
   exec->SetCancellation(nullptr);
   exec->SetParameters(nullptr);
+  exec->SetPins(nullptr);
   exec->metrics().Reset();
   std::lock_guard<std::mutex> lock(exec_pool_mu_);
   if (exec_pool_.size() < config_.max_inflight + config_.max_queue) {
@@ -192,26 +192,19 @@ void QueryService::ReleaseExec(ExecutorContextPtr exec) {
 Status QueryService::RunAdmitted(const std::string& sql,
                                  const CancellationTokenPtr& token,
                                  QueryResult* result) {
-  // Pin the epoch snapshot first: everything the query sees is decided
-  // here, before planning, so planning time does not widen the window in
-  // which concurrent appends could slip into some tables but not others.
-  ServiceSnapshot snap = snapshots_->PinAll();
-  result->epoch = snap.epoch;
-
   // A per-query planning session over the shared worker pool: private
   // metrics, private cancellation, shared threads.
   IDF_ASSIGN_OR_RETURN(ExecutorContextPtr exec, AcquireExec());
   exec->SetCancellation(token);
   Status status = [&]() -> Status {
-    IDF_ASSIGN_OR_RETURN(SessionPtr session, Session::MakeWithContext(exec));
-    InstallIndexedExtensions(*session);
-    for (const PinnedTable& table : snap.tables) {
-      IDF_RETURN_NOT_OK(session->RegisterTable(
-          table.table, session->FromPlan(std::make_shared<SnapshotScanNode>(
-                           table.primary()))));
-    }
-
+    IDF_ASSIGN_OR_RETURN(SessionPtr session, snapshots_->MakeSession(exec));
     IDF_ASSIGN_OR_RETURN(DataFrame df, session->Sql(sql));
+    // Pin after planning: every table the plan names was registered before
+    // the pin, so the pin covers all of them and the query reads exactly
+    // one epoch boundary across tables.
+    ServiceSnapshotPtr snap = snapshots_->PinAll();
+    result->epoch = snap->epoch;
+    exec->SetPins(std::move(snap));
     IDF_ASSIGN_OR_RETURN(result->rows, session->ExecuteCollect(df.plan()));
     IDF_ASSIGN_OR_RETURN(result->schema, df.schema());
     // The deadline may have expired after the last operator finished; a
@@ -284,21 +277,13 @@ QueryResult QueryService::Execute(const std::string& sql,
 
 Result<PreparedStatementPtr> QueryService::BuildStatement(
     const std::string& sql, const std::string& fingerprint) {
-  // Pin a snapshot only for planning: the statement caches schemas and
-  // stats, not pins (DetachSnapshots), so prepared plans never hold
-  // storage generations alive between executions.
-  ServiceSnapshot snap = snapshots_->PinAll();
+  // The plan names the live relations and holds no pins: each execution
+  // brings its epoch's pins on the executor context, so the lowered plan
+  // is built once here and never re-lowered as the epoch moves.
   IDF_ASSIGN_OR_RETURN(
       ExecutorContextPtr exec,
       ExecutorContext::MakeWithPool(config_.engine, base_exec_->shared_pool()));
-  IDF_ASSIGN_OR_RETURN(SessionPtr session, Session::MakeWithContext(exec));
-  InstallIndexedExtensions(*session);
-  for (const PinnedTable& table : snap.tables) {
-    IDF_RETURN_NOT_OK(session->RegisterTable(
-        table.table, session->FromPlan(std::make_shared<SnapshotScanNode>(
-                         table.primary()))));
-  }
-
+  IDF_ASSIGN_OR_RETURN(SessionPtr session, snapshots_->MakeSession(exec));
   IDF_ASSIGN_OR_RETURN(PreparedParse parsed, ParseSqlPrepared(session, sql));
   IDF_ASSIGN_OR_RETURN(LogicalPlanPtr optimized,
                        session->OptimizeOnly(parsed.plan));
@@ -309,11 +294,10 @@ Result<PreparedStatementPtr> QueryService::BuildStatement(
   stmt->num_params = parsed.param_types.size();
   stmt->param_types = parsed.param_types;
   stmt->result_schema = parsed.plan->output_schema();
-  stmt->patchable = PlanIsParameterPatchable(optimized);
   stmt->ddl_version = ddl_version_.load(std::memory_order_acquire);
-  IDF_ASSIGN_OR_RETURN(stmt->analyzed, DetachSnapshots(parsed.plan, snap));
-  if (stmt->patchable) {
-    IDF_ASSIGN_OR_RETURN(stmt->optimized, DetachSnapshots(optimized, snap));
+  stmt->analyzed = parsed.plan;
+  if (PlanIsParameterPatchable(optimized)) {
+    IDF_ASSIGN_OR_RETURN(stmt->physical, session->PlanOptimized(optimized));
   }
   return stmt;
 }
@@ -353,6 +337,34 @@ Status QueryService::ClosePrepared(uint64_t handle) {
   return Status::OK();
 }
 
+PreparedStatementPtr QueryService::FindPrepared(uint64_t handle) const {
+  std::lock_guard<std::mutex> lock(handles_mu_);
+  auto it = handles_.find(handle);
+  return it == handles_.end() ? nullptr : it->second;
+}
+
+Result<std::string> QueryService::Explain(const std::string& sql) {
+  IDF_ASSIGN_OR_RETURN(
+      ExecutorContextPtr exec,
+      ExecutorContext::MakeWithPool(config_.engine, base_exec_->shared_pool()));
+  IDF_ASSIGN_OR_RETURN(SessionPtr session, snapshots_->MakeSession(std::move(exec)));
+  IDF_ASSIGN_OR_RETURN(DataFrame df, session->Sql(sql));
+  return df.Explain();
+}
+
+Result<std::string> QueryService::ExplainPrepared(uint64_t handle) const {
+  PreparedStatementPtr stmt = FindPrepared(handle);
+  if (stmt == nullptr) {
+    return Status::InvalidArgument("unknown prepared statement handle " +
+                                   std::to_string(handle));
+  }
+  if (stmt->physical != nullptr) {
+    return "== Physical Plan ==\n" + stmt->physical->TreeString();
+  }
+  return "== Analyzed Plan (re-planned per execution) ==\n" +
+         stmt->analyzed->TreeString();
+}
+
 Status QueryService::RunPreparedAdmitted(uint64_t handle,
                                          PreparedStatementPtr stmt,
                                          const std::vector<Value>& params,
@@ -362,6 +374,7 @@ Status QueryService::RunPreparedAdmitted(uint64_t handle,
   // so long-lived handles survive RegisterTable, at one replan's cost.
   if (stmt->ddl_version != ddl_version_.load(std::memory_order_acquire)) {
     plan_cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    prepared_replans_.fetch_add(1, std::memory_order_relaxed);
     IDF_ASSIGN_OR_RETURN(PreparedStatementPtr fresh,
                          BuildStatement(stmt->sql, stmt->fingerprint));
     plan_cache_.Insert(fresh);
@@ -376,74 +389,29 @@ Status QueryService::RunPreparedAdmitted(uint64_t handle,
   IDF_ASSIGN_OR_RETURN(ExecutorContextPtr exec, AcquireExec());
   exec->SetCancellation(token);
   Status status = [&]() -> Status {
-    if (stmt->patchable) {
-      // Hot path: reuse the lowered physical plan. Parameters travel in
-      // the executor context; the operators patch compiled-predicate
-      // immediates and lookup key slots at Execute() entry, so nothing is
-      // re-parsed, re-optimized, or re-compiled.
-      exec->SetParameters(
-          std::make_shared<const std::vector<Value>>(params));
-      std::shared_ptr<const BoundPlan> bound;
-      // If the memoized plan is bound at the current committed epoch, a
-      // single atomic epoch read is the whole snapshot check: the bound
-      // plan's scan nodes hold their own pins, so no PinAll (and no
-      // snapshot copy) is needed per execution.
-      const uint64_t committed = snapshots_->epoch();
-      {
-        std::lock_guard<std::mutex> lock(stmt->mu);
-        if (stmt->bound != nullptr && stmt->bound->epoch == committed) {
-          bound = stmt->bound;
-        }
-      }
-      if (bound == nullptr) {
-        // Epoch moved (or first execution): pin the current boundary,
-        // re-attach its pins, and re-lower — still no parse, analyze, or
-        // optimize.
-        ServiceSnapshot snap = snapshots_->PinAll();
-        {
-          std::lock_guard<std::mutex> lock(stmt->mu);
-          if (stmt->bound != nullptr && stmt->bound->epoch == snap.epoch) {
-            bound = stmt->bound;  // another execution re-bound first
-          }
-        }
-        if (bound == nullptr) {
-          IDF_ASSIGN_OR_RETURN(SessionPtr session,
-                               Session::MakeWithContext(exec));
-          InstallIndexedExtensions(*session);
-          auto fresh = std::make_shared<BoundPlan>();
-          fresh->epoch = snap.epoch;
-          IDF_ASSIGN_OR_RETURN(fresh->rebound,
-                               RebindSnapshots(stmt->optimized, snap));
-          IDF_ASSIGN_OR_RETURN(fresh->physical,
-                               session->PlanOptimized(fresh->rebound));
-          {
-            std::lock_guard<std::mutex> lock(stmt->mu);
-            stmt->bound = fresh;
-          }
-          bound = std::move(fresh);
-          prepared_replans_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      result->epoch = bound->epoch;
-      IDF_ASSIGN_OR_RETURN(PartitionVec parts, bound->physical->Execute(*exec));
+    ServiceSnapshotPtr snap = snapshots_->PinAll();
+    result->epoch = snap->epoch;
+    exec->SetPins(std::move(snap));
+    result->schema = stmt->result_schema;
+    if (stmt->physical != nullptr) {
+      // Hot path: reuse the lowered physical plan. Parameters and pins
+      // travel in the executor context; the operators patch compiled-
+      // predicate immediates and lookup key slots and pick their pinned
+      // version at Execute() entry, so nothing is re-parsed, re-optimized,
+      // re-lowered, or re-compiled.
+      exec->SetParameters(std::make_shared<const std::vector<Value>>(params));
+      IDF_ASSIGN_OR_RETURN(PartitionVec parts, stmt->physical->Execute(*exec));
       result->rows = CollectRows(parts);
-      result->schema = stmt->result_schema;
       return exec->CheckCancelled();
     }
     // Fallback for non-patchable shapes (a parameter sits in a join key,
     // sort key, or aggregate): substitute the values as literals into the
     // analyzed tree and run the normal optimize-and-execute pipeline.
     prepared_replans_.fetch_add(1, std::memory_order_relaxed);
-    ServiceSnapshot snap = snapshots_->PinAll();
-    result->epoch = snap.epoch;
-    IDF_ASSIGN_OR_RETURN(SessionPtr session, Session::MakeWithContext(exec));
-    InstallIndexedExtensions(*session);
-    IDF_ASSIGN_OR_RETURN(LogicalPlanPtr rebound,
-                         RebindSnapshots(stmt->analyzed, snap));
+    IDF_ASSIGN_OR_RETURN(SessionPtr session, snapshots_->MakeSession(exec));
     IDF_ASSIGN_OR_RETURN(LogicalPlanPtr literal,
-                         BindPlanParameters(rebound, params));
+                         BindPlanParameters(stmt->analyzed, params));
     IDF_ASSIGN_OR_RETURN(result->rows, session->ExecuteCollect(literal));
-    result->schema = stmt->result_schema;
     return exec->CheckCancelled();
   }();
   FoldExecMetrics(*exec);
@@ -458,12 +426,7 @@ QueryResult QueryService::ExecutePrepared(uint64_t handle,
   submitted_.fetch_add(1, std::memory_order_relaxed);
   QueryResult result;
 
-  PreparedStatementPtr stmt;
-  {
-    std::lock_guard<std::mutex> lock(handles_mu_);
-    auto it = handles_.find(handle);
-    if (it != handles_.end()) stmt = it->second;
-  }
+  PreparedStatementPtr stmt = FindPrepared(handle);
   if (stmt == nullptr) {
     result.status = Status::InvalidArgument(
         "unknown prepared statement handle " + std::to_string(handle));

@@ -4,14 +4,15 @@
 //  1. admits up to `max_inflight` queries at once, parking up to
 //     `max_queue` more behind a condition variable and rejecting the rest
 //     with CapacityError (backpressure instead of collapse),
-//  2. pins an MVCC snapshot of every registered table at one epoch
-//     boundary (SnapshotManager), so the query reads a frozen, mutually
-//     consistent version while the append stream keeps landing in the
-//     live indexes,
-//  3. plans the SQL in a per-query Session that shares the base executor's
-//     thread pool but carries its own metrics and cancellation token —
-//     queries interleave morsels on the same workers, and a cancel or an
-//     expired deadline stops a query within one morsel,
+//  2. plans the SQL over the registered live relations in a per-query
+//     Session that shares the base executor's thread pool but carries its
+//     own metrics and cancellation token — queries interleave morsels on
+//     the same workers, and a cancel or an expired deadline stops a query
+//     within one morsel,
+//  3. pins an MVCC snapshot of every registered table at one epoch
+//     boundary (SnapshotManager) and installs it on the query's executor
+//     context, so the plan reads a frozen, mutually consistent version
+//     while the append stream keeps landing in the live indexes,
 //  4. records per-query latency into lock-free histograms, exported as
 //     p50/p95/p99 via Stats().
 //
@@ -98,7 +99,7 @@ struct ServiceStats {
   uint64_t plan_cache_misses = 0;     ///< Prepare that built (or rebuilt) a plan
   uint64_t plan_cache_evictions = 0;  ///< LRU evictions beyond capacity
   uint64_t prepared_executions = 0;   ///< successful ExecutePrepared calls
-  uint64_t prepared_replans = 0;  ///< re-lowerings (epoch change or fallback)
+  uint64_t prepared_replans = 0;  ///< non-patchable re-plans + DDL re-prepares
 
   // Network front end (zero unless a net::Server reports in).
   uint64_t net_connections = 0;      ///< connections accepted
@@ -156,13 +157,22 @@ class QueryService {
 
   /// Executes a prepared statement with `params` bound by ordinal. Values
   /// are coerced to the inferred parameter types (NULLs pass through).
-  /// Reuses the cached physical plan at the pinned epoch — compiled
-  /// predicates patch immediate slots, nothing is re-parsed or
-  /// recompiled — re-lowering only when the epoch moved (appends landed)
-  /// or the plan shape is not patchable. Admission, deadlines, and
-  /// cancellation behave exactly as in Execute().
+  /// Runs the physical plan lowered at Prepare against the current
+  /// epoch's pins — compiled predicates patch immediate slots, nothing is
+  /// re-parsed, re-lowered, or recompiled — and re-plans only when the
+  /// plan shape is not patchable. Admission, deadlines, and cancellation
+  /// behave exactly as in Execute().
   QueryResult ExecutePrepared(uint64_t handle, const std::vector<Value>& params,
                               const QueryOptions& options = QueryOptions());
+
+  /// EXPLAIN of `sql` as Execute() plans it: the optimized logical plan
+  /// and the physical plan over the registered tables.
+  Result<std::string> Explain(const std::string& sql);
+
+  /// The physical plan every execution of a prepared statement runs
+  /// (lowered once, at Prepare); for a statement that is not patchable,
+  /// the analyzed plan each execution re-plans with its values spliced in.
+  Result<std::string> ExplainPrepared(uint64_t handle) const;
 
   /// Releases a handle. The cached plan stays in the LRU for future
   /// Prepare() calls; in-flight executions on the handle finish normally.
@@ -227,18 +237,21 @@ class QueryService {
   Status RunAdmitted(const std::string& sql, const CancellationTokenPtr& token,
                      QueryResult* result);
 
-  /// Parse + analyze + infer + optimize + detach `sql` into a cacheable
+  /// Parse + analyze + infer + optimize + lower `sql` into a cacheable
   /// statement (the Prepare miss path).
   Result<PreparedStatementPtr> BuildStatement(const std::string& sql,
                                               const std::string& fingerprint);
 
-  /// The admitted prepared path: pin, rebind (or reuse) the cached plan
-  /// at the pinned epoch, bind `params`, execute. Updates handles_[handle]
-  /// when DDL invalidation forces a transparent re-prepare.
+  /// The admitted prepared path: pin, bind `params`, run the cached plan.
+  /// Updates handles_[handle] when DDL invalidation forces a transparent
+  /// re-prepare.
   Status RunPreparedAdmitted(uint64_t handle, PreparedStatementPtr stmt,
                              const std::vector<Value>& params,
                              const CancellationTokenPtr& token,
                              QueryResult* result);
+
+  /// The statement behind an open handle, or null.
+  PreparedStatementPtr FindPrepared(uint64_t handle) const;
 
   /// Folds a finished query's executor metrics into the service counters.
   void FoldExecMetrics(ExecutorContext& exec);
@@ -246,7 +259,8 @@ class QueryService {
   /// Per-query executor contexts are pooled: constructing one (config
   /// resolution, metrics block) costs about as much as executing a point
   /// lookup, so the hot prepared path recycles them instead. Acquire
-  /// returns a context with clean metrics and no cancellation/parameters.
+  /// returns a context with clean metrics and no cancellation, parameters,
+  /// or pins (a pooled context never keeps an epoch's storage alive).
   Result<ExecutorContextPtr> AcquireExec();
   /// Scrubs the context and returns it to the pool — unless something
   /// (e.g. a memoized plan) still holds a reference, in which case it is

@@ -1,5 +1,7 @@
 #include "service/snapshot_manager.h"
 
+#include "indexed/indexed_rules.h"
+
 namespace idf {
 
 Status SnapshotManager::RegisterTable(const std::string& name,
@@ -55,7 +57,7 @@ Status SnapshotManager::Append(const std::string& table, const RowVec& rows) {
   }
   const Entry& entry = it->second;
   if (entry.multi != nullptr) {
-    IDF_RETURN_NOT_OK(entry.multi->AppendRowsDirect(rows));
+    IDF_RETURN_NOT_OK(entry.multi->AppendRowsDirect(*exec_, rows));
   } else {
     IDF_RETURN_NOT_OK(entry.indexes.front()->AppendRows(*exec_, rows));
   }
@@ -74,14 +76,14 @@ Status SnapshotManager::Append(const std::string& table, const RowVec& rows) {
   return Status::OK();
 }
 
-ServiceSnapshot SnapshotManager::PinAll() {
+ServiceSnapshotPtr SnapshotManager::PinAll() {
   // Fast path: a snapshot already pinned at the current committed epoch.
   // An in-flight batch hasn't bumped the epoch yet, so readers sail past
   // it here instead of blocking on the gate until it lands.
   const uint64_t committed = epoch_.load(std::memory_order_acquire);
   {
     std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    if (cached_ != nullptr && cached_->epoch == committed) return *cached_;
+    if (cached_ != nullptr && cached_->epoch == committed) return cached_;
   }
 
   std::unique_lock<std::shared_mutex> lock(gate_);
@@ -90,7 +92,7 @@ ServiceSnapshot SnapshotManager::PinAll() {
   const uint64_t epoch = epoch_.load(std::memory_order_acquire);
   {
     std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    if (cached_ != nullptr && cached_->epoch == epoch) return *cached_;
+    if (cached_ != nullptr && cached_->epoch == epoch) return cached_;
   }
   auto snap = std::make_shared<ServiceSnapshot>();
   snap->epoch = epoch;
@@ -104,11 +106,21 @@ ServiceSnapshot SnapshotManager::PinAll() {
     }
     snap->tables.push_back(std::move(pinned));
   }
-  {
-    std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    cached_ = snap;
+  std::lock_guard<std::mutex> cache_lock(cache_mu_);
+  cached_ = snap;
+  return cached_;
+}
+
+Result<SessionPtr> SnapshotManager::MakeSession(ExecutorContextPtr exec) const {
+  IDF_ASSIGN_OR_RETURN(SessionPtr session, Session::MakeWithContext(std::move(exec)));
+  InstallIndexedExtensions(*session);
+  std::shared_lock<std::shared_mutex> lock(gate_);
+  for (const auto& [name, entry] : tables_) {
+    IDF_RETURN_NOT_OK(session->RegisterTable(
+        name, session->FromPlan(std::make_shared<IndexedScanNode>(
+                  entry.indexes.front()))));
   }
-  return *snap;
+  return session;
 }
 
 std::vector<IndexedRelationPtr> SnapshotManager::Relations() const {

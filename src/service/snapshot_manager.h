@@ -51,8 +51,10 @@ struct PinnedTable {
 };
 
 /// A consistent cross-table snapshot: every pin was captured inside the
-/// same exclusive section, with no append batch mid-flight.
-struct ServiceSnapshot {
+/// same exclusive section, with no append batch mid-flight. Installed on
+/// an ExecutorContext, it makes a plan over the live relations read this
+/// epoch.
+struct ServiceSnapshot : SnapshotPins {
   uint64_t epoch = 0;
   std::vector<PinnedTable> tables;
 
@@ -62,7 +64,17 @@ struct ServiceSnapshot {
     }
     return nullptr;
   }
+
+  const PinnedSnapshot* Find(const IndexedRelationBase& relation) const override {
+    for (const PinnedTable& t : tables) {
+      for (const auto& [col, pin] : t.pins) {
+        if (pin->origin() == &relation) return pin.get();
+      }
+    }
+    return nullptr;
+  }
 };
+using ServiceSnapshotPtr = std::shared_ptr<const ServiceSnapshot>;
 
 /// Registered schema/index shape of one table (planning metadata for the
 /// view subsystem: no pins, no data).
@@ -118,8 +130,15 @@ class SnapshotManager {
 
   /// Pins every index of every registered table at one epoch boundary.
   /// Served from the per-epoch cache when no batch has committed since
-  /// the last pin (no gate acquisition on that path).
-  ServiceSnapshot PinAll();
+  /// the last pin (no gate acquisition on that path): one lock and one
+  /// reference count.
+  ServiceSnapshotPtr PinAll();
+
+  /// A planning session over `exec` with the indexed extensions installed
+  /// and every registered table bound by name to its live primary index.
+  /// Plans built in it read whatever version the executing context pins
+  /// (see ExecutorContext::SetPins), so one plan serves every epoch.
+  Result<SessionPtr> MakeSession(ExecutorContextPtr exec) const;
 
   /// Epochs committed so far (monotonic; one per Append batch).
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }

@@ -17,8 +17,6 @@ Result<LogicalPlanPtr> AnalyzeNode(const LogicalPlanPtr& plan) {
     case PlanKind::kCacheScan:
     case PlanKind::kIndexedScan:
     case PlanKind::kIndexedLookup:
-    case PlanKind::kSnapshotScan:
-    case PlanKind::kSnapshotLookup:
     case PlanKind::kSecondaryProbe:
       // Leaf nodes are born analyzed: their schema comes from the table.
       return plan;

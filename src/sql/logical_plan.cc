@@ -30,10 +30,6 @@ std::string PlanKindToString(PlanKind kind) {
       return "IndexedLookup";
     case PlanKind::kIndexedJoin:
       return "IndexedJoin";
-    case PlanKind::kSnapshotScan:
-      return "SnapshotScan";
-    case PlanKind::kSnapshotLookup:
-      return "SnapshotLookup";
     case PlanKind::kUnionAll:
       return "UnionAll";
     case PlanKind::kSecondaryProbe:
@@ -255,37 +251,8 @@ LogicalPlanPtr UnionAllNode::WithChildren(
   return std::make_shared<UnionAllNode>(std::move(children), output_schema());
 }
 
-std::string SnapshotScanNode::ToString() const {
-  return "SnapshotScan [" + snapshot_->name() + "@v" +
-         std::to_string(snapshot_->version()) + "]";
-}
-
-LogicalPlanPtr SnapshotScanNode::WithChildren(
-    std::vector<LogicalPlanPtr> children) const {
-  IDF_CHECK(children.empty());
-  return std::make_shared<SnapshotScanNode>(snapshot_);
-}
-
-std::string SnapshotLookupNode::ToString() const {
-  std::string out = "SnapshotLookup [" + snapshot_->name() + "] key=";
-  auto render = [&](size_t i) {
-    return (i < key_params_.size() && key_params_[i] >= 0)
-               ? "$" + std::to_string(key_params_[i] + 1)
-               : keys_[i].ToString();
-  };
-  if (keys_.size() == 1) return out + render(0);
-  return out + "{" + std::to_string(keys_.size()) + " keys}";
-}
-
-LogicalPlanPtr SnapshotLookupNode::WithChildren(
-    std::vector<LogicalPlanPtr> children) const {
-  IDF_CHECK(children.empty());
-  return std::make_shared<SnapshotLookupNode>(snapshot_, keys_, key_params_);
-}
-
 std::string SecondaryProbeNode::ToString() const {
-  std::string out = "SecondaryProbe [" + (rel_ ? rel_->name() : snap_->name()) +
-                    "] ";
+  std::string out = "SecondaryProbe [" + rel_->name() + "] ";
   for (size_t i = 0; i < probes_.size(); ++i) {
     if (i > 0) out += " AND ";
     out += probes_[i].ToString();
@@ -296,8 +263,7 @@ std::string SecondaryProbeNode::ToString() const {
 LogicalPlanPtr SecondaryProbeNode::WithChildren(
     std::vector<LogicalPlanPtr> children) const {
   IDF_CHECK(children.empty());
-  if (rel_) return std::make_shared<SecondaryProbeNode>(rel_, probes_);
-  return std::make_shared<SecondaryProbeNode>(snap_, probes_);
+  return std::make_shared<SecondaryProbeNode>(rel_, probes_);
 }
 
 std::string IndexedLookupNode::ToString() const {

@@ -72,10 +72,10 @@ struct SecondaryProbe {
   std::string ToString() const;
 };
 
-/// \brief Interface to an indexed relation, implemented by
-/// indexed::IndexedRelation. The SQL layer sees only this surface so the
-/// dependency points from indexed/ to sql/ (the library "plugs in", like
-/// the paper's lightweight Spark library).
+/// \brief Interface to an indexed relation, implemented by the live
+/// indexed::IndexedRelation and by a PinnedSnapshot of one. The SQL layer
+/// sees only this surface so the dependency points from indexed/ to sql/
+/// (the library "plugs in", like the paper's lightweight Spark library).
 class IndexedRelationBase {
  public:
   virtual ~IndexedRelationBase() = default;
@@ -122,8 +122,6 @@ enum class PlanKind : uint8_t {
   kTopK,
   kIndexedLookup,
   kIndexedJoin,
-  kSnapshotScan,
-  kSnapshotLookup,
   kUnionAll,
   kSecondaryProbe,
 };
@@ -373,79 +371,6 @@ class UnionAllNode : public LogicalPlan {
   LogicalPlanPtr WithChildren(std::vector<LogicalPlanPtr> children) const override;
 };
 
-/// \brief Abstract pinned snapshot of an indexed relation: a frozen version
-/// captured at a point in time. Implemented by indexed::PinnedSnapshot.
-/// Queries over it read that version forever, no matter how much the live
-/// relation grows — the API surface of the paper's multi-version
-/// concurrency.
-class SnapshotRelationBase {
- public:
-  virtual ~SnapshotRelationBase() = default;
-  virtual const std::string& name() const = 0;
-  virtual const SchemaPtr& schema() const = 0;
-  /// Ordinal of the indexed column (the frozen index still serves point
-  /// lookups on it).
-  virtual int indexed_column() const = 0;
-  virtual uint64_t version() const = 0;
-  virtual size_t num_rows() const = 0;
-  /// Kind of the secondary index on `column` in the frozen version (kNone
-  /// when the snapshot predates the index or it has none).
-  virtual SecondaryIndexKind secondary_index_kind(int column) const {
-    (void)column;
-    return SecondaryIndexKind::kNone;
-  }
-  /// Estimated rows a secondary probe would emit (see IndexedRelationBase).
-  virtual uint64_t EstimateSecondaryMatches(const SecondaryProbe& probe) const {
-    (void)probe;
-    return num_rows();
-  }
-};
-using SnapshotRelationBasePtr = std::shared_ptr<SnapshotRelationBase>;
-
-/// Scan of a pinned snapshot (leaf).
-class SnapshotScanNode : public LogicalPlan {
- public:
-  explicit SnapshotScanNode(SnapshotRelationBasePtr snapshot)
-      : LogicalPlan(PlanKind::kSnapshotScan, {}, snapshot->schema()),
-        snapshot_(std::move(snapshot)) {}
-
-  const SnapshotRelationBasePtr& snapshot() const { return snapshot_; }
-  std::string ToString() const override;
-  LogicalPlanPtr WithChildren(std::vector<LogicalPlanPtr> children) const override;
-
- private:
-  SnapshotRelationBasePtr snapshot_;
-};
-
-/// Point lookup of one or more keys against a pinned snapshot — the same
-/// rewrite as IndexedLookupNode, but reading the frozen version: produced
-/// by the indexed filter rule for `Filter(col = lit)` / `col IN (...)`
-/// over a SnapshotScan, so service queries against an MVCC snapshot keep
-/// index-speed point reads instead of degrading to full scans.
-class SnapshotLookupNode : public LogicalPlan {
- public:
-  SnapshotLookupNode(SnapshotRelationBasePtr snapshot, std::vector<Value> keys,
-                     std::vector<int> key_params = {})
-      : LogicalPlan(PlanKind::kSnapshotLookup, {}, snapshot->schema()),
-        snapshot_(std::move(snapshot)),
-        keys_(std::move(keys)),
-        key_params_(std::move(key_params)) {}
-
-  const SnapshotRelationBasePtr& snapshot() const { return snapshot_; }
-  const std::vector<Value>& keys() const { return keys_; }
-  /// Parallel to keys(): key_params()[i] >= 0 marks keys()[i] as a
-  /// prepared-statement placeholder filled from that parameter ordinal at
-  /// execution time. Empty means "all keys are literals".
-  const std::vector<int>& key_params() const { return key_params_; }
-  std::string ToString() const override;
-  LogicalPlanPtr WithChildren(std::vector<LogicalPlanPtr> children) const override;
-
- private:
-  SnapshotRelationBasePtr snapshot_;
-  std::vector<Value> keys_;
-  std::vector<int> key_params_;
-};
-
 /// Point lookup of one or more keys on an indexed relation: produced by
 /// the indexed filter rule (rewriting `Filter(col = lit)` and
 /// `Filter(col IN (...))` over an IndexedScan) or directly by the GetRows
@@ -464,7 +389,9 @@ class IndexedLookupNode : public LogicalPlan {
 
   const IndexedRelationBasePtr& relation() const { return rel_; }
   const std::vector<Value>& keys() const { return keys_; }
-  /// Parallel to keys(); see SnapshotLookupNode::key_params.
+  /// Parallel to keys(): key_params()[i] >= 0 marks keys()[i] as a
+  /// prepared-statement placeholder filled from that parameter ordinal at
+  /// execution time. Empty means "all keys are literals".
   const std::vector<int>& key_params() const { return key_params_; }
   /// Convenience for the single-key case.
   const Value& key() const { return keys_[0]; }
@@ -477,12 +404,12 @@ class IndexedLookupNode : public LogicalPlan {
   std::vector<int> key_params_;
 };
 
-/// Secondary-index probe (leaf): the rows of an indexed relation — live or
-/// pinned (exactly one of the two handles is set) — matching a bitmap or
-/// range predicate on a secondary-indexed column. Produced by the indexed
-/// filter rule's index-kind costing when the probe's estimated selectivity
-/// beats the vectorized scan; the physical operator emits the index's row
-/// positions as a selection vector feeding the usual decode-survivors path.
+/// Secondary-index probe (leaf): the rows of an indexed relation matching
+/// a bitmap or range predicate on a secondary-indexed column. Produced by
+/// the indexed filter rule's index-kind costing when the probe's estimated
+/// selectivity beats the vectorized scan; the physical operator emits the
+/// index's row positions as a selection vector feeding the usual
+/// decode-survivors path.
 class SecondaryProbeNode : public LogicalPlan {
  public:
   SecondaryProbeNode(IndexedRelationBasePtr rel,
@@ -490,14 +417,8 @@ class SecondaryProbeNode : public LogicalPlan {
       : LogicalPlan(PlanKind::kSecondaryProbe, {}, rel->schema()),
         rel_(std::move(rel)),
         probes_(std::move(probes)) {}
-  SecondaryProbeNode(SnapshotRelationBasePtr snap,
-                     std::vector<SecondaryProbe> probes)
-      : LogicalPlan(PlanKind::kSecondaryProbe, {}, snap->schema()),
-        snap_(std::move(snap)),
-        probes_(std::move(probes)) {}
 
   const IndexedRelationBasePtr& relation() const { return rel_; }
-  const SnapshotRelationBasePtr& snapshot() const { return snap_; }
   /// ANDed probes; the first is the costing-chosen driver (lowest
   /// selectivity), the rest intersect into it (bitmap-AND).
   const std::vector<SecondaryProbe>& probes() const { return probes_; }
@@ -507,15 +428,11 @@ class SecondaryProbeNode : public LogicalPlan {
     for (const SecondaryProbe& p : probes_) s = std::min(s, p.selectivity);
     return s;
   }
-  size_t source_rows() const {
-    return rel_ ? rel_->num_rows() : snap_->num_rows();
-  }
   std::string ToString() const override;
   LogicalPlanPtr WithChildren(std::vector<LogicalPlanPtr> children) const override;
 
  private:
   IndexedRelationBasePtr rel_;
-  SnapshotRelationBasePtr snap_;
   std::vector<SecondaryProbe> probes_;
 };
 

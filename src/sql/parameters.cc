@@ -381,29 +381,6 @@ Result<LogicalPlanPtr> RewritePlan(const LogicalPlanPtr& node,
                                             node->output_schema(),
                                             std::move(bp)));
     }
-    case PlanKind::kSnapshotLookup: {
-      const auto* l = static_cast<const SnapshotLookupNode*>(node.get());
-      if (key_bindings == nullptr || l->key_params().empty()) {
-        return child_or_self();
-      }
-      std::vector<Value> keys;
-      keys.reserve(l->keys().size());
-      for (size_t i = 0; i < l->keys().size(); ++i) {
-        const int p = i < l->key_params().size() ? l->key_params()[i] : -1;
-        if (p < 0) {
-          keys.push_back(l->keys()[i]);
-          continue;
-        }
-        if (static_cast<size_t>(p) >= key_bindings->size()) {
-          return Status::Internal("lookup key parameter out of range");
-        }
-        if ((*key_bindings)[static_cast<size_t>(p)].is_null()) continue;
-        keys.push_back((*key_bindings)[static_cast<size_t>(p)]);
-      }
-      return std::static_pointer_cast<const LogicalPlan>(
-          std::make_shared<SnapshotLookupNode>(l->snapshot(),
-                                               std::move(keys)));
-    }
     case PlanKind::kIndexedLookup: {
       const auto* l = static_cast<const IndexedLookupNode*>(node.get());
       if (key_bindings == nullptr || l->key_params().empty()) {
@@ -432,15 +409,8 @@ Result<LogicalPlanPtr> RewritePlan(const LogicalPlanPtr& node,
 }
 
 bool LookupHasParamKeys(const LogicalPlan& node) {
-  const std::vector<int>* key_params = nullptr;
-  if (node.kind() == PlanKind::kSnapshotLookup) {
-    key_params = &static_cast<const SnapshotLookupNode&>(node).key_params();
-  } else if (node.kind() == PlanKind::kIndexedLookup) {
-    key_params = &static_cast<const IndexedLookupNode&>(node).key_params();
-  } else {
-    return false;
-  }
-  for (int p : *key_params) {
+  if (node.kind() != PlanKind::kIndexedLookup) return false;
+  for (int p : static_cast<const IndexedLookupNode&>(node).key_params()) {
     if (p >= 0) return true;
   }
   return false;
@@ -499,7 +469,6 @@ bool PlanIsParameterPatchable(const LogicalPlanPtr& optimized) {
   switch (optimized->kind()) {
     case PlanKind::kFilter:
     case PlanKind::kProject:
-    case PlanKind::kSnapshotLookup:
     case PlanKind::kIndexedLookup:
       // FilterOp / ProjectOp / the lookup operators (and the pushed
       // filters fused into indexed scans) all re-bind from the execution

@@ -61,15 +61,12 @@ double EstimateRows(const LogicalPlanPtr& plan) {
       return static_cast<double>(
           static_cast<const IndexedScanNode*>(plan.get())->relation()->num_rows());
     case PlanKind::kIndexedLookup:
-    case PlanKind::kSnapshotLookup:
       return 8;  // point lookup: a handful of rows per key
     case PlanKind::kSecondaryProbe: {
       const auto* probe = static_cast<const SecondaryProbeNode*>(plan.get());
-      return probe->selectivity() * static_cast<double>(probe->source_rows());
+      return probe->selectivity() *
+             static_cast<double>(probe->relation()->num_rows());
     }
-    case PlanKind::kSnapshotScan:
-      return static_cast<double>(
-          static_cast<const SnapshotScanNode*>(plan.get())->snapshot()->num_rows());
     case PlanKind::kFilter:
       return 0.3 * EstimateRows(plan->children()[0]);
     case PlanKind::kProject:
@@ -216,8 +213,6 @@ Result<PhysicalOpPtr> RegularExecutionStrategy::Plan(
     case PlanKind::kIndexedScan:
     case PlanKind::kIndexedLookup:
     case PlanKind::kIndexedJoin:
-    case PlanKind::kSnapshotScan:
-    case PlanKind::kSnapshotLookup:
       // Handled by the indexed execution strategy; not installed here.
       return PhysicalOpPtr(nullptr);
   }

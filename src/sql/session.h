@@ -69,8 +69,7 @@ class Session : public std::enable_shared_from_this<Session> {
   Result<PhysicalOpPtr> PlanQuery(const LogicalPlanPtr& plan);
 
   /// Lowers an already-optimized plan without re-analyzing or
-  /// re-optimizing (the plan-cache rebind path: prepared statements lower
-  /// a cached optimized tree against fresh snapshot pins).
+  /// re-optimizing (prepared statements lower their optimized tree once).
   Result<PhysicalOpPtr> PlanOptimized(const LogicalPlanPtr& optimized);
 
   /// Analyze + optimize only (inspection and tests).

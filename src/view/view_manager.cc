@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "indexed/indexed_rules.h"
 #include "sql/analyzer.h"
 #include "sql/session.h"
 
@@ -310,7 +309,7 @@ Status MaterializedViewManager::ApplyDelta(MaintainedView* view,
 }
 
 Status MaterializedViewManager::PublishLocked(
-    MaintainedView* view, const ServiceSnapshot& cur,
+    MaintainedView* view, const ServiceSnapshotPtr& cur,
     std::vector<std::pair<ViewSubscription::Callback, ViewSnapshotPtr>>*
         callbacks) {
   const ViewSpec& spec = view->spec;
@@ -338,7 +337,7 @@ Status MaterializedViewManager::PublishLocked(
   }
 
   auto snapshot = std::make_shared<ViewSnapshot>();
-  snapshot->epoch = cur.epoch;
+  snapshot->epoch = cur->epoch;
   snapshot->version = ++view->published_version;
   snapshot->schema = spec.output_schema;
   snapshot->rows = std::make_shared<const RowVec>(std::move(out));
@@ -376,11 +375,11 @@ void MaterializedViewManager::PropagateLocked(
   // exclusive gate inside PinAll synchronizes with every commit it
   // includes, so those commits' deltas are guaranteed enqueued by now.
   // Later deltas stay queued for the next pass.
-  ServiceSnapshot cur = snapshots_->PinAll();
+  ServiceSnapshotPtr cur = snapshots_->PinAll();
   std::vector<DeltaBatch> pass;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    while (!queue_.empty() && queue_.front().epoch <= cur.epoch) {
+    while (!queue_.empty() && queue_.front().epoch <= cur->epoch) {
       pass.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
@@ -398,7 +397,7 @@ void MaterializedViewManager::PropagateLocked(
         continue;
       }
       if (view->spec.kind != ViewKind::kRecompute) {
-        Status st = ApplyDelta(view.get(), &delta, cur);
+        Status st = ApplyDelta(view.get(), &delta, *cur);
         if (!st.ok()) {
           // Never fail the append path: degrade this arrangement to the
           // recompute fallback and keep serving.
@@ -409,8 +408,8 @@ void MaterializedViewManager::PropagateLocked(
       touched = true;
       deltas_propagated_.fetch_add(1, std::memory_order_relaxed);
     }
-    view->applied_epoch = std::max(view->applied_epoch, cur.epoch);
-    if (view->spec.kind == ViewKind::kJoin) view->prev_pin = cur;
+    view->applied_epoch = std::max(view->applied_epoch, cur->epoch);
+    if (view->spec.kind == ViewKind::kJoin) view->prev_pin = *cur;
     if (touched) {
       Status st = PublishLocked(view.get(), cur, callbacks);
       if (!st.ok() && view->spec.kind != ViewKind::kRecompute) {
@@ -467,17 +466,12 @@ Status MaterializedViewManager::InitializeState(MaintainedView* view,
 }
 
 Result<RowVec> MaterializedViewManager::RecomputeAgainst(
-    const std::string& sql, const ServiceSnapshot& snap) {
+    const std::string& sql, const ServiceSnapshotPtr& snap) {
   IDF_ASSIGN_OR_RETURN(
       ExecutorContextPtr exec,
       ExecutorContext::MakeWithPool(exec_->config(), exec_->shared_pool()));
-  IDF_ASSIGN_OR_RETURN(SessionPtr session, Session::MakeWithContext(exec));
-  InstallIndexedExtensions(*session);
-  for (const PinnedTable& table : snap.tables) {
-    IDF_RETURN_NOT_OK(session->RegisterTable(
-        table.table, session->FromPlan(std::make_shared<SnapshotScanNode>(
-                         table.primary()))));
-  }
+  exec->SetPins(snap);
+  IDF_ASSIGN_OR_RETURN(SessionPtr session, snapshots_->MakeSession(exec));
   IDF_ASSIGN_OR_RETURN(DataFrame df, session->Sql(sql));
   return session->ExecuteCollect(df.plan());
 }
@@ -560,11 +554,11 @@ Result<ViewSubscriptionPtr> MaterializedViewManager::Subscribe(
       views_by_fingerprint_[view->spec.fingerprint] = view;
       has_views_.store(true, std::memory_order_release);
 
-      ServiceSnapshot snap = snapshots_->PinAll();
-      Status st = InitializeState(view.get(), snap);
+      ServiceSnapshotPtr snap = snapshots_->PinAll();
+      Status st = InitializeState(view.get(), *snap);
       if (st.ok()) {
-        view->applied_epoch = snap.epoch;
-        if (view->spec.kind == ViewKind::kJoin) view->prev_pin = snap;
+        view->applied_epoch = snap->epoch;
+        if (view->spec.kind == ViewKind::kJoin) view->prev_pin = *snap;
         st = PublishLocked(view.get(), snap, &callbacks);
       }
       if (!st.ok()) {

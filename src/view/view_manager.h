@@ -175,7 +175,7 @@ class MaterializedViewManager final : public SnapshotManager::CommitSink {
 
   /// Rebuilds the view's published snapshot from its resident state (or,
   /// for recompute views, by re-executing the SQL against `cur`).
-  Status PublishLocked(MaintainedView* view, const ServiceSnapshot& cur,
+  Status PublishLocked(MaintainedView* view, const ServiceSnapshotPtr& cur,
                        std::vector<std::pair<ViewSubscription::Callback,
                                              ViewSnapshotPtr>>* callbacks);
 
@@ -185,7 +185,7 @@ class MaterializedViewManager final : public SnapshotManager::CommitSink {
 
   /// Re-executes the view's SQL against `snap` (recompute fallback).
   Result<RowVec> RecomputeAgainst(const std::string& sql,
-                                  const ServiceSnapshot& snap);
+                                  const ServiceSnapshotPtr& snap);
 
   SnapshotManager* snapshots_;
   ExecutorContextPtr exec_;

@@ -380,8 +380,14 @@ TEST_F(IndexedDataFrameTest, PinnedViewFreezesAVersion) {
   auto filtered =
       df.Filter(Eq(Col("payload"), Lit(Value("late")))).ValueOrDie();
   EXPECT_EQ(filtered.Count().ValueOrDie(), 0u);  // "late" rows are post-pin
+  // EXPLAIN names the pinned version the plan reads.
   std::string plan = df.Explain().ValueOrDie();
-  EXPECT_NE(plan.find("SnapshotScan"), std::string::npos);
+  EXPECT_NE(plan.find("@v" + std::to_string(v0)), std::string::npos) << plan;
+  // The pinned relation takes the same indexed paths as the live one: a
+  // key equality is a point lookup on the frozen version.
+  auto by_key = df.Filter(Eq(Col("k"), Lit(Value(int64_t{3})))).ValueOrDie();
+  EXPECT_EQ(by_key.Count().ValueOrDie(), 10u);
+  EXPECT_NE(by_key.Explain().ValueOrDie().find("IndexLookup"), std::string::npos);
 }
 
 TEST_F(IndexedDataFrameTest, SuccessivePinsSeeSuccessiveVersions) {

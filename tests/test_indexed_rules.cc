@@ -143,6 +143,91 @@ TEST_F(IndexedRulesTest, JoinRuleIgnoresRegularJoin) {
   EXPECT_EQ(IndexedJoinRule().Apply(plan).ValueOrDie(), nullptr);
 }
 
+TEST_F(IndexedRulesTest, JoinRuleBuildsTheSideFacingTheSmallerProbe) {
+  // Both sides indexed on their join keys. The filtered big side is
+  // estimated smaller than the whole mid side, so the mid side builds and
+  // the filtered side is the probe — never the other way round, which
+  // would walk every mid row against the big index.
+  auto make = [this](const char* name, int64_t n) {
+    RowVec rows;
+    for (int64_t i = 0; i < n; ++i) {
+      rows.push_back({Value(i % 50), Value("x" + std::to_string(i))});
+    }
+    return IndexedRelation::Build(*ctx_, name, schema_, 0, rows).ValueOrDie();
+  };
+  auto big = make("big", 1000);
+  auto mid = make("mid", 500);
+  auto filtered_big = std::make_shared<FilterNode>(
+      std::make_shared<IndexedScanNode>(big), Eq(Col("v"), Lit(Value("x7"))));
+  auto plan = Analyze(std::make_shared<JoinNode>(
+                          filtered_big, std::make_shared<IndexedScanNode>(mid),
+                          Col("k"), Col("k")))
+                  .ValueOrDie();
+  auto rewritten = IndexedJoinRule().Apply(plan).ValueOrDie();
+  ASSERT_NE(rewritten, nullptr);
+  const auto* join = static_cast<const IndexedJoinNode*>(rewritten.get());
+  EXPECT_EQ(join->relation()->name(), "mid");
+  EXPECT_FALSE(join->indexed_on_left());
+  EXPECT_EQ(join->probe()->kind(), PlanKind::kFilter);
+  EXPECT_EQ(join->build_predicate(), nullptr);
+
+  // Without the filter the big side is the larger probe: it builds.
+  auto unfiltered = Analyze(std::make_shared<JoinNode>(
+                                std::make_shared<IndexedScanNode>(big),
+                                std::make_shared<IndexedScanNode>(mid), Col("k"),
+                                Col("k")))
+                        .ValueOrDie();
+  auto big_builds = IndexedJoinRule().Apply(unfiltered).ValueOrDie();
+  ASSERT_NE(big_builds, nullptr);
+  EXPECT_EQ(static_cast<const IndexedJoinNode*>(big_builds.get())->relation()->name(),
+            "big");
+}
+
+TEST_F(IndexedRulesTest, PinnedRelationTakesTheIndexedPaths) {
+  PinnedSnapshotPtr pin = rel_->Pin();
+  ASSERT_TRUE(rel_->AppendRows(*ctx_, {{Value(int64_t{1}), Value("late")}}).ok());
+  auto plan = Analyze(std::make_shared<FilterNode>(
+                          std::make_shared<IndexedScanNode>(pin),
+                          Eq(Col("k"), Lit(Value(int64_t{1})))))
+                  .ValueOrDie();
+  auto lookup = IndexedFilterRule().Apply(plan).ValueOrDie();
+  ASSERT_NE(lookup, nullptr);
+  ASSERT_EQ(lookup->kind(), PlanKind::kIndexedLookup);
+  auto op = IndexedExecutionStrategy().Plan(lookup, {}, ctx_->config()).ValueOrDie();
+  ASSERT_NE(op, nullptr);
+  EXPECT_EQ(TotalRows(op->Execute(*ctx_).ValueOrDie()), 5u);  // frozen: not 6
+}
+
+TEST_F(IndexedRulesTest, ContextPinsFreezeLiveReads) {
+  // A plan over the live relation reads whatever version the executing
+  // context pins, and a fresh snapshot when it pins nothing.
+  struct OnePin : SnapshotPins {
+    PinnedSnapshotPtr pin;
+    const PinnedSnapshot* Find(const IndexedRelationBase& rel) const override {
+      return pin->origin() == &rel ? pin.get() : nullptr;
+    }
+  };
+  auto pins = std::make_shared<OnePin>();
+  pins->pin = rel_->Pin();
+  ASSERT_TRUE(rel_->AppendRows(*ctx_, {{Value(int64_t{1}), Value("late")}}).ok());
+
+  IndexedExecutionStrategy strategy;
+  auto scan = strategy.Plan(Analyze(IndexedScan()).ValueOrDie(), {}, ctx_->config())
+                  .ValueOrDie();
+  auto lookup = strategy
+                    .Plan(LogicalPlanPtr(std::make_shared<IndexedLookupNode>(
+                              rel_, Value(int64_t{1}))),
+                          {}, ctx_->config())
+                    .ValueOrDie();
+  EXPECT_EQ(TotalRows(scan->Execute(*ctx_).ValueOrDie()), 21u);
+  EXPECT_EQ(TotalRows(lookup->Execute(*ctx_).ValueOrDie()), 6u);
+  ctx_->SetPins(pins);
+  EXPECT_EQ(TotalRows(scan->Execute(*ctx_).ValueOrDie()), 20u);
+  EXPECT_EQ(TotalRows(lookup->Execute(*ctx_).ValueOrDie()), 5u);
+  ctx_->SetPins(nullptr);
+  EXPECT_EQ(TotalRows(scan->Execute(*ctx_).ValueOrDie()), 21u);
+}
+
 TEST_F(IndexedRulesTest, StrategyLowersIndexedNodes) {
   IndexedExecutionStrategy strategy;
   EngineConfig cfg = ctx_->config();

@@ -1,6 +1,7 @@
 // QueryService tests: snapshot-pinned SQL execution, admission control
 // (bounded in-flight + bounded queue with rejection), slot accounting
-// across all outcomes, stats export, and the latency histogram itself.
+// across all outcomes, stats export, append-path index upkeep, pin
+// lifetime across pooled executions, and the latency histogram itself.
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "indexed/indexed_dataframe.h"
+#include "indexed/multi_indexed_table.h"
 #include "service/query_service.h"
 
 namespace idf {
@@ -161,6 +163,93 @@ TEST(QueryServiceTest, ConcurrentReadersAllSucceed) {
   EXPECT_GE(stats.total.p99_micros, stats.total.p50_micros);
   EXPECT_NE(stats.ToJson().find("\"p99_us\""), std::string::npos);
   EXPECT_NE(stats.ToString().find("p99="), std::string::npos);
+}
+
+TEST(QueryServiceTest, MultiIndexedAppendsReportSecondaryIndexUpkeep) {
+  ServiceConfig cfg;
+  cfg.engine.num_threads = 2;
+  cfg.engine.num_partitions = 4;
+  auto service = QueryService::Make(cfg).ValueOrDie();
+  auto session = Session::Make(cfg.engine).ValueOrDie();
+  auto schema = Schema::Make({{"id", TypeId::kInt64, false},
+                              {"owner", TypeId::kInt64, false},
+                              {"browser", TypeId::kString, false}});
+  auto rows = [](int64_t begin, int64_t end) {
+    RowVec out;
+    for (int64_t i = begin; i < end; ++i) {
+      out.push_back({Value(i), Value(i % 50), Value("b" + std::to_string(i % 4))});
+    }
+    return out;
+  };
+  auto df = session->CreateDataFrame(schema, rows(0, 100), "posts").ValueOrDie();
+  auto table = std::make_shared<MultiIndexedTable>(
+      MultiIndexedTable::Create(df, {"id", "owner"}, "posts").ValueOrDie());
+  ASSERT_TRUE(table->AddBitmapIndex("browser").ok());
+  ASSERT_TRUE(table->AddRangeIndex("owner").ok());
+  ASSERT_TRUE(service->RegisterTable("posts", table).ok());
+
+  // The multi-indexed append runs on the service's executor, so its index
+  // upkeep shows up in the service counters.
+  const ServiceStats before = service->Stats();
+  for (int64_t b = 0; b < 4; ++b) {
+    ASSERT_TRUE(service->Append("posts", rows(1000 + b * 20000, 1000 + (b + 1) * 20000))
+                    .ok());
+  }
+  const ServiceStats after = service->Stats();
+  EXPECT_GT(after.bitmap_maintenance_us, before.bitmap_maintenance_us);
+  EXPECT_GT(after.range_maintenance_us, before.range_maintenance_us);
+
+  QueryResult r = service->Execute("SELECT COUNT(*) FROM posts WHERE browser = 'b1'");
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_EQ(r.rows[0][0], Value(int64_t{25 + 20000}));
+}
+
+TEST(QueryServiceTest, PooledContextsHoldNoPinsBetweenExecutions) {
+  ServiceConfig cfg;
+  cfg.engine.row_batch_bytes = 4 * 1024;  // small batches: chains fragment
+  auto service = MakeServiceWithTable(8, cfg);
+  // Every key's chain spreads over many row batches.
+  for (int64_t b = 0; b < 40; ++b) {
+    RowVec rows;
+    for (int64_t i = 0; i < 40; ++i) {
+      rows.push_back({Value((b * 40 + i) % 8), Value("f" + std::to_string(b))});
+    }
+    ASSERT_TRUE(service->Append("people", rows).ok());
+  }
+  auto prep =
+      service->Prepare("SELECT name FROM people WHERE id = ?").ValueOrDie();
+  for (int64_t id = 0; id < 8; ++id) {
+    ASSERT_TRUE(service->ExecutePrepared(prep.handle, {Value(id)}).ok());
+  }
+  ASSERT_TRUE(service->Execute("SELECT COUNT(*) FROM people").ok());
+
+  CompactionConfig compaction;
+  compaction.max_mean_batch_span = 1.5;
+  compaction.min_partition_rows = 1;
+  compaction.interval = 5ms;
+  compaction.partition_pacing = 0us;
+  ASSERT_TRUE(service->EnableCompaction(compaction).ok());
+
+  // Appends of fresh keys (one batch each, nothing to compact) move the
+  // epoch, and a pin moves the service's pin cache past the compaction.
+  // After that, only an executor context that kept an old epoch's pins
+  // could still hold a retired generation.
+  ServiceStats stats = service->Stats();
+  for (int64_t next = 1000;
+       next < 3000 && (stats.compactions_run == 0 || stats.retired_pending > 0);
+       ++next) {
+    std::this_thread::sleep_for(5ms);
+    ASSERT_TRUE(service->Append("people", MakeRows(next, next + 1)).ok());
+    service->snapshots().PinAll();
+    stats = service->Stats();
+  }
+  EXPECT_GT(stats.compactions_run, 0u);
+  EXPECT_EQ(stats.retired_pending, 0u);
+
+  // The pooled contexts keep serving, now over the compacted chains.
+  QueryResult r = service->ExecutePrepared(prep.handle, {Value(int64_t{3})});
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_EQ(r.rows.size(), 201u);
 }
 
 TEST(QueryServiceTest, ValidatesConfig) {

@@ -55,7 +55,7 @@ TEST(SnapshotIsolationTest, PinNeverSeesAPartialMultiPartitionBatch) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
       while (!done.load(std::memory_order_acquire)) {
-        ServiceSnapshot snap = service->snapshots().PinAll();
+        ServiceSnapshot snap = *service->snapshots().PinAll();
         const PinnedTable* t = snap.find("t");
         ASSERT_NE(t, nullptr);
         size_t rows = t->primary()->num_rows();
@@ -95,7 +95,7 @@ TEST(SnapshotIsolationTest, MultiIndexTablePinsAllIndexesAtOneEpoch) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
       while (!done.load(std::memory_order_acquire)) {
-        ServiceSnapshot snap = service->snapshots().PinAll();
+        ServiceSnapshot snap = *service->snapshots().PinAll();
         const PinnedTable* t = snap.find("posts");
         ASSERT_NE(t, nullptr);
         ASSERT_EQ(t->pins.size(), 2u);
@@ -128,20 +128,20 @@ TEST(SnapshotIsolationTest, SameEpochPinsShareTheCachedSnapshot) {
   SnapshotManager& mgr = service->snapshots();
 
   // No epoch moved between the pins: the second is served from the cache
-  // and shares the first's pinned-snapshot objects outright.
-  ServiceSnapshot a = mgr.PinAll();
-  ServiceSnapshot b = mgr.PinAll();
-  EXPECT_EQ(a.epoch, b.epoch);
-  EXPECT_EQ(a.find("t")->primary().get(), b.find("t")->primary().get());
+  // and is the very same snapshot object.
+  ServiceSnapshotPtr a = mgr.PinAll();
+  ServiceSnapshotPtr b = mgr.PinAll();
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a->find("t")->primary().get(), b->find("t")->primary().get());
 
   // A committed batch supersedes the cache: a later pin sits on the new
   // boundary while the earlier pins still read the old one.
   ASSERT_TRUE(service->Append("t", Batch(1)).ok());
-  ServiceSnapshot c = mgr.PinAll();
-  EXPECT_EQ(c.epoch, a.epoch + 1);
-  EXPECT_NE(c.find("t")->primary().get(), a.find("t")->primary().get());
-  EXPECT_EQ(a.find("t")->primary()->num_rows(), static_cast<size_t>(kBatchRows));
-  EXPECT_EQ(c.find("t")->primary()->num_rows(),
+  ServiceSnapshotPtr c = mgr.PinAll();
+  EXPECT_EQ(c->epoch, a->epoch + 1);
+  EXPECT_NE(c->find("t")->primary().get(), a->find("t")->primary().get());
+  EXPECT_EQ(a->find("t")->primary()->num_rows(), static_cast<size_t>(kBatchRows));
+  EXPECT_EQ(c->find("t")->primary()->num_rows(),
             static_cast<size_t>(2 * kBatchRows));
 
   // Registering a table invalidates the cache even though the epoch is
@@ -151,9 +151,9 @@ TEST(SnapshotIsolationTest, SameEpochPinsShareTheCachedSnapshot) {
   auto rel2 = IndexedDataFrame::CreateIndex(df2, 0, "u_by_id").ValueOrDie()
                   .relation();
   ASSERT_TRUE(service->RegisterTable("u", rel2).ok());
-  ServiceSnapshot d = mgr.PinAll();
-  EXPECT_EQ(d.epoch, c.epoch);
-  ASSERT_NE(d.find("u"), nullptr);
+  ServiceSnapshotPtr d = mgr.PinAll();
+  EXPECT_EQ(d->epoch, c->epoch);
+  ASSERT_NE(d->find("u"), nullptr);
 }
 
 TEST(SnapshotIsolationTest, SqlReadersSeeOnlyEpochBoundaries) {

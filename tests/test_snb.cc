@@ -1,10 +1,15 @@
 // Tests for the SNB-like datagen, the update stream, and — crucially — the
 // equivalence of the vanilla and indexed implementations of all seven
-// short-read queries.
+// short-read queries, and of the plans the query service runs for them.
 #include "snb/short_queries.h"
 #include "snb/update_stream.h"
 
+#include <algorithm>
 #include <set>
+#include <sstream>
+
+#include "indexed/multi_indexed_table.h"
+#include "service/query_service.h"
 
 #include <gtest/gtest.h>
 
@@ -238,6 +243,126 @@ TEST_F(SnbQueryTest, QueriesReflectAppendedData) {
 TEST_F(SnbQueryTest, DescriptionsExist) {
   for (int q = 1; q <= 7; ++q) {
     EXPECT_NE(std::string(ShortQueryDescription(q)), "unknown");
+  }
+}
+
+// SQ1-SQ7 as parameterized SQL, result columns in the vanilla
+// RunShortQuery order.
+const char* const kShortQuerySql[7] = {
+    "SELECT firstName, lastName, gender, birthday, creationDate, locationIP, "
+    "browserUsed, cityId FROM person WHERE id = ?",
+    "SELECT id, content, creationDate FROM post WHERE creatorId = ? "
+    "ORDER BY creationDate DESC LIMIT 10",
+    "SELECT p.id, p.firstName, p.lastName, k.creationDate AS friendshipDate "
+    "FROM knows k JOIN person p ON k.person2Id = p.id WHERE k.person1Id = ? "
+    "ORDER BY k.creationDate DESC",
+    "SELECT creationDate, content FROM post WHERE id = ?",
+    "SELECT p.id, p.firstName, p.lastName FROM comment c "
+    "JOIN person p ON c.creatorId = p.id WHERE c.id = ?",
+    "SELECT f.title AS forumTitle, m.firstName AS moderatorFirstName, "
+    "m.lastName AS moderatorLastName FROM comment c "
+    "JOIN post p ON c.replyOfPostId = p.id JOIN forum f ON p.forumId = f.id "
+    "JOIN person m ON f.moderatorId = m.id WHERE c.id = ?",
+    "SELECT c.content AS replyContent, p.firstName AS authorFirstName, "
+    "p.lastName AS authorLastName FROM comment c "
+    "JOIN person p ON c.creatorId = p.id WHERE c.replyOfPostId = ? "
+    "ORDER BY c.creationDate DESC",
+};
+
+/// The operator kinds of the physical plan in an EXPLAIN rendering,
+/// top-down: each line's operator name up to its first '[' or ' '.
+std::vector<std::string> OperatorKinds(const std::string& explain) {
+  const std::string header = "== Physical Plan ==\n";
+  const size_t at = explain.find(header);
+  std::istringstream in(at == std::string::npos ? explain
+                                                : explain.substr(at + header.size()));
+  std::vector<std::string> kinds;
+  for (std::string line; std::getline(in, line);) {
+    line.erase(0, line.find_first_not_of(' '));
+    if (!line.empty()) kinds.push_back(line.substr(0, line.find_first_of("[ ")));
+  }
+  return kinds;
+}
+
+/// The SNB tables registered the way a deployment serves them, both in a
+/// QueryService and as Indexed DataFrames in a session over the same live
+/// relations: person(id), knows(person1Id), comment(replyOfPostId),
+/// forum(id), and post indexed on id and creatorId with a bitmap index on
+/// browserUsed.
+class SnbServiceTest : public SnbQueryTest {
+ protected:
+  void SetUp() override {
+    ServiceConfig cfg;
+    cfg.engine.num_partitions = 4;
+    cfg.engine.num_threads = 2;
+    service_ = QueryService::Make(cfg).ValueOrDie();
+    session_ = Session::Make(cfg.engine).ValueOrDie();
+    const SnbDataset& data = ctx_->dataset;
+    auto index = [this](SchemaPtr schema, const RowVec& rows, const char* table,
+                        int col) {
+      auto df = session_->CreateDataFrame(std::move(schema), rows, table).ValueOrDie();
+      auto idf = IndexedDataFrame::CreateIndex(df, col, table).ValueOrDie();
+      ASSERT_TRUE(service_->RegisterTable(table, idf.relation()).ok());
+      ASSERT_TRUE(session_->RegisterTable(table, idf.ToDataFrame()).ok());
+    };
+    index(PersonSchema(), data.persons, "person", person::kId);
+    index(KnowsSchema(), data.knows, "knows", knows::kPerson1);
+    index(CommentSchema(), data.comments, "comment", comment::kReplyOfPostId);
+    index(ForumSchema(), data.forums, "forum", forum::kId);
+    auto post_df = session_->CreateDataFrame(PostSchema(), data.posts, "post")
+                       .ValueOrDie();
+    auto post = std::make_shared<MultiIndexedTable>(
+        MultiIndexedTable::Create(post_df, {"id", "creatorId"}, "post").ValueOrDie());
+    ASSERT_TRUE(post->AddBitmapIndex("browserUsed").ok());
+    ASSERT_TRUE(service_->RegisterTable("post", post).ok());
+    ASSERT_TRUE(session_->RegisterTable("post", post->ToDataFrame().ValueOrDie()).ok());
+  }
+
+  static int64_t Param(int q) { return DefaultParam(*ctx_, q); }
+
+  static std::string WithLiteral(int q) {
+    std::string sql = kShortQuerySql[q - 1];
+    return sql.replace(sql.find('?'), 1, std::to_string(Param(q)));
+  }
+
+  QueryServicePtr service_;
+  SessionPtr session_;
+};
+
+TEST_F(SnbServiceTest, ServicePlansMatchTheDataFrameApi) {
+  for (int q = 1; q <= 7; ++q) {
+    const std::string sql = WithLiteral(q);
+    auto api = OperatorKinds(session_->Sql(sql).ValueOrDie().Explain().ValueOrDie());
+    const std::string adhoc = service_->Explain(sql).ValueOrDie();
+    auto prep = service_->Prepare(kShortQuerySql[q - 1]).ValueOrDie();
+    const std::string prepared = service_->ExplainPrepared(prep.handle).ValueOrDie();
+    EXPECT_EQ(OperatorKinds(adhoc), api) << "SQ" << q << "\n" << adhoc;
+    EXPECT_EQ(OperatorKinds(prepared), api) << "SQ" << q << "\n" << prepared;
+    if (q == 3 || q >= 5) {
+      EXPECT_NE(std::find(api.begin(), api.end(), "IndexedEquiJoin"), api.end())
+          << "SQ" << q << "\n" << adhoc;
+    }
+    if (q == 6) {
+      // The comment lookup probes the post index, not the other way round.
+      EXPECT_NE(adhoc.find("IndexedEquiJoin[post_by_id]"), std::string::npos) << adhoc;
+      EXPECT_EQ(adhoc.find("IndexedEquiJoin[comment]"), std::string::npos) << adhoc;
+    }
+  }
+}
+
+TEST_F(SnbServiceTest, ServiceResultsMatchVanilla) {
+  for (int q = 1; q <= 7; ++q) {
+    auto prep = service_->Prepare(kShortQuerySql[q - 1]).ValueOrDie();
+    QueryResult prepared = service_->ExecutePrepared(prep.handle, {Value(Param(q))});
+    QueryResult adhoc = service_->Execute(WithLiteral(q));
+    ASSERT_TRUE(prepared.ok()) << "SQ" << q << ": " << prepared.status.ToString();
+    ASSERT_TRUE(adhoc.ok()) << "SQ" << q << ": " << adhoc.status.ToString();
+    RowVec vanilla = RunShortQuery(*ctx_, q, /*indexed=*/false, Param(q)).ValueOrDie();
+    SortRows(&vanilla);
+    SortRows(&prepared.rows);
+    SortRows(&adhoc.rows);
+    EXPECT_EQ(prepared.rows, vanilla) << "SQ" << q;
+    EXPECT_EQ(adhoc.rows, vanilla) << "SQ" << q;
   }
 }
 
