@@ -30,8 +30,8 @@ void QueryMetrics::Reset() {
   bitmap_probes_ = 0;
   range_probes_ = 0;
   index_scans_avoided_ = 0;
-  bitmap_maintenance_us_ = 0;
-  range_maintenance_us_ = 0;
+  bitmap_maintenance_ns_ = 0;
+  range_maintenance_ns_ = 0;
 }
 
 std::string QueryMetrics::ToString() const {

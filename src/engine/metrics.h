@@ -40,8 +40,8 @@ class QueryMetrics {
   void AddBitmapProbes(uint64_t n) { bitmap_probes_ += n; }
   void AddRangeProbes(uint64_t n) { range_probes_ += n; }
   void AddIndexScansAvoided(uint64_t n) { index_scans_avoided_ += n; }
-  void AddBitmapMaintenanceUs(uint64_t n) { bitmap_maintenance_us_ += n; }
-  void AddRangeMaintenanceUs(uint64_t n) { range_maintenance_us_ += n; }
+  void AddBitmapMaintenanceNs(uint64_t n) { bitmap_maintenance_ns_ += n; }
+  void AddRangeMaintenanceNs(uint64_t n) { range_maintenance_ns_ += n; }
 
   uint64_t shuffled_rows() const { return shuffled_rows_; }
   uint64_t shuffled_bytes() const { return shuffled_bytes_; }
@@ -70,8 +70,11 @@ class QueryMetrics {
   uint64_t bitmap_probes() const { return bitmap_probes_; }
   uint64_t range_probes() const { return range_probes_; }
   uint64_t index_scans_avoided() const { return index_scans_avoided_; }
-  uint64_t bitmap_maintenance_us() const { return bitmap_maintenance_us_; }
-  uint64_t range_maintenance_us() const { return range_maintenance_us_; }
+  /// Accumulated in nanoseconds; read in whole microseconds.
+  uint64_t bitmap_maintenance_us() const {
+    return bitmap_maintenance_ns_ / 1000;
+  }
+  uint64_t range_maintenance_us() const { return range_maintenance_ns_ / 1000; }
 
   std::string ToString() const;
 
@@ -101,12 +104,13 @@ class QueryMetrics {
   std::atomic<uint64_t> chain_links_rewritten_{0};
   std::atomic<uint64_t> bytes_reclaimed_{0};
   // Secondary indexes: probe counts per kind, rows an index probe skipped
-  // scanning, and per-kind maintenance time inside append batches.
+  // scanning, and per-kind maintenance time inside append batches (ns,
+  // so sub-microsecond per-partition upkeep still adds up).
   std::atomic<uint64_t> bitmap_probes_{0};
   std::atomic<uint64_t> range_probes_{0};
   std::atomic<uint64_t> index_scans_avoided_{0};
-  std::atomic<uint64_t> bitmap_maintenance_us_{0};
-  std::atomic<uint64_t> range_maintenance_us_{0};
+  std::atomic<uint64_t> bitmap_maintenance_ns_{0};
+  std::atomic<uint64_t> range_maintenance_ns_{0};
 };
 
 }  // namespace idf

@@ -9,16 +9,6 @@
 
 namespace idf {
 
-namespace {
-
-uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                   std::chrono::steady_clock::now() - since)
-                                   .count());
-}
-
-}  // namespace
-
 SecondaryIndexSet::SecondaryIndexSet(SchemaPtr schema,
                                      std::vector<SecondaryIndexSpec> specs)
     : schema_(std::move(schema)),
@@ -31,8 +21,13 @@ SecondaryMaintenanceStats SecondaryIndexSet::PublishCut(StoreWatermark boundary)
   SecondaryMaintenanceStats stats;
   const uint64_t limit = directory_->size();
   const Schema& schema = *schema_;
+  ++epoch_;
+  auto cut = std::make_shared<SecondaryIndexCut>();
+  cut->entries.reserve(specs_.size());
   for (size_t s = 0; s < specs_.size(); ++s) {
     const SecondaryIndexSpec& spec = specs_[s];
+    // One index's whole upkeep is timed: feeding the new rows to its
+    // builder and building its immutable cut.
     const auto t0 = std::chrono::steady_clock::now();
     for (uint64_t pos = indexed_; pos < limit; ++pos) {
       const uint8_t* payload = directory_->At(pos);
@@ -46,29 +41,23 @@ SecondaryMaintenanceStats SecondaryIndexSet::PublishCut(StoreWatermark boundary)
         ranges_[s].Add(v, static_cast<uint32_t>(pos));
       }
     }
-    const uint64_t us = ElapsedUs(t0);
-    if (spec.kind == SecondaryIndexKind::kBitmap) {
-      stats.bitmap_us += us;
-    } else {
-      stats.range_us += us;
-    }
-  }
-  stats.rows = static_cast<size_t>(limit - indexed_);
-  indexed_ = limit;
-  ++epoch_;
-
-  auto cut = std::make_shared<SecondaryIndexCut>();
-  cut->entries.reserve(specs_.size());
-  for (size_t s = 0; s < specs_.size(); ++s) {
     SecondaryIndexCut::Entry entry;
-    entry.spec = specs_[s];
-    if (specs_[s].kind == SecondaryIndexKind::kBitmap) {
+    entry.spec = spec;
+    if (spec.kind == SecondaryIndexKind::kBitmap) {
       entry.bitmap = bitmaps_[s].BuildCut(epoch_);
     } else {
       entry.range = ranges_[s].BuildCut(epoch_);
     }
     cut->entries.push_back(std::move(entry));
+    const uint64_t ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    (spec.kind == SecondaryIndexKind::kBitmap ? stats.bitmap_ns
+                                              : stats.range_ns) += ns;
   }
+  stats.rows = static_cast<size_t>(limit - indexed_);
+  indexed_ = limit;
   cut->covered = limit;
   cut->boundary = boundary;
   cut->epoch = epoch_;

@@ -122,16 +122,17 @@ struct SecondaryIndexCut {
 };
 using SecondaryIndexCutPtr = std::shared_ptr<const SecondaryIndexCut>;
 
-/// Per-publish maintenance cost, split by index kind (exported as the
-/// index_maintenance_us metrics).
+/// Per-publish maintenance cost, split by index kind: each index's row
+/// feed plus its cut build, in nanoseconds (exported as the
+/// *_maintenance_us metrics).
 struct SecondaryMaintenanceStats {
-  uint64_t bitmap_us = 0;
-  uint64_t range_us = 0;
+  uint64_t bitmap_ns = 0;
+  uint64_t range_ns = 0;
   size_t rows = 0;
 
   void Merge(const SecondaryMaintenanceStats& o) {
-    bitmap_us += o.bitmap_us;
-    range_us += o.range_us;
+    bitmap_ns += o.bitmap_ns;
+    range_ns += o.range_ns;
     rows += o.rows;
   }
 };

@@ -166,8 +166,8 @@ Status IndexedRelation::AppendEncoded(ExecutorContext& ctx, const RowVec& rows,
   // acquisition (lock acquisitions per batch == partitions touched).
   std::vector<Status> statuses(static_cast<size_t>(num_parts));
   std::atomic<size_t> appended{0};
-  std::atomic<uint64_t> bitmap_us{0};
-  std::atomic<uint64_t> range_us{0};
+  std::atomic<uint64_t> bitmap_ns{0};
+  std::atomic<uint64_t> range_ns{0};
   ctx.pool().ParallelFor(static_cast<size_t>(num_parts), [&](size_t p) {
     ctx.metrics().AddTask();
     if (routed[p].empty()) return;
@@ -178,11 +178,11 @@ Status IndexedRelation::AppendEncoded(ExecutorContext& ctx, const RowVec& rows,
       statuses[p] = partitions_[p]->AppendBatch(routed[p], &result);
     }
     appended.fetch_add(result.rows_appended, std::memory_order_relaxed);
-    bitmap_us.fetch_add(result.maintenance.bitmap_us, std::memory_order_relaxed);
-    range_us.fetch_add(result.maintenance.range_us, std::memory_order_relaxed);
+    bitmap_ns.fetch_add(result.maintenance.bitmap_ns, std::memory_order_relaxed);
+    range_ns.fetch_add(result.maintenance.range_ns, std::memory_order_relaxed);
   });
-  ctx.metrics().AddBitmapMaintenanceUs(bitmap_us.load(std::memory_order_relaxed));
-  ctx.metrics().AddRangeMaintenanceUs(range_us.load(std::memory_order_relaxed));
+  ctx.metrics().AddBitmapMaintenanceNs(bitmap_ns.load(std::memory_order_relaxed));
+  ctx.metrics().AddRangeMaintenanceNs(range_ns.load(std::memory_order_relaxed));
   for (const Status& st : statuses) {
     IDF_RETURN_NOT_OK(st);
   }

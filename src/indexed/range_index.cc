@@ -91,60 +91,66 @@ size_t RangeIndexCut::MemoryBytesEstimate() const {
 }
 
 void RangeIndexBuilder::Add(const Value& key, uint32_t pos) {
-  buffer_.keys.push_back(key);
-  buffer_.pos.push_back(pos);
-  buffer_dirty_ = true;
+  pending_.keys.push_back(key);
+  pending_.pos.push_back(pos);
   ++count_;
-  if (buffer_.size() >= kRangeRunSealThreshold) {
-    // Seal eagerly: the run becomes immutable and every later cut shares
-    // it, so steady-state publish cost is the (small) buffer sort only.
-    buffer_.Sort();
-    sealed_.push_back(std::make_shared<SortedRun>(std::move(buffer_)));
-    buffer_ = SortedRun{};
-    buffer_dirty_ = false;
-    buffer_copy_.reset();
+}
+
+void RangeIndexBuilder::PushPending(uint64_t epoch) {
+  if (pending_.size() == 0) return;
+  pending_.Sort();
+  pending_.epoch = epoch;
+  runs_.push_back(std::make_shared<SortedRun>(std::move(pending_)));
+  pending_ = SortedRun{};
+}
+
+void RangeIndexBuilder::MergeTop(uint64_t epoch) {
+  const SortedRun& a = *runs_[runs_.size() - 2];
+  const SortedRun& b = *runs_.back();
+  // Both inputs stay shared with earlier cuts, so the merge copies.
+  auto merged = std::make_shared<SortedRun>();
+  merged->epoch = epoch;
+  merged->keys.reserve(a.size() + b.size());
+  merged->pos.reserve(a.size() + b.size());
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (EntryLess(b.keys[j], b.pos[j], a.keys[i], a.pos[i])) {
+      merged->keys.push_back(b.keys[j]);
+      merged->pos.push_back(b.pos[j++]);
+    } else {
+      merged->keys.push_back(a.keys[i]);
+      merged->pos.push_back(a.pos[i++]);
+    }
   }
+  merged->keys.insert(merged->keys.end(), a.keys.begin() + i, a.keys.end());
+  merged->pos.insert(merged->pos.end(), a.pos.begin() + i, a.pos.end());
+  merged->keys.insert(merged->keys.end(), b.keys.begin() + j, b.keys.end());
+  merged->pos.insert(merged->pos.end(), b.pos.begin() + j, b.pos.end());
+  runs_.pop_back();
+  runs_.back() = std::move(merged);
 }
 
 RangeIndexCutPtr RangeIndexBuilder::BuildCut(uint64_t epoch) {
-  auto cut = std::make_shared<RangeIndexCut>();
-  cut->runs_.reserve(sealed_.size() + 1);
-  cut->runs_.assign(sealed_.begin(), sealed_.end());
-  if (buffer_.size() > 0) {
-    if (buffer_dirty_ || buffer_copy_ == nullptr) {
-      auto copy = std::make_shared<SortedRun>(buffer_);
-      copy->Sort();
-      copy->epoch = epoch;
-      buffer_copy_ = std::move(copy);
-      buffer_dirty_ = false;
-    }
-    cut->runs_.push_back(buffer_copy_);
+  PushPending(epoch);
+  // Geometric merging: every entry is copied O(log n) times in total, and
+  // run sizes more than double down the stack, so a cut holds O(log n)
+  // runs.
+  while (runs_.size() >= 2 &&
+         runs_[runs_.size() - 2]->size() <= 2 * runs_.back()->size()) {
+    MergeTop(epoch);
   }
+  auto cut = std::make_shared<RangeIndexCut>();
+  cut->runs_ = runs_;
   cut->keys_indexed_ = count_;
   return cut;
 }
 
 void RangeIndexBuilder::MergeAll(uint64_t epoch) {
-  SortedRun merged;
-  merged.epoch = epoch;
-  merged.keys.reserve(count_);
-  merged.pos.reserve(count_);
-  for (const SortedRunPtr& run : sealed_) {
-    merged.keys.insert(merged.keys.end(), run->keys.begin(), run->keys.end());
-    merged.pos.insert(merged.pos.end(), run->pos.begin(), run->pos.end());
-  }
-  merged.keys.insert(merged.keys.end(),
-                     std::make_move_iterator(buffer_.keys.begin()),
-                     std::make_move_iterator(buffer_.keys.end()));
-  merged.pos.insert(merged.pos.end(), buffer_.pos.begin(), buffer_.pos.end());
-  merged.Sort();
-  sealed_.clear();
-  if (merged.size() > 0) {
-    sealed_.push_back(std::make_shared<SortedRun>(std::move(merged)));
-  }
-  buffer_ = SortedRun{};
-  buffer_dirty_ = false;
-  buffer_copy_.reset();
+  PushPending(epoch);
+  // Smallest runs first: the growing merge meets ever larger runs, so the
+  // total copy work stays linear in the entries.
+  while (runs_.size() >= 2) MergeTop(epoch);
 }
 
 }  // namespace idf

@@ -1,10 +1,12 @@
-// Updatable sorted range index (DESIGN.md §14): per generation, a set of
-// immutable sorted runs of (key, position) plus a small append buffer.
-// `<`, `<=`, `>`, `>=`, and BETWEEN probes binary-search every run and
-// emit the positions inside the bounds; the append buffer is sorted into
-// a (small) tail run at publish time, so cuts are fully immutable and a
-// pinned reader's probe never observes a half-applied update. Compaction
-// rebuilds the index and merges all runs into one.
+// Updatable sorted range index (DESIGN.md §14): per generation, a stack
+// of immutable sorted runs of (key, position). `<`, `<=`, `>`, `>=`, and
+// BETWEEN probes binary-search every run and emit the positions inside the
+// bounds. Each publish sorts only the entries added since the previous cut
+// into a new run and merges it into the run below while that one holds at
+// most twice its entries, so a commit costs its own entries (amortized
+// O(log n) merge work each) and a cut holds O(log n) runs. Cuts are fully
+// immutable: a pinned reader's probe never observes a half-applied update.
+// Compaction rebuilds the index and merges all runs into one.
 //
 // Concurrency matches bitmap_index.h: one appender under the partition
 // write lock; immutable cuts published by the owner via atomic shared_ptr.
@@ -18,20 +20,16 @@
 
 namespace idf {
 
-/// Append-buffer entries are sorted and sealed into an immutable run once
-/// this many accumulate; smaller leftovers become the cut's tail run.
-constexpr size_t kRangeRunSealThreshold = 4096;
-
 /// One immutable sorted run: parallel (keys, positions) arrays ordered by
 /// key, position-ascending among equal keys (deterministic rebuilds).
 struct SortedRun {
   std::vector<Value> keys;
   std::vector<uint32_t> pos;
-  uint64_t epoch = 0;  ///< publish sequence that sealed this run
+  uint64_t epoch = 0;  ///< publish sequence that built this run
 
   size_t size() const { return keys.size(); }
 
-  /// Sorts the parallel arrays (used at seal time).
+  /// Sorts the parallel arrays (used when a run is built).
   void Sort();
 
   /// [first, last) index window of entries inside the bounds (either bound
@@ -71,28 +69,31 @@ class RangeIndexCut {
 using RangeIndexCutPtr = std::shared_ptr<const RangeIndexCut>;
 
 /// Appender-side state of one range index (one writer, partition write
-/// lock held). Add() fills the append buffer; BuildCut() seals or copies
-/// it so the published cut is immutable.
+/// lock held). Add() collects entries; BuildCut() sorts them into a run so
+/// the published cut is immutable.
 class RangeIndexBuilder {
  public:
   /// Records `key` at `pos`; null keys are the caller's concern.
   void Add(const Value& key, uint32_t pos);
 
-  /// Builds the cut reflecting every Add() so far. The append buffer is
-  /// sealed into a run when it crossed the threshold; otherwise a sorted
-  /// copy rides along as the cut's tail run (shared with later cuts until
-  /// the buffer changes again).
+  /// Builds the cut reflecting every Add() so far: the entries added since
+  /// the last cut become one sorted run, merged into the run below while
+  /// that one holds at most twice its entries. Run sizes therefore more
+  /// than double from the top of the stack down.
   RangeIndexCutPtr BuildCut(uint64_t epoch);
 
-  /// Merges every run and the append buffer into one sorted run
+  /// Merges every run and the pending entries into one sorted run
   /// (compaction's rebuild step — probes then binary-search once).
   void MergeAll(uint64_t epoch);
 
  private:
-  std::vector<SortedRunPtr> sealed_;
-  SortedRun buffer_;          // unsorted append buffer
-  bool buffer_dirty_ = false;
-  SortedRunPtr buffer_copy_;  // last published sorted copy of the buffer
+  /// Sorts the pending entries into a run on top of the stack.
+  void PushPending(uint64_t epoch);
+  /// Replaces the top two runs with their merge.
+  void MergeTop(uint64_t epoch);
+
+  std::vector<SortedRunPtr> runs_;  // oldest (largest) first
+  SortedRun pending_;               // unsorted entries since the last cut
   uint64_t count_ = 0;
 };
 

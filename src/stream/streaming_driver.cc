@@ -78,7 +78,9 @@ Result<StreamingReport> RunStreamingWorkload(
   std::vector<size_t> query_counts(query_recorders.size(), 0);
   for (size_t t = 0; t < query_recorders.size(); ++t) {
     query_threads.emplace_back([&, t] {
-      while (!stop_queries.load(std::memory_order_acquire)) {
+      // do-while: every query thread runs at least one query, even when
+      // the appender drains the stream before the thread is scheduled.
+      do {
         auto q0 = Clock::now();
         Status st = query();
         auto q1 = Clock::now();
@@ -93,7 +95,7 @@ Result<StreamingReport> RunStreamingWorkload(
           std::this_thread::sleep_for(
               std::chrono::microseconds(config.query_pause_micros));
         }
-      }
+      } while (!stop_queries.load(std::memory_order_acquire));
     });
   }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "sql/analyzer.h"
 #include "sql/session.h"
 
 namespace idf {
@@ -41,7 +40,7 @@ struct MaintainedView {
   CompiledFilter input_filter;          // kSelect / kAggregate
   CompiledFilter left_filter, right_filter;  // kJoin
 
-  RowVec core_rows;     // kSelect / kJoin resident result
+  RowVec core_rows;     // kSelect / kJoin resident result (published shape)
   GroupStateMap groups; // kAggregate resident state
 
   /// Deltas with epoch <= this are already reflected in the state.
@@ -105,6 +104,16 @@ bool EvalKeep(const ExprPtr& predicate, const Row& row, Status* status) {
     return false;
   }
   return v.ValueOrDie().is_bool() && v.ValueOrDie().bool_value();
+}
+
+/// Runs the view's row-wise post-ops over one delta's output rows and
+/// appends the survivors to the resident result; returns how many landed.
+Result<size_t> AppendToCore(MaintainedView* view, RowVec rows) {
+  IDF_RETURN_NOT_OK(ApplyPostOps(view->spec.row_post, &rows));
+  view->core_rows.insert(view->core_rows.end(),
+                         std::make_move_iterator(rows.begin()),
+                         std::make_move_iterator(rows.end()));
+  return rows.size();
 }
 
 }  // namespace
@@ -200,9 +209,11 @@ Status MaterializedViewManager::ApplyDelta(MaintainedView* view,
       IDF_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
                            FilterDelta(&view->input_filter, delta,
                                        spec.input.schema, *exec_));
-      view->core_rows.reserve(view->core_rows.size() + sel.size());
-      for (uint32_t i : sel) view->core_rows.push_back((*delta->rows)[i]);
-      rows_maintained_.fetch_add(sel.size(), std::memory_order_relaxed);
+      RowVec kept;
+      kept.reserve(sel.size());
+      for (uint32_t i : sel) kept.push_back((*delta->rows)[i]);
+      IDF_ASSIGN_OR_RETURN(size_t added, AppendToCore(view, std::move(kept)));
+      rows_maintained_.fetch_add(added, std::memory_order_relaxed);
       return Status::OK();
     }
     case ViewKind::kAggregate: {
@@ -243,7 +254,7 @@ Status MaterializedViewManager::ApplyDelta(MaintainedView* view,
       return Status::OK();
     }
     case ViewKind::kJoin: {
-      size_t emitted = 0;
+      RowVec emitted;
       Status status = Status::OK();
       // Term 1: ΔL ⋈ R_cur — new left rows probe the right index pinned at
       // the CURRENT epoch (which already contains any same-pass right
@@ -267,8 +278,7 @@ Status MaterializedViewManager::ApplyDelta(MaintainedView* view,
               IDF_RETURN_NOT_OK(status);
               continue;
             }
-            view->core_rows.push_back(ConcatRows(l, r));
-            ++emitted;
+            emitted.push_back(ConcatRows(l, r));
           }
         }
       }
@@ -294,12 +304,13 @@ Status MaterializedViewManager::ApplyDelta(MaintainedView* view,
               IDF_RETURN_NOT_OK(status);
               continue;
             }
-            view->core_rows.push_back(ConcatRows(l, r));
-            ++emitted;
+            emitted.push_back(ConcatRows(l, r));
           }
         }
       }
-      rows_maintained_.fetch_add(emitted, std::memory_order_relaxed);
+      IDF_ASSIGN_OR_RETURN(size_t added,
+                           AppendToCore(view, std::move(emitted)));
+      rows_maintained_.fetch_add(added, std::memory_order_relaxed);
       return Status::OK();
     }
     case ViewKind::kRecompute:
@@ -493,8 +504,12 @@ Result<ViewSubscriptionPtr> MaterializedViewManager::Subscribe(
     IDF_RETURN_NOT_OK(session->RegisterTable(info.name, std::move(df)));
   }
   IDF_ASSIGN_OR_RETURN(DataFrame df, session->Sql(sql));
-  IDF_ASSIGN_OR_RETURN(LogicalPlanPtr analyzed, Analyze(df.plan()));
-  IDF_ASSIGN_OR_RETURN(ViewSpec spec, BuildViewSpec(sql, analyzed));
+  // Classify the optimized plan: the built-in batch has pushed one-side
+  // WHERE conjuncts onto the join inputs, where deltas are filtered before
+  // they probe, instead of leaving them above the whole maintained join.
+  IDF_ASSIGN_OR_RETURN(LogicalPlanPtr optimized,
+                       session->OptimizeOnly(df.plan()));
+  IDF_ASSIGN_OR_RETURN(ViewSpec spec, BuildViewSpec(sql, optimized));
 
   if (spec.kind == ViewKind::kJoin) {
     // Both probe directions need a PRIMARY (cTrie) index on the join
@@ -518,7 +533,7 @@ Result<ViewSubscriptionPtr> MaterializedViewManager::Subscribe(
     if (!has_index(spec.right.table, spec.right_key_col) ||
         !has_index(spec.left.table, spec.left_key_col)) {
       spec.kind = ViewKind::kRecompute;
-      spec.core_schema = spec.output_schema;
+      spec.row_post.clear();
       spec.post.clear();
     }
   }
@@ -624,6 +639,7 @@ ViewManagerStats MaterializedViewManager::Stats() const {
     stats.views_registered = views_by_fingerprint_.size();
     for (const auto& [fingerprint, view] : views_by_fingerprint_) {
       stats.view_subscribers += view->subscriber_count;
+      stats.resident_rows += view->core_rows.size() + view->groups.size();
     }
   }
   stats.arrangements_shared =

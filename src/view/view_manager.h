@@ -5,7 +5,8 @@
 // every registered view by the delta alone:
 //
 //   select views     compiled/vectorized predicates filter the encoded
-//                    delta rows; survivors append to the resident result.
+//                    delta rows; survivors pass the view's row-wise
+//                    post-ops and append to the resident result.
 //   aggregate views  the group state lives resident (GroupStateMap); the
 //                    delta folds into a local partial map which merges in
 //                    via aggregate_common's MergeStates — the same kernels
@@ -15,12 +16,14 @@
 //                    L_prev⋈ΔR: delta rows probe the other side's pinned
 //                    cTrie index (point lookups, newest-first chains), and
 //                    the previous pass's pin on the left keeps pairs of
-//                    same-pass deltas from counting twice.
+//                    same-pass deltas from counting twice. Joined rows
+//                    pass the row-wise post-ops before they are kept, so
+//                    the resident join holds only published rows.
 //   anything else    correct-but-not-incremental fallback: the SQL is
 //                    re-executed against each new epoch pin (counted as
 //                    views_recomputed).
 //
-// Arrangement sharing: subscriptions whose analyzed plans render to the
+// Arrangement sharing: subscriptions whose optimized plans render to the
 // same fingerprint attach to ONE maintained view (refcounted); 100
 // dashboards asking the same question cost one delta propagation per
 // commit, not 100 scans.
@@ -91,13 +94,14 @@ class ViewSubscription {
 };
 using ViewSubscriptionPtr = std::shared_ptr<ViewSubscription>;
 
-/// Counters exported through ServiceStats.
+/// View counters; all but resident_rows are exported through ServiceStats.
 struct ViewManagerStats {
   uint64_t views_registered = 0;    ///< live maintained arrangements
   uint64_t view_subscribers = 0;    ///< live subscriptions
   uint64_t arrangements_shared = 0; ///< subscriptions that joined an existing arrangement
   uint64_t deltas_propagated = 0;   ///< delta batches applied to views
   uint64_t rows_maintained_incrementally = 0;  ///< delta rows folded into resident state
+  uint64_t resident_rows = 0;       ///< rows held now: select/join results + aggregate groups
   uint64_t views_recomputed = 0;    ///< full recompute passes (fallback shape)
   uint64_t maintenance_errors = 0;  ///< passes that degraded a view to recompute
 };

@@ -21,8 +21,8 @@ std::string ViewKindToString(ViewKind kind) {
   return "?";
 }
 
-std::string PlanFingerprint(const LogicalPlanPtr& analyzed) {
-  return analyzed->TreeString();
+std::string PlanFingerprint(const LogicalPlanPtr& plan) {
+  return plan->TreeString();
 }
 
 namespace {
@@ -59,23 +59,36 @@ bool MatchInput(const LogicalPlanPtr& plan, ViewInput* out) {
   return true;
 }
 
+/// Moves the innermost run of row-wise post-ops (Filter, Project) to
+/// `row_post`: they commute with appending rows to the result, so they can
+/// run per delta. Sort and Limit need the whole result and stay in `post`.
+void SplitRowPostOps(ViewSpec* spec) {
+  auto first_whole = std::find_if(
+      spec->post.begin(), spec->post.end(), [](const ViewPostOp& op) {
+        return op.kind != ViewPostOp::kFilter && op.kind != ViewPostOp::kProject;
+      });
+  spec->row_post.assign(std::make_move_iterator(spec->post.begin()),
+                        std::make_move_iterator(first_whole));
+  spec->post.erase(spec->post.begin(), first_whole);
+}
+
 }  // namespace
 
 Result<ViewSpec> BuildViewSpec(const std::string& sql,
-                               const LogicalPlanPtr& analyzed) {
-  if (!analyzed || !analyzed->analyzed()) {
+                               const LogicalPlanPtr& plan) {
+  if (!plan || !plan->analyzed()) {
     return Status::Internal("BuildViewSpec requires an analyzed plan");
   }
   ViewSpec spec;
   spec.sql = sql;
-  spec.fingerprint = PlanFingerprint(analyzed);
-  spec.output_schema = analyzed->output_schema();
-  CollectScanTables(analyzed, &spec.tables);
+  spec.fingerprint = PlanFingerprint(plan);
+  spec.output_schema = plan->output_schema();
+  CollectScanTables(plan, &spec.tables);
   Dedup(&spec.tables);
 
-  // Peel publish-time operators off the top until a core candidate remains.
-  // A Filter is part of the core only when it sits directly on a Scan.
-  LogicalPlanPtr core = analyzed;
+  // Peel post-ops off the top until a core candidate remains. A Filter is
+  // part of the core only when it sits directly on a Scan.
+  LogicalPlanPtr core = plan;
   std::vector<ViewPostOp> post;  // collected outermost-first
   for (bool peeled = true; peeled;) {
     peeled = false;
@@ -125,13 +138,13 @@ Result<ViewSpec> BuildViewSpec(const std::string& sql,
   }
   std::reverse(post.begin(), post.end());  // innermost-first for apply
   spec.post = std::move(post);
-  spec.core_schema = core->output_schema();
 
   switch (core->kind()) {
     case PlanKind::kScan:
     case PlanKind::kFilter:
       if (MatchInput(core, &spec.input)) {
         spec.kind = ViewKind::kSelect;
+        SplitRowPostOps(&spec);
         return spec;
       }
       break;
@@ -166,6 +179,7 @@ Result<ViewSpec> BuildViewSpec(const std::string& sql,
       spec.kind = ViewKind::kJoin;
       spec.left_key_col = lk->index();
       spec.right_key_col = rk->index();
+      SplitRowPostOps(&spec);
       return spec;
     }
     default:
@@ -174,7 +188,6 @@ Result<ViewSpec> BuildViewSpec(const std::string& sql,
 
   // Unsupported shape: maintain by recomputation against each new epoch.
   spec.kind = ViewKind::kRecompute;
-  spec.core_schema = spec.output_schema;
   spec.post.clear();
   return spec;
 }

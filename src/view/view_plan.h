@@ -1,8 +1,15 @@
-// Standing-query plan analysis: classifies an analyzed logical plan into a
-// maintainable ViewSpec — the shape the incremental maintenance pass knows
-// how to advance delta-at-a-time — and derives the normalized fingerprint
-// that lets subscribers with the same plan share one maintained
-// arrangement (Shared Arrangements, McSherry et al.).
+// Standing-query plan analysis: classifies an optimized logical plan into
+// a maintainable ViewSpec — the shape the incremental maintenance pass
+// knows how to advance delta-at-a-time — and derives the normalized
+// fingerprint that lets subscribers with the same plan share one
+// maintained arrangement (Shared Arrangements, McSherry et al.).
+//
+// The classifier sees the plan after the built-in optimizer batch, so a
+// WHERE conjunct over one join side already sits on that side's scan
+// (PushFilterThroughJoin) and a WHERE over a projection sits below it
+// (PushFilterThroughProject): it becomes an input predicate that the delta
+// filters and the join probes apply, instead of a filter over the whole
+// maintained result.
 //
 // Maintainable cores (everything append-only; the store never deletes):
 //
@@ -14,9 +21,12 @@
 //               on plain columns; deltas probe the other side's pinned
 //               cTrie index instead of rebuilding either side.
 //
-// Above the core, any stack of Filter (HAVING) / Project / Sort / TopK /
-// Limit is peeled into a publish-time post-op pipeline (those operators
-// are cheap over the maintained result and don't affect the delta math).
+// Above the core, any stack of Filter (HAVING, cross-side WHERE) / Project
+// / Sort / TopK / Limit is peeled into post-ops. For kSelect and kJoin the
+// innermost run of row-wise ops (Filter, Project) runs on each delta's
+// output rows, so the resident result already has the published row shape
+// and holds only published rows; the rest (Sort, Limit, and anything above
+// them) runs at publish time. kAggregate runs all its post-ops at publish.
 // Every other shape degrades to kRecompute: the subscription still works,
 // but each commit re-executes the query against the fresh epoch pin —
 // correct, just not incremental (ViewManager counts these separately).
@@ -45,8 +55,9 @@ struct ViewInput {
   ExprPtr predicate;  // bound to `schema`; null = keep every row
 };
 
-/// One publish-time operator peeled from above the core, applied
-/// innermost-first to the maintained result on every snapshot build.
+/// One operator peeled from above the core, applied innermost-first —
+/// either to each delta's output rows (ViewSpec::row_post) or to the
+/// maintained result on every snapshot build (ViewSpec::post).
 struct ViewPostOp {
   enum Kind : uint8_t { kFilter, kProject, kSort, kLimit } kind;
   ExprPtr predicate;                // kFilter (e.g. HAVING)
@@ -59,9 +70,8 @@ struct ViewPostOp {
 struct ViewSpec {
   ViewKind kind = ViewKind::kRecompute;
   std::string sql;          // original text (re-executed by kRecompute)
-  std::string fingerprint;  // normalized analyzed-plan rendering
+  std::string fingerprint;  // normalized optimized-plan rendering
   SchemaPtr output_schema;  // final schema (after post-ops)
-  SchemaPtr core_schema;    // schema of the maintained core result
 
   /// Tables whose commits touch this view (deduplicated).
   std::vector<std::string> tables;
@@ -79,24 +89,29 @@ struct ViewSpec {
   int left_key_col = -1;   // ordinal in left.schema
   int right_key_col = -1;  // ordinal in right.schema
 
-  std::vector<ViewPostOp> post;  // innermost (closest to core) first
+  // Innermost (closest to core) first. kSelect / kJoin: `row_post` (only
+  // kFilter / kProject) runs on each delta's output rows before they enter
+  // the resident result; `post` runs on the resident result at publish.
+  std::vector<ViewPostOp> row_post;
+  std::vector<ViewPostOp> post;
 };
 
-/// Classifies `analyzed` (a fully analyzed plan whose leaves are ScanNodes
-/// of registered tables). Never fails on shape — unsupported shapes come
-/// back as kRecompute; errors are reserved for malformed plans.
+/// Classifies `plan` (an analyzed plan, normally already optimized, whose
+/// leaves are ScanNodes of registered tables). Never fails on shape —
+/// unsupported shapes come back as kRecompute; errors are reserved for
+/// malformed plans.
 Result<ViewSpec> BuildViewSpec(const std::string& sql,
-                               const LogicalPlanPtr& analyzed);
+                               const LogicalPlanPtr& plan);
 
-/// Deterministic rendering of an analyzed plan, used as the arrangement
-/// sharing key. Two subscriptions share one arrangement iff their analyzed
-/// plans render identically (the analyzer normalizes name binding, so
-/// textual variations like aliasing collapse; commutations like
-/// `1 = a` vs `a = 1` do not — they maintain separate arrangements).
-std::string PlanFingerprint(const LogicalPlanPtr& analyzed);
+/// Deterministic rendering of a plan, used as the arrangement sharing key.
+/// Two subscriptions share one arrangement iff their optimized plans
+/// render identically (the analyzer normalizes name binding, so textual
+/// variations like aliasing collapse; commutations like `1 = a` vs
+/// `a = 1` do not — they maintain separate arrangements).
+std::string PlanFingerprint(const LogicalPlanPtr& plan);
 
-/// Applies a view's post-op pipeline to `rows` (in place). `core_schema`
-/// is the pipeline's input schema; evaluation errors abort the publish.
+/// Applies a post-op pipeline to `rows` (in place); evaluation errors
+/// abort the caller's delta or publish.
 Status ApplyPostOps(const std::vector<ViewPostOp>& post, RowVec* rows);
 
 }  // namespace idf

@@ -18,6 +18,7 @@
 #include "service/query_service.h"
 #include "sql/session.h"
 #include "types/row.h"
+#include "view/view_plan.h"
 
 namespace idf {
 namespace {
@@ -228,7 +229,7 @@ TEST(MaterializedViewTest, JoinViewWithNullKeysMatchesRecompute) {
   ASSERT_TRUE(service->Unsubscribe(sub).ok());
 }
 
-TEST(MaterializedViewTest, JoinWithResidualWhereRunsAsPostOp) {
+TEST(MaterializedViewTest, JoinWithOneSideWhereFiltersTheInput) {
   auto service = MakeViewService();
   auto sub = service
                  ->Subscribe(
@@ -613,6 +614,202 @@ TEST(MaterializedViewTest, SubscribeRejectsInvalidSql) {
   EXPECT_EQ(service->views().num_views(), 0u);
   // A failed subscribe leaves the delta feed disabled.
   EXPECT_FALSE(service->views().wants_deltas());
+}
+
+
+/// Rows of a one-shot execution of `sql` (test helper).
+size_t CountRows(QueryService* service, const std::string& sql) {
+  QueryResult r = service->Execute(sql);
+  EXPECT_TRUE(r.ok()) << r.status.ToString();
+  return r.rows.size();
+}
+
+TEST(MaterializedViewTest, OneSideWhereOverJoinKeepsOnlyPublishedRows) {
+  auto service = MakeViewService();
+  std::mt19937 rng(43);
+  int64_t oid = 0, uid = 0;
+  ASSERT_TRUE(service->Append("users", RandomUsers(&rng, &uid, 12)).ok());
+  ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 30)).ok());
+  // The right-side conjunct is pushed onto the users input: it filters
+  // user deltas and the users rows that order deltas probe, so the
+  // resident join never holds a row the view does not publish.
+  auto sub = service
+                 ->Subscribe(
+                     "SELECT o.oid, u.name FROM orders o "
+                     "JOIN users u ON o.user_id = u.uid WHERE u.uid < 8")
+                 .ValueOrDie();
+  EXPECT_EQ(sub->kind(), ViewKind::kJoin);
+  for (int pass = 0; pass < 8; ++pass) {
+    if (pass % 2 == 0) {
+      ASSERT_TRUE(
+          service->Append("users", RandomUsers(&rng, &uid, 1 + rng() % 4))
+              .ok());
+    }
+    ASSERT_TRUE(
+        service->Append("orders", RandomOrders(&rng, &oid, 1 + rng() % 20))
+            .ok());
+    ASSERT_TRUE(MatchesRecompute(service.get(), sub));
+  }
+  const size_t published = sub->Snapshot()->rows->size();
+  const size_t full_join = CountRows(
+      service.get(),
+      "SELECT o.oid FROM orders o JOIN users u ON o.user_id = u.uid");
+  EXPECT_GT(published, 0u);
+  EXPECT_LT(published, full_join);
+  EXPECT_EQ(service->views().Stats().resident_rows, published);
+  EXPECT_EQ(service->views().Stats().maintenance_errors, 0u);
+  ASSERT_TRUE(service->Unsubscribe(sub).ok());
+}
+
+TEST(MaterializedViewTest, PushedConjunctsShareOneArrangementAcrossOrder) {
+  // Views are fingerprinted after optimization: each conjunct below moves
+  // onto its own join input, so both spellings maintain one arrangement.
+  auto service = MakeViewService();
+  auto a = service
+               ->Subscribe(
+                   "SELECT o.oid, u.name FROM orders o JOIN users u "
+                   "ON o.user_id = u.uid WHERE u.uid < 8 AND o.amount > 20")
+               .ValueOrDie();
+  auto b = service
+               ->Subscribe(
+                   "SELECT o.oid, u.name FROM orders o JOIN users u "
+                   "ON o.user_id = u.uid WHERE o.amount > 20 AND u.uid < 8")
+               .ValueOrDie();
+  EXPECT_EQ(a->kind(), ViewKind::kJoin);
+  EXPECT_EQ(service->views().num_views(), 1u);
+  std::mt19937 rng(67);
+  int64_t oid = 0, uid = 0;
+  ASSERT_TRUE(service->Append("users", RandomUsers(&rng, &uid, 10)).ok());
+  ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 40)).ok());
+  ASSERT_TRUE(MatchesRecompute(service.get(), a));
+  ASSERT_TRUE(MatchesRecompute(service.get(), b));
+  ASSERT_TRUE(service->Unsubscribe(a).ok());
+  ASSERT_TRUE(service->Unsubscribe(b).ok());
+}
+
+TEST(MaterializedViewTest, CrossSideConjunctStaysAPostOpAndIsApplied) {
+  auto service = MakeViewService();
+  std::mt19937 rng(47);
+  int64_t oid = 0, uid = 0;
+  // `o.amount > u.uid` reads both sides: it cannot move below the join, so
+  // it stays a row-wise post-op and runs on each delta's joined rows.
+  auto sub = service
+                 ->Subscribe(
+                     "SELECT o.oid, u.name FROM orders o "
+                     "JOIN users u ON o.user_id = u.uid WHERE o.amount > u.uid")
+                 .ValueOrDie();
+  EXPECT_EQ(sub->kind(), ViewKind::kJoin);
+  for (int pass = 0; pass < 8; ++pass) {
+    if (pass % 3 != 1) {
+      ASSERT_TRUE(
+          service->Append("users", RandomUsers(&rng, &uid, 1 + rng() % 6))
+              .ok());
+    }
+    ASSERT_TRUE(
+        service->Append("orders", RandomOrders(&rng, &oid, 1 + rng() % 20))
+            .ok());
+    ASSERT_TRUE(MatchesRecompute(service.get(), sub));
+  }
+  const size_t published = sub->Snapshot()->rows->size();
+  EXPECT_LT(published,
+            CountRows(service.get(),
+                      "SELECT o.oid FROM orders o "
+                      "JOIN users u ON o.user_id = u.uid"));
+  EXPECT_EQ(service->views().Stats().resident_rows, published);
+  EXPECT_EQ(service->views().Stats().maintenance_errors, 0u);
+  ASSERT_TRUE(service->Unsubscribe(sub).ok());
+}
+
+TEST(MaterializedViewTest, FilterOverProjectBecomesSelectWithInputPredicate) {
+  // SQL never puts WHERE above the SELECT list, so build Filter(Project(
+  // Scan)) with the DataFrame API and classify its optimized plan.
+  auto session = Session::Make(EngineConfig{}).ValueOrDie();
+  auto orders =
+      session->CreateDataFrame(OrdersSchema(), {}, "orders").ValueOrDie();
+  auto df = orders.Select({"oid", "amount"})
+                .ValueOrDie()
+                .Filter(Gt(Col("amount"), Lit(Value(int64_t{30}))))
+                .ValueOrDie();
+  ASSERT_EQ(df.plan()->kind(), PlanKind::kFilter);
+  auto optimized = session->OptimizeOnly(df.plan()).ValueOrDie();
+  ViewSpec spec = BuildViewSpec("filter over project", optimized).ValueOrDie();
+  EXPECT_EQ(spec.kind, ViewKind::kSelect);
+  EXPECT_EQ(spec.input.table, "orders");
+  ASSERT_NE(spec.input.predicate, nullptr);
+  ASSERT_EQ(spec.row_post.size(), 1u);
+  EXPECT_EQ(spec.row_post[0].kind, ViewPostOp::kProject);
+  EXPECT_TRUE(spec.post.empty());
+
+  // The same shape through a subscription: the selected rows equal a
+  // one-shot execution after appends.
+  auto service = MakeViewService();
+  auto sub = service->Subscribe("SELECT oid, amount FROM orders WHERE amount > 30")
+                 .ValueOrDie();
+  EXPECT_EQ(sub->kind(), ViewKind::kSelect);
+  std::mt19937 rng(53);
+  int64_t oid = 0;
+  for (int pass = 0; pass < 4; ++pass) {
+    ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 25)).ok());
+    ASSERT_TRUE(MatchesRecompute(service.get(), sub));
+  }
+  EXPECT_EQ(service->views().Stats().resident_rows,
+            sub->Snapshot()->rows->size());
+  ASSERT_TRUE(service->Unsubscribe(sub).ok());
+}
+
+TEST(MaterializedViewTest, OrderByLimitOverJoinPublishesInOrder) {
+  auto service = MakeViewService();
+  std::mt19937 rng(59);
+  int64_t oid = 0, uid = 0;
+  auto sub = service
+                 ->Subscribe(
+                     "SELECT o.oid, u.name FROM orders o "
+                     "JOIN users u ON o.user_id = u.uid WHERE u.uid < 12 "
+                     "ORDER BY o.oid DESC LIMIT 5")
+                 .ValueOrDie();
+  EXPECT_EQ(sub->kind(), ViewKind::kJoin);
+  for (int pass = 0; pass < 8; ++pass) {
+    ASSERT_TRUE(
+        service->Append("users", RandomUsers(&rng, &uid, 1 + rng() % 3)).ok());
+    ASSERT_TRUE(
+        service->Append("orders", RandomOrders(&rng, &oid, 1 + rng() % 15))
+            .ok());
+    ASSERT_TRUE(MatchesRecompute(service.get(), sub, /*ordered=*/true));
+  }
+  const RowVec& rows = *sub->Snapshot()->rows;
+  ASSERT_EQ(rows.size(), 5u);
+  for (size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_GT(rows[i - 1][0].int64_value(), rows[i][0].int64_value());
+  }
+  EXPECT_EQ(service->views().Stats().maintenance_errors, 0u);
+  ASSERT_TRUE(service->Unsubscribe(sub).ok());
+}
+
+TEST(MaterializedViewTest, SelfJoinCountsEachSeedPairOnce) {
+  auto service = MakeViewService();
+  std::mt19937 rng(61);
+  int64_t oid = 0;
+  // Seeded from a populated table, then fed deltas that land on both
+  // sides at once; the one-side conjunct filters only the right input.
+  ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 40)).ok());
+  auto sub = service
+                 ->Subscribe(
+                     "SELECT a.oid, b.oid FROM orders a "
+                     "JOIN orders b ON a.user_id = b.user_id "
+                     "WHERE b.amount > 50")
+                 .ValueOrDie();
+  EXPECT_EQ(sub->kind(), ViewKind::kJoin);
+  ASSERT_TRUE(MatchesRecompute(service.get(), sub));
+  for (int pass = 0; pass < 5; ++pass) {
+    ASSERT_TRUE(
+        service->Append("orders", RandomOrders(&rng, &oid, 1 + rng() % 10))
+            .ok());
+    ASSERT_TRUE(MatchesRecompute(service.get(), sub));
+  }
+  EXPECT_EQ(service->views().Stats().resident_rows,
+            sub->Snapshot()->rows->size());
+  EXPECT_EQ(service->views().Stats().maintenance_errors, 0u);
+  ASSERT_TRUE(service->Unsubscribe(sub).ok());
 }
 
 }  // namespace

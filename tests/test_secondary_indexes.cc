@@ -2,9 +2,11 @@
 // full scans over randomized NULL-bearing data (every comparison op),
 // index-kind costing decisions observed through the metrics counters,
 // snapshot isolation of probe results under a live appender (the TSan
-// target), and index rebuild across compaction.
+// target), index rebuild across compaction, and the range builder's run
+// structure (one run per publish, geometric merging, immutable cuts).
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <random>
 #include <thread>
 
@@ -13,6 +15,7 @@
 #include "indexed/compactor.h"
 #include "indexed/indexed_dataframe.h"
 #include "indexed/indexed_relation.h"
+#include "indexed/range_index.h"
 #include "sql/index_costing.h"
 
 namespace idf {
@@ -222,6 +225,29 @@ TEST_F(SecondaryIndexTest, ProbesStayExactAcrossAppendBatches) {
   EXPECT_GT(m.bitmap_maintenance_us() + m.range_maintenance_us(), 0u);
 }
 
+TEST(SecondaryUpkeepTest, EveryPublishReportsItsRangeUpkeepInNanoseconds) {
+  // A one-row batch spends well under a microsecond on range upkeep; the
+  // per-publish stats carry nanoseconds, row feed and cut build included,
+  // so no publish reads as free.
+  EngineConfig cfg;
+  cfg.num_threads = 1;
+  auto ctx = ExecutorContext::Make(cfg).ValueOrDie();
+  SchemaPtr schema = TestSchema();
+  IndexedPartition part(schema, 0, cfg);
+  ASSERT_TRUE(part.AddSecondaryIndexLocked({2, SecondaryIndexKind::kRange}).ok());
+  for (int64_t i = 0; i < 50; ++i) {
+    RowVec row = {{Value(i), Value(int64_t{1}), Value(i * 3), Value("t")}};
+    EncodedRowBatch enc = EncodeRowBatch(*ctx, *schema, row).ValueOrDie();
+    IndexedPartition::EncodedRowRef ref{enc.payload(0), enc.size(0),
+                                        row[0][0].Hash(), true};
+    IndexedPartition::AppendBatchResult result;
+    ASSERT_TRUE(part.AppendBatch({ref}, &result).ok());
+    EXPECT_EQ(result.maintenance.rows, 1u);
+    EXPECT_GT(result.maintenance.range_ns, 0u) << "publish " << i;
+    EXPECT_EQ(result.maintenance.bitmap_ns, 0u);
+  }
+}
+
 // --- View-level semantics: fallback and probe/scan equivalence ------------
 
 TEST_F(SecondaryIndexTest, KindMismatchFallsBackToFullScan) {
@@ -342,6 +368,144 @@ TEST_F(SecondaryIndexTest, CompactionRebuildsIndexesWithIdenticalResults) {
   EXPECT_EQ(after, want);
   // The rebuilt indexes serve probes (not the scan fallback).
   EXPECT_GT(session_->metrics().range_probes(), 0u);
+}
+
+
+// ---------------------------------------------------------------------------
+// RangeIndexBuilder: one sorted run per publish, merged geometrically.
+// ---------------------------------------------------------------------------
+
+/// Every position of `entries` whose key lies in [lo, hi], ascending.
+std::vector<uint32_t> ScanRange(const std::vector<std::pair<int64_t, uint32_t>>& entries,
+                                int64_t lo, int64_t hi) {
+  std::vector<uint32_t> out;
+  for (const auto& [key, pos] : entries) {
+    if (key >= lo && key <= hi) out.push_back(pos);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<uint32_t> ProbeRange(const RangeIndexCut& cut, int64_t lo, int64_t hi) {
+  std::vector<uint32_t> out;
+  const size_t n = cut.Probe(Value(lo), true, Value(hi), true, &out);
+  EXPECT_EQ(n, out.size());
+  EXPECT_EQ(cut.CountInRange(Value(lo), true, Value(hi), true), n);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Each run sorted by (key, position), and run sizes more than doubling
+/// from the newest run down (the cut's O(log n) bound).
+void ExpectRunShape(const RangeIndexCut& cut) {
+  const auto& runs = cut.runs();
+  for (size_t r = 0; r < runs.size(); ++r) {
+    const SortedRun& run = *runs[r];
+    for (size_t i = 1; i < run.size(); ++i) {
+      ASSERT_FALSE(run.keys[i] < run.keys[i - 1]);
+      if (run.keys[i] == run.keys[i - 1]) {
+        ASSERT_LT(run.pos[i - 1], run.pos[i]);
+      }
+    }
+    if (r > 0) {
+      EXPECT_GT(runs[r - 1]->size(), 2 * run.size());
+    }
+  }
+}
+
+TEST(RangeIndexBuilderTest, SingleEntryPublishesKeepLogarithmicRuns) {
+  RangeIndexBuilder builder;
+  std::mt19937_64 rng(5);
+  const uint32_t kPublishes = 10000;
+  for (uint32_t n = 1; n <= kPublishes; ++n) {
+    builder.Add(Value(static_cast<int64_t>(rng() % 1000)), n - 1);
+    RangeIndexCutPtr cut = builder.BuildCut(n);
+    ASSERT_EQ(cut->keys_indexed(), n);
+    ASSERT_LE(static_cast<double>(cut->runs().size()), 2 * std::log2(n) + 2)
+        << "after " << n << " publishes";
+    size_t entries = 0;
+    for (const SortedRunPtr& run : cut->runs()) entries += run->size();
+    ASSERT_EQ(entries, n);
+  }
+  ExpectRunShape(*builder.BuildCut(kPublishes + 1));
+}
+
+TEST(RangeIndexBuilderTest, OldCutProbesSurviveLaterPublishesAndMerges) {
+  RangeIndexBuilder builder;
+  std::mt19937_64 rng(9);
+  std::vector<std::pair<int64_t, uint32_t>> entries;
+  uint32_t pos = 0;
+  auto add = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t key = static_cast<int64_t>(rng() % 500);
+      builder.Add(Value(key), pos);
+      entries.emplace_back(key, pos++);
+    }
+  };
+  uint64_t epoch = 0;
+  for (int b = 0; b < 20; ++b) {
+    add(1 + rng() % 8);
+    builder.BuildCut(++epoch);
+  }
+  RangeIndexCutPtr old_cut = builder.BuildCut(++epoch);
+  const auto old_entries = entries;
+  const std::vector<uint32_t> before = ProbeRange(*old_cut, 100, 300);
+  ASSERT_EQ(before, ScanRange(old_entries, 100, 300));
+
+  // Later publishes merge the runs the old cut shares; MergeAll replaces
+  // them all. The old cut's runs are immutable, so its answers stay put.
+  for (int b = 0; b < 200; ++b) {
+    add(1 + rng() % 8);
+    builder.BuildCut(++epoch);
+  }
+  builder.MergeAll(++epoch);
+  RangeIndexCutPtr merged = builder.BuildCut(++epoch);
+  EXPECT_EQ(merged->runs().size(), 1u);
+  EXPECT_EQ(ProbeRange(*old_cut, 100, 300), before);
+  EXPECT_EQ(ProbeRange(*old_cut, 0, 499), ScanRange(old_entries, 0, 499));
+  EXPECT_EQ(ProbeRange(*merged, 100, 300), ScanRange(entries, 100, 300));
+}
+
+TEST(RangeIndexBuilderTest, ProbeMatchesScanAfterEveryPublishAndMergeAll) {
+  RangeIndexBuilder builder;
+  std::mt19937_64 rng(13);
+  std::vector<std::pair<int64_t, uint32_t>> entries;
+  uint32_t pos = 0;
+  uint64_t epoch = 0;
+  auto check = [&](const RangeIndexCut& cut) {
+    ExpectRunShape(cut);
+    for (int q = 0; q < 4; ++q) {
+      int64_t lo = static_cast<int64_t>(rng() % 220) - 10;
+      int64_t hi = lo + static_cast<int64_t>(rng() % 60);
+      ASSERT_EQ(ProbeRange(cut, lo, hi), ScanRange(entries, lo, hi))
+          << "[" << lo << ", " << hi << "] at epoch " << epoch;
+    }
+  };
+  for (int round = 0; round < 3; ++round) {
+    for (int b = 0; b < 150; ++b) {
+      // Batches of 0..40 entries; keys with many duplicates.
+      const size_t n = rng() % 41;
+      for (size_t i = 0; i < n; ++i) {
+        const int64_t key = static_cast<int64_t>(rng() % 200);
+        builder.Add(Value(key), pos);
+        entries.emplace_back(key, pos++);
+      }
+      RangeIndexCutPtr cut = builder.BuildCut(++epoch);
+      ASSERT_EQ(cut->keys_indexed(), entries.size());
+      check(*cut);
+    }
+    // Pending entries fold into the compaction merge too.
+    for (int i = 0; i < 5; ++i) {
+      const int64_t key = static_cast<int64_t>(rng() % 200);
+      builder.Add(Value(key), pos);
+      entries.emplace_back(key, pos++);
+    }
+    builder.MergeAll(++epoch);
+    RangeIndexCutPtr cut = builder.BuildCut(++epoch);
+    ASSERT_EQ(cut->runs().size(), 1u);
+    ASSERT_EQ(cut->runs()[0]->size(), entries.size());
+    check(*cut);
+  }
 }
 
 }  // namespace

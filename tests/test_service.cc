@@ -204,6 +204,38 @@ TEST(QueryServiceTest, MultiIndexedAppendsReportSecondaryIndexUpkeep) {
   EXPECT_EQ(r.rows[0][0], Value(int64_t{25 + 20000}));
 }
 
+TEST(QueryServiceTest, SmallAppendsAccumulateRangeIndexUpkeep) {
+  // 32-row batches spread over 4 partitions spend well under a
+  // microsecond per partition on range upkeep; the counter accumulates
+  // nanoseconds, including each cut build, so the total still shows.
+  ServiceConfig cfg;
+  cfg.engine.num_threads = 2;
+  cfg.engine.num_partitions = 4;
+  auto service = QueryService::Make(cfg).ValueOrDie();
+  auto session = Session::Make(cfg.engine).ValueOrDie();
+  auto schema = Schema::Make({{"id", TypeId::kInt64, false},
+                              {"created", TypeId::kInt64, false}});
+  auto rows = [](int64_t begin, int64_t end) {
+    RowVec out;
+    for (int64_t i = begin; i < end; ++i) out.push_back({Value(i), Value(i * 7)});
+    return out;
+  };
+  auto df = session->CreateDataFrame(schema, rows(0, 1000), "posts").ValueOrDie();
+  auto table = std::make_shared<MultiIndexedTable>(
+      MultiIndexedTable::Create(df, {"id"}, "posts").ValueOrDie());
+  ASSERT_TRUE(table->AddRangeIndex("created").ok());
+  ASSERT_TRUE(service->RegisterTable("posts", table).ok());
+
+  const ServiceStats before = service->Stats();
+  for (int64_t b = 0; b < 50; ++b) {
+    const int64_t first = 1000 + b * 32;
+    ASSERT_TRUE(service->Append("posts", rows(first, first + 32)).ok());
+  }
+  const ServiceStats after = service->Stats();
+  EXPECT_GT(after.range_maintenance_us, before.range_maintenance_us);
+  EXPECT_EQ(after.bitmap_maintenance_us, before.bitmap_maintenance_us);
+}
+
 TEST(QueryServiceTest, PooledContextsHoldNoPinsBetweenExecutions) {
   ServiceConfig cfg;
   cfg.engine.row_batch_bytes = 4 * 1024;  // small batches: chains fragment
