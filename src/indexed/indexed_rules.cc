@@ -84,32 +84,35 @@ Result<LogicalPlanPtr> IndexedFilterRule::Apply(const LogicalPlanPtr& node) cons
   const auto* filter = static_cast<const FilterNode*>(node.get());
   const LogicalPlanPtr& child = filter->children()[0];
   if (child->kind() != PlanKind::kIndexedScan) return LogicalPlanPtr(nullptr);
-  const IndexedRelationBasePtr& rel =
-      static_cast<const IndexedScanNode*>(child.get())->relation();
 
   std::vector<ExprPtr> conjuncts;
   CollectConjuncts(filter->predicate(), &conjuncts);
-  for (size_t i = 0; i < conjuncts.size(); ++i) {
-    // Single equality, or an OR-of-equalities on the indexed column (the
-    // desugared `col IN (...)`) — both become (multi-key) index lookups.
-    // Prepared-statement parameter equalities become placeholder key slots.
-    std::vector<Value> keys;
-    std::vector<int> key_params;
-    bool any_param = false;
-    if (!MatchInList(conjuncts[i], rel->indexed_column(), &keys, &key_params,
-                     &any_param)) {
-      continue;
+  // Access paths in declaration order: the first one whose key a conjunct
+  // names serves the lookup; every other conjunct stays the residual.
+  for (const IndexedRelationBasePtr& rel :
+       static_cast<const IndexedScanNode*>(child.get())->paths()) {
+    for (size_t i = 0; i < conjuncts.size(); ++i) {
+      // Single equality, or an OR-of-equalities on the indexed column (the
+      // desugared `col IN (...)`) — both become (multi-key) index lookups.
+      // Prepared-statement parameter equalities become placeholder key slots.
+      std::vector<Value> keys;
+      std::vector<int> key_params;
+      bool any_param = false;
+      if (!MatchInList(conjuncts[i], rel->indexed_column(), &keys, &key_params,
+                       &any_param)) {
+        continue;
+      }
+      if (!any_param) key_params.clear();
+      LogicalPlanPtr lookup = std::make_shared<IndexedLookupNode>(
+          rel, std::move(keys), std::move(key_params));
+      std::vector<ExprPtr> rest;
+      for (size_t j = 0; j < conjuncts.size(); ++j) {
+        if (j != i) rest.push_back(conjuncts[j]);
+      }
+      if (rest.empty()) return lookup;
+      return LogicalPlanPtr(std::make_shared<FilterNode>(
+          std::move(lookup), ConjoinAll(rest), node->output_schema()));
     }
-    if (!any_param) key_params.clear();
-    LogicalPlanPtr lookup = std::make_shared<IndexedLookupNode>(
-        rel, std::move(keys), std::move(key_params));
-    std::vector<ExprPtr> rest;
-    for (size_t j = 0; j < conjuncts.size(); ++j) {
-      if (j != i) rest.push_back(conjuncts[j]);
-    }
-    if (rest.empty()) return lookup;
-    return LogicalPlanPtr(std::make_shared<FilterNode>(
-        std::move(lookup), ConjoinAll(rest), node->output_schema()));
   }
   return LogicalPlanPtr(nullptr);
 }
@@ -179,23 +182,24 @@ Result<LogicalPlanPtr> SecondaryIndexFilterRule::Apply(
 
 namespace {
 
-/// Matches a join side that is an IndexedScan, possibly under a Filter
-/// (whose predicate is then bound to the relation's own schema, since the
-/// FilterNode's child is the scan). A matched filter becomes the join's
-/// build-side predicate, evaluated against the encoded build rows during
-/// the chain walk instead of as a separate pass over a materialized scan.
-bool MatchBuildSide(const LogicalPlanPtr& side, IndexedRelationBasePtr* rel,
-                    ExprPtr* build_pred) {
-  if (side->kind() == PlanKind::kIndexedScan) {
-    *rel = static_cast<const IndexedScanNode*>(side.get())->relation();
-    *build_pred = nullptr;
-    return true;
-  }
-  if (side->kind() == PlanKind::kFilter &&
-      side->children()[0]->kind() == PlanKind::kIndexedScan) {
-    *rel = static_cast<const IndexedScanNode*>(side->children()[0].get())
-               ->relation();
-    *build_pred = static_cast<const FilterNode*>(side.get())->predicate();
+/// Matches a join side that is an IndexedScan with an access path keyed on
+/// `key`, possibly under a Filter (whose predicate is then bound to the
+/// relation's own schema, since the FilterNode's child is the scan). A
+/// matched filter becomes the join's build-side predicate, evaluated
+/// against the encoded build rows during the chain walk instead of as a
+/// separate pass over a materialized scan.
+bool MatchBuildSide(const LogicalPlanPtr& side, const ExprPtr& key,
+                    IndexedRelationBasePtr* rel, ExprPtr* build_pred) {
+  const bool filtered = side->kind() == PlanKind::kFilter;
+  const LogicalPlanPtr& scan = filtered ? side->children()[0] : side;
+  if (scan->kind() != PlanKind::kIndexedScan) return false;
+  for (const IndexedRelationBasePtr& path :
+       static_cast<const IndexedScanNode*>(scan.get())->paths()) {
+    if (!KeyIsIndexedColumn(key, path)) continue;
+    *rel = path;
+    *build_pred = filtered
+                      ? static_cast<const FilterNode*>(side.get())->predicate()
+                      : nullptr;
     return true;
   }
   return false;
@@ -219,10 +223,10 @@ Result<LogicalPlanPtr> IndexedJoinRule::Apply(const LogicalPlanPtr& node) const 
   //  left side.
   IndexedRelationBasePtr left_rel, right_rel;
   ExprPtr left_pred, right_pred;
-  const bool left_ok = MatchBuildSide(join->left(), &left_rel, &left_pred) &&
-                       KeyIsIndexedColumn(join->left_key(), left_rel);
-  const bool right_ok = MatchBuildSide(join->right(), &right_rel, &right_pred) &&
-                        KeyIsIndexedColumn(join->right_key(), right_rel);
+  const bool left_ok =
+      MatchBuildSide(join->left(), join->left_key(), &left_rel, &left_pred);
+  const bool right_ok =
+      MatchBuildSide(join->right(), join->right_key(), &right_rel, &right_pred);
   if (right_ok && (!left_ok || EstimateRows(join->left()) <
                                    EstimateRows(join->right()))) {
     return LogicalPlanPtr(std::make_shared<IndexedJoinNode>(

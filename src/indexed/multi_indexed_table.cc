@@ -48,11 +48,8 @@ Result<DataFrame> MultiIndexedTable::Join(const DataFrame& probe,
                                           const std::string& table_col,
                                           const std::string& probe_col,
                                           JoinType join_type) const {
-  auto it = indexes_.find(table_col);
-  if (it != indexes_.end() && join_type == JoinType::kInner) {
-    return it->second->Join(probe, table_col, probe_col);
-  }
-  // No index on the key (or outer join): regular join over a scan view.
+  // The join rule builds on the index keyed on `table_col`; with none (or
+  // an outer join) the plan stays a regular join over the scan.
   IDF_ASSIGN_OR_RETURN(DataFrame scan, ToDataFrame());
   return scan.Join(probe, table_col, probe_col, join_type);
 }
@@ -105,7 +102,11 @@ Status MultiIndexedTable::AppendRowsDirect(ExecutorContext& ctx,
 }
 
 Result<DataFrame> MultiIndexedTable::ToDataFrame() const {
-  return indexes_.at(order_.front())->ToDataFrame();
+  std::vector<IndexedRelationBasePtr> paths;
+  for (const std::string& column : order_) {
+    paths.push_back(indexes_.at(column)->relation());
+  }
+  return DataFrame(session_, std::make_shared<IndexedScanNode>(std::move(paths)));
 }
 
 size_t MultiIndexedTable::NumRows() const {

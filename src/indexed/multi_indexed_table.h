@@ -4,10 +4,10 @@
 // SQ4 and by `creatorId` for SQ2).
 //
 // Each index is a full IndexedRelation (hash partitioned on its own key);
-// appends fan out to every index so all of them stay consistent. Lookup
-// and join entry points pick the index matching the requested column, and
-// queries through any index's DataFrame view get the usual Catalyst
-// rewrites.
+// appends fan out to every index so all of them stay consistent. The
+// table's DataFrame view carries every index as an access path, so the
+// planner serves a filter or join on any indexed column through the index
+// keyed on it.
 #pragma once
 
 #include <map>
@@ -43,7 +43,8 @@ class MultiIndexedTable {
   /// Point lookup via the index on `column`.
   Result<DataFrame> GetRows(const std::string& column, const Value& key) const;
 
-  /// Index-powered join: the index on `table_col` is the build side.
+  /// Join over ToDataFrame(): the planner builds on the index keyed on
+  /// `table_col`, or runs a regular join when there is none.
   Result<DataFrame> Join(const DataFrame& probe, const std::string& table_col,
                          const std::string& probe_col,
                          JoinType join_type = JoinType::kInner) const;
@@ -66,7 +67,9 @@ class MultiIndexedTable {
   /// parallel encode; its metrics receive the index-maintenance time).
   Status AppendRowsDirect(ExecutorContext& ctx, const RowVec& rows) const;
 
-  /// Scan view through the first index (any index holds all rows).
+  /// Scan view carrying every index as an access path: the scan reads the
+  /// first (any index holds all rows), and filters and joins on another
+  /// index's column plan through that index.
   Result<DataFrame> ToDataFrame() const;
 
   size_t NumRows() const;

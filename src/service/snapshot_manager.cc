@@ -118,7 +118,8 @@ Result<SessionPtr> SnapshotManager::MakeSession(ExecutorContextPtr exec) const {
   for (const auto& [name, entry] : tables_) {
     IDF_RETURN_NOT_OK(session->RegisterTable(
         name, session->FromPlan(std::make_shared<IndexedScanNode>(
-                  entry.indexes.front()))));
+                  std::vector<IndexedRelationBasePtr>(entry.indexes.begin(),
+                                                      entry.indexes.end())))));
   }
   return session;
 }

@@ -121,14 +121,24 @@ LogicalPlanPtr CacheScanNode::WithChildren(
 }
 
 std::string IndexedScanNode::ToString() const {
-  return "IndexedScan [" + rel_->name() + "] indexed_col=" +
-         output_schema()->field(rel_->indexed_column()).name;
+  const Schema& schema = *output_schema();
+  std::string out = "IndexedScan [" + relation()->name() + "] indexed_col=" +
+                    schema.field(relation()->indexed_column()).name;
+  if (paths_.size() > 1) {
+    out += " paths=[";
+    for (size_t i = 0; i < paths_.size(); ++i) {
+      if (i > 0) out += ", ";
+      out += schema.field(paths_[i]->indexed_column()).name;
+    }
+    out += "]";
+  }
+  return out;
 }
 
 LogicalPlanPtr IndexedScanNode::WithChildren(
     std::vector<LogicalPlanPtr> children) const {
   IDF_CHECK(children.empty());
-  return std::make_shared<IndexedScanNode>(rel_);
+  return std::make_shared<IndexedScanNode>(paths_);
 }
 
 std::string FilterNode::ToString() const {

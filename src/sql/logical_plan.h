@@ -196,18 +196,25 @@ class CacheScanNode : public LogicalPlan {
   CachedTablePtr table_;
 };
 
+/// A scan of an indexed table. `paths` are the table's primary-index
+/// relations in declaration order; all of them hold the same rows. The scan
+/// reads the first; the indexed rules pick the path keyed on a lookup or
+/// join column.
 class IndexedScanNode : public LogicalPlan {
  public:
+  explicit IndexedScanNode(std::vector<IndexedRelationBasePtr> paths)
+      : LogicalPlan(PlanKind::kIndexedScan, {}, paths.front()->schema()),
+        paths_(std::move(paths)) {}
   explicit IndexedScanNode(IndexedRelationBasePtr rel)
-      : LogicalPlan(PlanKind::kIndexedScan, {}, rel->schema()),
-        rel_(std::move(rel)) {}
+      : IndexedScanNode(std::vector<IndexedRelationBasePtr>{std::move(rel)}) {}
 
-  const IndexedRelationBasePtr& relation() const { return rel_; }
+  const IndexedRelationBasePtr& relation() const { return paths_.front(); }
+  const std::vector<IndexedRelationBasePtr>& paths() const { return paths_; }
   std::string ToString() const override;
   LogicalPlanPtr WithChildren(std::vector<LogicalPlanPtr> children) const override;
 
  private:
-  IndexedRelationBasePtr rel_;
+  std::vector<IndexedRelationBasePtr> paths_;
 };
 
 class FilterNode : public LogicalPlan {

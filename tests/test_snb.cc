@@ -342,6 +342,19 @@ TEST_F(SnbServiceTest, ServicePlansMatchTheDataFrameApi) {
       EXPECT_NE(std::find(api.begin(), api.end(), "IndexedEquiJoin"), api.end())
           << "SQ" << q << "\n" << adhoc;
     }
+    if (q == 2) {
+      // Posts by creator read the post index keyed on creatorId.
+      for (const std::string* plan : {&adhoc, &prepared}) {
+        EXPECT_NE(plan->find("IndexLookup[post_by_creatorId]"), std::string::npos)
+            << *plan;
+        EXPECT_EQ(plan->find("IndexedScanFilter"), std::string::npos) << *plan;
+      }
+    }
+    if (q == 4) {
+      EXPECT_NE(adhoc.find("IndexLookup[post_by_id]"), std::string::npos) << adhoc;
+      EXPECT_NE(prepared.find("IndexLookup[post_by_id]"), std::string::npos)
+          << prepared;
+    }
     if (q == 6) {
       // The comment lookup probes the post index, not the other way round.
       EXPECT_NE(adhoc.find("IndexedEquiJoin[post_by_id]"), std::string::npos) << adhoc;
