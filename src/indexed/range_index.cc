@@ -34,6 +34,33 @@ void SortedRun::Sort() {
   pos = std::move(sorted_pos);
 }
 
+SortedRun SortedRun::Merge(const SortedRun& older, SortedRun&& newer) {
+  const SortedRun& a = older;
+  SortedRun& b = newer;
+  SortedRun merged;
+  merged.epoch = std::max(a.epoch, b.epoch);
+  merged.keys.reserve(a.size() + b.size());
+  merged.pos.reserve(a.size() + b.size());
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (EntryLess(b.keys[j], b.pos[j], a.keys[i], a.pos[i])) {
+      merged.keys.push_back(std::move(b.keys[j]));
+      merged.pos.push_back(b.pos[j++]);
+    } else {
+      merged.keys.push_back(a.keys[i]);
+      merged.pos.push_back(a.pos[i++]);
+    }
+  }
+  merged.keys.insert(merged.keys.end(), a.keys.begin() + i, a.keys.end());
+  merged.pos.insert(merged.pos.end(), a.pos.begin() + i, a.pos.end());
+  merged.keys.insert(merged.keys.end(),
+                     std::make_move_iterator(b.keys.begin() + j),
+                     std::make_move_iterator(b.keys.end()));
+  merged.pos.insert(merged.pos.end(), b.pos.begin() + j, b.pos.end());
+  return merged;
+}
+
 void SortedRun::Bounds(const std::optional<Value>& lo, bool lo_inclusive,
                        const std::optional<Value>& hi, bool hi_inclusive,
                        size_t* first, size_t* last) const {
@@ -100,57 +127,21 @@ void RangeIndexBuilder::PushPending(uint64_t epoch) {
   if (pending_.size() == 0) return;
   pending_.Sort();
   pending_.epoch = epoch;
-  runs_.push_back(std::make_shared<SortedRun>(std::move(pending_)));
+  runs_.Push(std::move(pending_));
   pending_ = SortedRun{};
-}
-
-void RangeIndexBuilder::MergeTop(uint64_t epoch) {
-  const SortedRun& a = *runs_[runs_.size() - 2];
-  const SortedRun& b = *runs_.back();
-  // Both inputs stay shared with earlier cuts, so the merge copies.
-  auto merged = std::make_shared<SortedRun>();
-  merged->epoch = epoch;
-  merged->keys.reserve(a.size() + b.size());
-  merged->pos.reserve(a.size() + b.size());
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (EntryLess(b.keys[j], b.pos[j], a.keys[i], a.pos[i])) {
-      merged->keys.push_back(b.keys[j]);
-      merged->pos.push_back(b.pos[j++]);
-    } else {
-      merged->keys.push_back(a.keys[i]);
-      merged->pos.push_back(a.pos[i++]);
-    }
-  }
-  merged->keys.insert(merged->keys.end(), a.keys.begin() + i, a.keys.end());
-  merged->pos.insert(merged->pos.end(), a.pos.begin() + i, a.pos.end());
-  merged->keys.insert(merged->keys.end(), b.keys.begin() + j, b.keys.end());
-  merged->pos.insert(merged->pos.end(), b.pos.begin() + j, b.pos.end());
-  runs_.pop_back();
-  runs_.back() = std::move(merged);
 }
 
 RangeIndexCutPtr RangeIndexBuilder::BuildCut(uint64_t epoch) {
   PushPending(epoch);
-  // Geometric merging: every entry is copied O(log n) times in total, and
-  // run sizes more than double down the stack, so a cut holds O(log n)
-  // runs.
-  while (runs_.size() >= 2 &&
-         runs_[runs_.size() - 2]->size() <= 2 * runs_.back()->size()) {
-    MergeTop(epoch);
-  }
   auto cut = std::make_shared<RangeIndexCut>();
-  cut->runs_ = runs_;
+  cut->runs_ = runs_.runs();
   cut->keys_indexed_ = count_;
   return cut;
 }
 
 void RangeIndexBuilder::MergeAll(uint64_t epoch) {
   PushPending(epoch);
-  // Smallest runs first: the growing merge meets ever larger runs, so the
-  // total copy work stays linear in the entries.
-  while (runs_.size() >= 2) MergeTop(epoch);
+  runs_.MergeAll();
 }
 
 }  // namespace idf

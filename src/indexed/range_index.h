@@ -2,9 +2,11 @@
 // of immutable sorted runs of (key, position). `<`, `<=`, `>`, `>=`, and
 // BETWEEN probes binary-search every run and emit the positions inside the
 // bounds. Each publish sorts only the entries added since the previous cut
-// into a new run and merges it into the run below while that one holds at
-// most twice its entries, so a commit costs its own entries (amortized
-// O(log n) merge work each) and a cut holds O(log n) runs. Cuts are fully
+// into a new run and pushes it on a RunStack (common/run_stack.h, shared
+// with the standing views' published traces), which merges it into the run
+// below while that one holds at most twice its entries, so a commit costs
+// its own entries (amortized O(log n) merge work each) and a cut holds
+// O(log n) runs. Cuts are fully
 // immutable: a pinned reader's probe never observes a half-applied update.
 // Compaction rebuilds the index and merges all runs into one.
 //
@@ -16,6 +18,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/run_stack.h"
 #include "types/value.h"
 
 namespace idf {
@@ -25,12 +28,16 @@ namespace idf {
 struct SortedRun {
   std::vector<Value> keys;
   std::vector<uint32_t> pos;
-  uint64_t epoch = 0;  ///< publish sequence that built this run
+  uint64_t epoch = 0;  ///< newest publish sequence whose entries it holds
 
   size_t size() const { return keys.size(); }
 
   /// Sorts the parallel arrays (used when a run is built).
   void Sort();
+
+  /// The sorted union of two runs (RunStack's merge step; `newer` is
+  /// consumed).
+  static SortedRun Merge(const SortedRun& older, SortedRun&& newer);
 
   /// [first, last) index window of entries inside the bounds (either bound
   /// may be absent = unbounded).
@@ -89,11 +96,9 @@ class RangeIndexBuilder {
  private:
   /// Sorts the pending entries into a run on top of the stack.
   void PushPending(uint64_t epoch);
-  /// Replaces the top two runs with their merge.
-  void MergeTop(uint64_t epoch);
 
-  std::vector<SortedRunPtr> runs_;  // oldest (largest) first
-  SortedRun pending_;               // unsorted entries since the last cut
+  RunStack<SortedRun> runs_;
+  SortedRun pending_;  // unsorted entries since the last cut
   uint64_t count_ = 0;
 };
 

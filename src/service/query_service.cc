@@ -59,7 +59,6 @@ Status QueryService::RegisterTable(const std::string& name,
   IDF_RETURN_NOT_OK(snapshots_->RegisterTable(name, std::move(relation)));
   // DDL: every cached plan may now be stale (new table shadows a name,
   // schema or index shape changed). Open handles re-prepare lazily.
-  ddl_version_.fetch_add(1, std::memory_order_acq_rel);
   plan_cache_.Clear();
   return Status::OK();
 }
@@ -67,7 +66,6 @@ Status QueryService::RegisterTable(const std::string& name,
 Status QueryService::RegisterTable(const std::string& name,
                                    std::shared_ptr<MultiIndexedTable> table) {
   IDF_RETURN_NOT_OK(snapshots_->RegisterTable(name, std::move(table)));
-  ddl_version_.fetch_add(1, std::memory_order_acq_rel);
   plan_cache_.Clear();
   return Status::OK();
 }
@@ -294,7 +292,7 @@ Result<PreparedStatementPtr> QueryService::BuildStatement(
   stmt->num_params = parsed.param_types.size();
   stmt->param_types = parsed.param_types;
   stmt->result_schema = parsed.plan->output_schema();
-  stmt->ddl_version = ddl_version_.load(std::memory_order_acquire);
+  stmt->ddl_version = snapshots_->ddl_version();
   stmt->analyzed = parsed.plan;
   if (PlanIsParameterPatchable(optimized)) {
     IDF_ASSIGN_OR_RETURN(stmt->physical, session->PlanOptimized(optimized));
@@ -306,7 +304,7 @@ Result<PreparedInfo> QueryService::Prepare(const std::string& sql) {
   const std::string fingerprint = NormalizeSql(sql);
   PreparedStatementPtr stmt = plan_cache_.Lookup(fingerprint);
   if (stmt != nullptr &&
-      stmt->ddl_version == ddl_version_.load(std::memory_order_acquire)) {
+      stmt->ddl_version == snapshots_->ddl_version()) {
     plan_cache_hits_.fetch_add(1, std::memory_order_relaxed);
   } else {
     if (stmt != nullptr) plan_cache_.Erase(fingerprint);  // stale: DDL raced
@@ -372,7 +370,7 @@ Status QueryService::RunPreparedAdmitted(uint64_t handle,
                                          QueryResult* result) {
   // DDL after prepare: transparently re-prepare from the statement's SQL
   // so long-lived handles survive RegisterTable, at one replan's cost.
-  if (stmt->ddl_version != ddl_version_.load(std::memory_order_acquire)) {
+  if (stmt->ddl_version != snapshots_->ddl_version()) {
     plan_cache_misses_.fetch_add(1, std::memory_order_relaxed);
     prepared_replans_.fetch_add(1, std::memory_order_relaxed);
     IDF_ASSIGN_OR_RETURN(PreparedStatementPtr fresh,
@@ -583,6 +581,9 @@ ServiceStats QueryService::Stats() const {
   stats.deltas_propagated = vs.deltas_propagated;
   stats.rows_maintained_incrementally = vs.rows_maintained_incrementally;
   stats.views_recomputed = vs.views_recomputed;
+  stats.view_trace_runs = vs.trace_runs;
+  stats.view_trace_rows = vs.trace_rows;
+  stats.view_maintenance_us = vs.maintenance_us;
   return stats;
 }
 
@@ -619,7 +620,10 @@ std::string ServiceStats::ToJson() const {
       << ", \"deltas_propagated\": " << deltas_propagated
       << ", \"rows_maintained_incrementally\": "
       << rows_maintained_incrementally
-      << ", \"views_recomputed\": " << views_recomputed << "}";
+      << ", \"views_recomputed\": " << views_recomputed
+      << ", \"view_trace_runs\": " << view_trace_runs
+      << ", \"view_trace_rows\": " << view_trace_rows
+      << ", \"view_maintenance_us\": " << view_maintenance_us << "}";
   return out.str();
 }
 
@@ -651,7 +655,9 @@ std::string ServiceStats::ToString() const {
       << view_subscribers << " subscribers, " << arrangements_shared
       << " shared), " << deltas_propagated << " deltas propagated, "
       << rows_maintained_incrementally << " rows maintained, "
-      << views_recomputed << " recomputes";
+      << views_recomputed << " recomputes, " << view_trace_runs
+      << " trace runs holding " << view_trace_rows << " rows, "
+      << view_maintenance_us << "us maintaining";
   return out.str();
 }
 

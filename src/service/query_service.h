@@ -113,6 +113,9 @@ struct ServiceStats {
   uint64_t deltas_propagated = 0;  ///< delta batches applied to views
   uint64_t rows_maintained_incrementally = 0;  ///< delta rows folded into resident view state
   uint64_t views_recomputed = 0;  ///< full recompute passes (fallback shapes)
+  uint64_t view_trace_runs = 0;   ///< delta runs on the live views' published traces
+  uint64_t view_trace_rows = 0;   ///< (row, diff) entries across those runs
+  uint64_t view_maintenance_us = 0;  ///< total wall time of view maintenance passes
 
   std::string ToJson() const;
   std::string ToString() const;
@@ -298,11 +301,10 @@ class QueryService {
   LatencyHistogram exec_hist_;
   LatencyHistogram total_hist_;
 
-  // Prepared statements. `ddl_version_` bumps on every RegisterTable;
-  // statements prepared under an older version are invalidated (the
-  // schema, index shape, or table set may have changed under the plan).
+  // Prepared statements. Statements prepared under an older
+  // SnapshotManager::ddl_version() are invalidated (the schema, index
+  // shape, or table set may have changed under the plan).
   PlanCache plan_cache_;
-  std::atomic<uint64_t> ddl_version_{0};
   mutable std::mutex handles_mu_;  // guards handles_
   std::unordered_map<uint64_t, PreparedStatementPtr> handles_;
   std::atomic<uint64_t> next_handle_{1};

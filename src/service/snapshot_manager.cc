@@ -14,6 +14,7 @@ Status SnapshotManager::RegisterTable(const std::string& name,
     return Status::InvalidArgument("table already registered: " + name);
   }
   tables_[name] = Entry{{std::move(relation)}, nullptr};
+  ddl_version_.fetch_add(1, std::memory_order_acq_rel);
   InvalidateCache();
   return Status::OK();
 }
@@ -37,6 +38,7 @@ Status SnapshotManager::RegisterTable(const std::string& name,
     return Status::InvalidArgument("table already registered: " + name);
   }
   tables_[name] = std::move(entry);
+  ddl_version_.fetch_add(1, std::memory_order_acq_rel);
   InvalidateCache();
   return Status::OK();
 }

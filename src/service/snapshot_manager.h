@@ -143,6 +143,12 @@ class SnapshotManager {
   /// Epochs committed so far (monotonic; one per Append batch).
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
+  /// Bumps on every RegisterTable: a plan lowered at an older version may
+  /// bind a stale name, schema or index shape and must be re-lowered.
+  uint64_t ddl_version() const {
+    return ddl_version_.load(std::memory_order_acquire);
+  }
+
   std::vector<std::string> TableNames() const;
 
   /// Name, schema, and indexed-column ordinals of every registered table
@@ -167,6 +173,7 @@ class SnapshotManager {
   // The epoch gate (see file comment). Also guards `tables_` mutation.
   mutable std::shared_mutex gate_;
   std::atomic<uint64_t> epoch_{0};
+  std::atomic<uint64_t> ddl_version_{0};
   std::map<std::string, Entry> tables_;
 
   // Delta feed. `commit_mu_` makes {epoch bump, OnCommit} atomic so the

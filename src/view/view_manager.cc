@@ -1,6 +1,7 @@
 #include "view/view_manager.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "sql/session.h"
@@ -29,6 +30,16 @@ struct CompiledFilter {
   }
 };
 
+/// One group of an aggregate view: its running states and the row it last
+/// published (after the row-wise post-ops; absent while HAVING drops it).
+struct GroupEntry {
+  std::vector<AggState> states;
+  std::optional<Row> published;
+  bool dirty = false;  // changed in the current pass
+};
+using GroupMap =
+    std::unordered_map<Row, GroupEntry, AggRowHasher, AggRowEqual>;
+
 /// One maintained arrangement, shared by every subscription whose plan
 /// fingerprint matches. All fields except `published` are guarded by the
 /// manager's maintenance mutex; `published` is swapped/read via the atomic
@@ -37,30 +48,53 @@ struct MaintainedView {
   uint64_t id = 0;
   ViewSpec spec;
 
-  CompiledFilter input_filter;          // kSelect / kAggregate
-  CompiledFilter left_filter, right_filter;  // kJoin
+  CompiledFilter input_filter;               // kSelect / kAggregate
+  CompiledFilter left_filter, right_filter;  // join cores
+  ViewPostOpsPtr read_post;  // spec.post, shared with every snapshot
 
-  RowVec core_rows;     // kSelect / kJoin resident result (published shape)
-  GroupStateMap groups; // kAggregate resident state
+  // What the current pass changed; each publish drains it into one run.
+  RowVec pending;                            // kSelect / kJoin: new rows
+  std::vector<GroupMap::value_type*> dirty;  // kAggregate: changed groups
+
+  GroupMap groups;        // kAggregate resident state
+  ViewTrace trace;        // the published runs
+  int64_t live_rows = 0;  // rows the trace publishes (sum of its diffs)
+
+  // kRecompute: the physical plan, lowered at `plan_ddl_version`.
+  PhysicalOpPtr plan;
+  ExecutorContextPtr plan_exec;
+  uint64_t plan_ddl_version = 0;
 
   /// Deltas with epoch <= this are already reflected in the state.
   uint64_t applied_epoch = 0;
   uint64_t published_version = 0;
 
-  /// kJoin: the pin of this view's previous pass. Right-side deltas probe
-  /// the left table HERE (not in the current pin) so pairs where both rows
-  /// arrived since the last pass are not counted by both join terms.
+  /// Join cores: the pin of this view's previous pass. Right-side deltas
+  /// probe the left table HERE (not in the current pin) so pairs where
+  /// both rows arrived since the last pass are not counted by both terms.
   ServiceSnapshot prev_pin;
 
   std::shared_ptr<const ViewSnapshot> published;
 
   std::vector<std::weak_ptr<ViewSubscription>> subscribers;
   size_t subscriber_count = 0;
+
+  /// Switches to the recompute fallback and drops the incremental state.
+  void DegradeToRecompute() {
+    spec.kind = ViewKind::kRecompute;
+    pending.clear();
+    dirty.clear();
+    groups.clear();
+    trace = ViewTrace();
+    live_rows = 0;
+  }
 };
 
 }  // namespace view_detail
 
 using view_detail::CompiledFilter;
+using view_detail::GroupEntry;
+using view_detail::GroupMap;
 using view_detail::MaintainedView;
 
 ViewSnapshotPtr ViewSubscription::Snapshot() const {
@@ -106,15 +140,100 @@ bool EvalKeep(const ExprPtr& predicate, const Row& row, Status* status) {
   return v.ValueOrDie().is_bool() && v.ValueOrDie().bool_value();
 }
 
-/// Runs the view's row-wise post-ops over one delta's output rows and
-/// appends the survivors to the resident result; returns how many landed.
-Result<size_t> AppendToCore(MaintainedView* view, RowVec rows) {
+/// Runs the view's row-wise post-ops over one delta's output rows and adds
+/// the survivors to the pass's changes; returns how many landed.
+Result<size_t> AddRows(MaintainedView* view, RowVec rows) {
   IDF_RETURN_NOT_OK(ApplyPostOps(view->spec.row_post, &rows));
-  view->core_rows.insert(view->core_rows.end(),
-                         std::make_move_iterator(rows.begin()),
-                         std::make_move_iterator(rows.end()));
+  view->pending.insert(view->pending.end(),
+                       std::make_move_iterator(rows.begin()),
+                       std::make_move_iterator(rows.end()));
   return rows.size();
 }
+
+/// The group entry for `key`, marked changed in the current pass.
+GroupEntry& DirtyGroup(MaintainedView* view, const Row& key) {
+  auto it = view->groups.find(key);
+  if (it == view->groups.end()) {
+    it = view->groups.emplace(key, GroupEntry{}).first;
+    it->second.states.resize(view->spec.aggs.size());
+  }
+  if (!it->second.dirty) {
+    it->second.dirty = true;
+    view->dirty.push_back(&*it);
+  }
+  return it->second;
+}
+
+/// Folds `rows` (only the `sel` subset when given) into the view's groups
+/// with the from-scratch operator's UpdateState kernel. An error leaves
+/// the groups half-updated; the caller then degrades the view.
+Status FoldRows(MaintainedView* view, const RowVec& rows,
+                const std::vector<uint32_t>* sel) {
+  const ViewSpec& spec = view->spec;
+  Row key;  // reused: a group lookup allocates only for a new group
+  key.reserve(spec.group_exprs.size());
+  const size_t n = sel != nullptr ? sel->size() : rows.size();
+  for (size_t k = 0; k < n; ++k) {
+    const Row& row = rows[sel != nullptr ? (*sel)[k] : k];
+    key.clear();
+    for (const ExprPtr& g : spec.group_exprs) {
+      IDF_ASSIGN_OR_RETURN(Value v, g->Eval(row));
+      key.push_back(std::move(v));
+    }
+    GroupEntry& entry = DirtyGroup(view, key);
+    for (size_t a = 0; a < spec.aggs.size(); ++a) {
+      Value v;
+      if (spec.aggs[a].arg != nullptr) {
+        IDF_ASSIGN_OR_RETURN(v, spec.aggs[a].arg->Eval(row));
+      }
+      UpdateState(&entry.states[a], spec.aggs[a].fn, v);
+    }
+  }
+  return Status::OK();
+}
+
+/// Drains the pass's changes into one delta run: select/join rows at +1;
+/// for each changed group, its previous published row at -1 and its new
+/// one at +1 (nothing when the published row did not change).
+Result<DeltaRun> TakeChanges(MaintainedView* view) {
+  const ViewSpec& spec = view->spec;
+  RowVec rows;
+  std::vector<int64_t> diffs;
+  if (spec.kind == ViewKind::kAggregate) {
+    for (GroupMap::value_type* group : view->dirty) {
+      GroupEntry& entry = group->second;
+      entry.dirty = false;
+      std::optional<Row> next = group->first;
+      for (size_t a = 0; a < spec.aggs.size(); ++a) {
+        AppendFinal(&*next, spec.aggs[a].fn, entry.states[a],
+                    spec.agg_out_types[a]);
+      }
+      IDF_ASSIGN_OR_RETURN(bool shown, ApplyRowPostOps(spec.row_post, &*next));
+      if (!shown) next.reset();
+      if (entry.published == next) continue;
+      if (entry.published.has_value()) {
+        rows.push_back(std::move(*entry.published));
+        diffs.push_back(-1);
+      }
+      if (next.has_value()) {
+        rows.push_back(*next);
+        diffs.push_back(1);
+      }
+      entry.published = std::move(next);
+    }
+    view->dirty.clear();
+  } else {
+    rows = std::move(view->pending);
+    view->pending.clear();
+    diffs.assign(rows.size(), 1);
+  }
+  for (int64_t d : diffs) view->live_rows += d;
+  return DeltaRun::Build(std::move(rows), std::move(diffs));
+}
+
+struct ValueHasher {
+  size_t operator()(const Value& v) const { return static_cast<size_t>(v.Hash()); }
+};
 
 }  // namespace
 
@@ -212,104 +331,29 @@ Status MaterializedViewManager::ApplyDelta(MaintainedView* view,
       RowVec kept;
       kept.reserve(sel.size());
       for (uint32_t i : sel) kept.push_back((*delta->rows)[i]);
-      IDF_ASSIGN_OR_RETURN(size_t added, AppendToCore(view, std::move(kept)));
+      IDF_ASSIGN_OR_RETURN(size_t added, AddRows(view, std::move(kept)));
       rows_maintained_.fetch_add(added, std::memory_order_relaxed);
       return Status::OK();
     }
     case ViewKind::kAggregate: {
+      if (spec.over_join) {
+        RowVec joined;
+        IDF_RETURN_NOT_OK(JoinDelta(view, delta, cur, right_term, &joined));
+        IDF_RETURN_NOT_OK(FoldRows(view, joined, nullptr));
+        rows_maintained_.fetch_add(joined.size(), std::memory_order_relaxed);
+        return Status::OK();
+      }
       IDF_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
                            FilterDelta(&view->input_filter, delta,
                                        spec.input.schema, *exec_));
-      const size_t num_aggs = spec.aggs.size();
-      // Fold the delta into a partial map, then merge it into the resident
-      // arrangement with the same MergeStates kernels the from-scratch
-      // operator's partial-merge phase uses.
-      GroupStateMap partial;
-      for (uint32_t i : sel) {
-        const Row& row = (*delta->rows)[i];
-        Row key;
-        key.reserve(spec.group_exprs.size());
-        for (const ExprPtr& g : spec.group_exprs) {
-          IDF_ASSIGN_OR_RETURN(Value v, g->Eval(row));
-          key.push_back(std::move(v));
-        }
-        std::vector<AggState>& states = partial[std::move(key)];
-        if (states.empty()) states.resize(num_aggs);
-        for (size_t a = 0; a < num_aggs; ++a) {
-          Value v;
-          if (spec.aggs[a].arg != nullptr) {
-            IDF_ASSIGN_OR_RETURN(v, spec.aggs[a].arg->Eval(row));
-          }
-          UpdateState(&states[a], spec.aggs[a].fn, v);
-        }
-      }
-      for (auto& [key, states] : partial) {
-        std::vector<AggState>& resident = view->groups[key];
-        if (resident.empty()) resident.resize(num_aggs);
-        for (size_t a = 0; a < num_aggs; ++a) {
-          MergeStates(&resident[a], spec.aggs[a].fn, states[a]);
-        }
-      }
+      IDF_RETURN_NOT_OK(FoldRows(view, *delta->rows, &sel));
       rows_maintained_.fetch_add(sel.size(), std::memory_order_relaxed);
       return Status::OK();
     }
     case ViewKind::kJoin: {
-      RowVec emitted;
-      Status status = Status::OK();
-      // Term 1: ΔL ⋈ R_cur — new left rows probe the right index pinned at
-      // the CURRENT epoch (which already contains any same-pass right
-      // deltas, so cross-delta pairs are produced exactly here).
-      if (delta->table == spec.left.table) {
-        IDF_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
-                             FilterDelta(&view->left_filter, delta,
-                                         spec.left.schema, *exec_));
-        PinnedSnapshotPtr right_pin =
-            FindPin(cur, spec.right.table, spec.right_key_col);
-        if (right_pin == nullptr) {
-          return Status::Internal("join view: right-side index pin missing");
-        }
-        for (uint32_t i : sel) {
-          const Row& l = (*delta->rows)[i];
-          const Value& key = l[static_cast<size_t>(spec.left_key_col)];
-          if (key.is_null()) continue;  // inner join: null never matches
-          for (const Row& r : right_pin->GetRows(key)) {
-            if (spec.right.predicate != nullptr &&
-                !EvalKeep(spec.right.predicate, r, &status)) {
-              IDF_RETURN_NOT_OK(status);
-              continue;
-            }
-            emitted.push_back(ConcatRows(l, r));
-          }
-        }
-      }
-      // Term 2: L_prev ⋈ ΔR — new right rows probe the left index pinned
-      // at the PREVIOUS pass, so a (ΔL, ΔR) pair of this pass is counted
-      // by term 1 only.
-      if (right_term && delta->table == spec.right.table) {
-        IDF_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
-                             FilterDelta(&view->right_filter, delta,
-                                         spec.right.schema, *exec_));
-        PinnedSnapshotPtr left_pin =
-            FindPin(view->prev_pin, spec.left.table, spec.left_key_col);
-        if (left_pin == nullptr) {
-          return Status::Internal("join view: left-side index pin missing");
-        }
-        for (uint32_t i : sel) {
-          const Row& r = (*delta->rows)[i];
-          const Value& key = r[static_cast<size_t>(spec.right_key_col)];
-          if (key.is_null()) continue;
-          for (const Row& l : left_pin->GetRows(key)) {
-            if (spec.left.predicate != nullptr &&
-                !EvalKeep(spec.left.predicate, l, &status)) {
-              IDF_RETURN_NOT_OK(status);
-              continue;
-            }
-            emitted.push_back(ConcatRows(l, r));
-          }
-        }
-      }
-      IDF_ASSIGN_OR_RETURN(size_t added,
-                           AppendToCore(view, std::move(emitted)));
+      RowVec joined;
+      IDF_RETURN_NOT_OK(JoinDelta(view, delta, cur, right_term, &joined));
+      IDF_ASSIGN_OR_RETURN(size_t added, AddRows(view, std::move(joined)));
       rows_maintained_.fetch_add(added, std::memory_order_relaxed);
       return Status::OK();
     }
@@ -319,45 +363,111 @@ Status MaterializedViewManager::ApplyDelta(MaintainedView* view,
   return Status::Internal("unreachable view kind");
 }
 
+Status MaterializedViewManager::JoinDelta(MaintainedView* view,
+                                          DeltaBatch* delta,
+                                          const ServiceSnapshot& cur,
+                                          bool right_term, RowVec* out) {
+  const ViewSpec& spec = view->spec;
+  // Term 1: ΔL ⋈ R_cur — new left rows meet the right side pinned at the
+  // CURRENT epoch (which already contains any same-pass right deltas, so
+  // cross-delta pairs are produced exactly here).
+  if (delta->table == spec.left.table) {
+    IDF_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
+                         FilterDelta(&view->left_filter, delta,
+                                     spec.left.schema, *exec_));
+    IDF_RETURN_NOT_OK(JoinTerm(cur, spec.right, spec.right_key_col,
+                               &view->right_filter, *delta->rows, sel,
+                               spec.left_key_col, /*delta_is_left=*/true, out));
+  }
+  // Term 2: L_prev ⋈ ΔR — new right rows meet the left side pinned at the
+  // PREVIOUS pass, so a (ΔL, ΔR) pair of this pass is counted by term 1
+  // only.
+  if (right_term && delta->table == spec.right.table) {
+    IDF_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
+                         FilterDelta(&view->right_filter, delta,
+                                     spec.right.schema, *exec_));
+    IDF_RETURN_NOT_OK(JoinTerm(view->prev_pin, spec.left, spec.left_key_col,
+                               &view->left_filter, *delta->rows, sel,
+                               spec.right_key_col, /*delta_is_left=*/false,
+                               out));
+  }
+  return Status::OK();
+}
+
+Status MaterializedViewManager::JoinTerm(
+    const ServiceSnapshot& pin, const ViewInput& other, int other_key,
+    CompiledFilter* other_filter, const RowVec& delta,
+    const std::vector<uint32_t>& sel, int delta_key, bool delta_is_left,
+    RowVec* out) {
+  if (sel.empty()) return Status::OK();
+  auto emit = [&](const Row& d, const Row& o) {
+    out->push_back(delta_is_left ? ConcatRows(d, o) : ConcatRows(o, d));
+  };
+  const auto delta_col = static_cast<size_t>(delta_key);
+  Status status = Status::OK();
+  if (PinnedSnapshotPtr index = FindPin(pin, other.table, other_key)) {
+    // Probe: point lookups on the other side's pinned cTrie index.
+    for (uint32_t i : sel) {
+      const Value& key = delta[i][delta_col];
+      if (key.is_null()) continue;  // inner join: null never matches
+      for (const Row& o : index->GetRows(key)) {
+        if (other.predicate != nullptr &&
+            !EvalKeep(other.predicate, o, &status)) {
+          IDF_RETURN_NOT_OK(status);
+          continue;
+        }
+        emit(delta[i], o);
+      }
+    }
+    return Status::OK();
+  }
+  // Scan term: the other side has no primary index on its key. Hash this
+  // term's delta rows on the key and scan the other side's filtered rows
+  // at `pin` — at most one from-scratch join's work, paid only by commits
+  // to this term's delta table.
+  std::unordered_multimap<Value, uint32_t, ValueHasher> by_key;
+  for (uint32_t i : sel) {
+    if (!delta[i][delta_col].is_null()) by_key.emplace(delta[i][delta_col], i);
+  }
+  if (by_key.empty()) return Status::OK();
+  DeltaBatch scanned;
+  scanned.table = other.table;
+  IDF_ASSIGN_OR_RETURN(RowVec rows, ScanPinnedTable(pin, other.table));
+  scanned.rows = std::make_shared<const RowVec>(std::move(rows));
+  IDF_ASSIGN_OR_RETURN(std::vector<uint32_t> kept,
+                       FilterDelta(other_filter, &scanned, other.schema, *exec_));
+  const auto other_col = static_cast<size_t>(other_key);
+  for (uint32_t j : kept) {
+    const Row& o = (*scanned.rows)[j];
+    if (o[other_col].is_null()) continue;
+    auto [first, last] = by_key.equal_range(o[other_col]);
+    for (auto it = first; it != last; ++it) emit(delta[it->second], o);
+  }
+  return Status::OK();
+}
+
 Status MaterializedViewManager::PublishLocked(
     MaintainedView* view, const ServiceSnapshotPtr& cur,
     std::vector<std::pair<ViewSubscription::Callback, ViewSnapshotPtr>>*
         callbacks) {
   const ViewSpec& spec = view->spec;
-  RowVec out;
+  ViewSnapshotPtr published;
   if (spec.kind == ViewKind::kRecompute) {
-    IDF_ASSIGN_OR_RETURN(out, RecomputeAgainst(spec.sql, cur));
+    IDF_ASSIGN_OR_RETURN(RowVec rows, RecomputeAgainst(view, cur));
     views_recomputed_.fetch_add(1, std::memory_order_relaxed);
+    published = std::make_shared<const ViewSnapshot>(
+        cur->epoch, ++view->published_version, spec.output_schema,
+        std::move(rows));
   } else {
-    if (spec.kind == ViewKind::kAggregate) {
-      out.reserve(view->groups.size());
-      for (const auto& [key, states] : view->groups) {
-        Row row = key;
-        for (size_t a = 0; a < spec.aggs.size(); ++a) {
-          AppendFinal(&row, spec.aggs[a].fn, states[a], spec.agg_out_types[a]);
-        }
-        out.push_back(std::move(row));
-      }
-      // The hash map iterates in an unspecified order; publish a canonical
-      // one so equal states always render equal snapshots.
-      SortRows(&out);
-    } else {
-      out = view->core_rows;
-    }
-    IDF_RETURN_NOT_OK(ApplyPostOps(spec.post, &out));
+    IDF_ASSIGN_OR_RETURN(DeltaRun run, TakeChanges(view));
+    view->trace.Push(std::move(run));
+    published = std::make_shared<const ViewSnapshot>(
+        cur->epoch, ++view->published_version, spec.output_schema,
+        view->trace.runs(), view->read_post);
   }
-
-  auto snapshot = std::make_shared<ViewSnapshot>();
-  snapshot->epoch = cur->epoch;
-  snapshot->version = ++view->published_version;
-  snapshot->schema = spec.output_schema;
-  snapshot->rows = std::make_shared<const RowVec>(std::move(out));
-  std::atomic_store_explicit(&view->published,
-                             ViewSnapshotPtr(std::move(snapshot)),
+  std::atomic_store_explicit(&view->published, published,
                              std::memory_order_release);
 
-  ViewSnapshotPtr published =
-      std::atomic_load_explicit(&view->published, std::memory_order_acquire);
   for (auto it = view->subscribers.begin(); it != view->subscribers.end();) {
     ViewSubscriptionPtr sub = it->lock();
     if (sub == nullptr) {
@@ -382,6 +492,7 @@ void MaterializedViewManager::PropagateLocked(
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (queue_.empty()) return;
   }
+  const auto start = std::chrono::steady_clock::now();
   // Pin FIRST, then pop only deltas at or below the pin's epoch: the
   // exclusive gate inside PinAll synchronizes with every commit it
   // includes, so those commits' deltas are guaranteed enqueued by now.
@@ -413,19 +524,19 @@ void MaterializedViewManager::PropagateLocked(
           // Never fail the append path: degrade this arrangement to the
           // recompute fallback and keep serving.
           maintenance_errors_.fetch_add(1, std::memory_order_relaxed);
-          view->spec.kind = ViewKind::kRecompute;
+          view->DegradeToRecompute();
         }
       }
       touched = true;
       deltas_propagated_.fetch_add(1, std::memory_order_relaxed);
     }
     view->applied_epoch = std::max(view->applied_epoch, cur->epoch);
-    if (view->spec.kind == ViewKind::kJoin) view->prev_pin = *cur;
+    if (view->spec.joins()) view->prev_pin = *cur;
     if (touched) {
       Status st = PublishLocked(view.get(), cur, callbacks);
       if (!st.ok() && view->spec.kind != ViewKind::kRecompute) {
         maintenance_errors_.fetch_add(1, std::memory_order_relaxed);
-        view->spec.kind = ViewKind::kRecompute;
+        view->DegradeToRecompute();
         st = PublishLocked(view.get(), cur, callbacks);
       }
       if (!st.ok()) {
@@ -434,57 +545,62 @@ void MaterializedViewManager::PropagateLocked(
       }
     }
   }
+  maintenance_ns_.fetch_add(
+      static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                std::chrono::steady_clock::now() - start)
+                                .count()),
+      std::memory_order_relaxed);
 }
 
 Status MaterializedViewManager::InitializeState(MaintainedView* view,
                                                 const ServiceSnapshot& snap) {
-  ViewSpec& spec = view->spec;
-  switch (spec.kind) {
-    case ViewKind::kRecompute:
-      return Status::OK();
-    case ViewKind::kSelect:
-    case ViewKind::kAggregate: {
-      if (spec.kind == ViewKind::kAggregate && spec.group_exprs.empty()) {
-        // A global aggregate always has exactly one group, even over an
-        // empty table (COUNT(*) = 0, SUM/MIN/MAX = null).
-        view->groups[Row{}].resize(spec.aggs.size());
-      }
-      IDF_ASSIGN_OR_RETURN(RowVec rows,
-                           ScanPinnedTable(snap, spec.input.table));
-      if (rows.empty()) return Status::OK();
-      DeltaBatch seed;
-      seed.table = spec.input.table;
-      seed.epoch = snap.epoch;
-      seed.rows = std::make_shared<const RowVec>(std::move(rows));
-      return ApplyDelta(view, &seed, snap);
-    }
-    case ViewKind::kJoin: {
-      // Feed the whole left table through join term 1 against `snap`:
-      // L_all ⋈ R_snap is the complete initial join, and the caller then
-      // sets prev_pin = snap so future right-side deltas probe exactly
-      // this left state. Term 2 is disabled for the seed so a self-join
-      // (left table == right table) cannot also count the rows as ΔR.
-      IDF_ASSIGN_OR_RETURN(RowVec rows, ScanPinnedTable(snap, spec.left.table));
-      if (rows.empty()) return Status::OK();
-      DeltaBatch seed;
-      seed.table = spec.left.table;
-      seed.epoch = snap.epoch;
-      seed.rows = std::make_shared<const RowVec>(std::move(rows));
-      return ApplyDelta(view, &seed, snap, /*right_term=*/false);
-    }
+  const ViewSpec& spec = view->spec;
+  if (spec.kind == ViewKind::kRecompute) return Status::OK();
+  if (spec.kind == ViewKind::kAggregate && spec.group_exprs.empty()) {
+    // A global aggregate always has exactly one group, even over an empty
+    // input (COUNT(*) = 0, SUM/MIN/MAX = null).
+    DirtyGroup(view, Row{});
   }
-  return Status::Internal("unreachable view kind");
+  // A join core seeds by feeding the whole left table through join term 1
+  // against `snap`: L_all ⋈ R_snap is the complete initial join, and the
+  // caller then sets prev_pin = snap so future right-side deltas meet
+  // exactly this left state. Term 2 is disabled for the seed so a
+  // self-join (left table == right table) cannot also count the rows as
+  // ΔR.
+  const std::string& table = spec.joins() ? spec.left.table : spec.input.table;
+  IDF_ASSIGN_OR_RETURN(RowVec rows, ScanPinnedTable(snap, table));
+  if (rows.empty()) return Status::OK();
+  DeltaBatch seed;
+  seed.table = table;
+  seed.epoch = snap.epoch;
+  seed.rows = std::make_shared<const RowVec>(std::move(rows));
+  return ApplyDelta(view, &seed, snap, /*right_term=*/false);
 }
 
 Result<RowVec> MaterializedViewManager::RecomputeAgainst(
-    const std::string& sql, const ServiceSnapshotPtr& snap) {
-  IDF_ASSIGN_OR_RETURN(
-      ExecutorContextPtr exec,
-      ExecutorContext::MakeWithPool(exec_->config(), exec_->shared_pool()));
-  exec->SetPins(snap);
-  IDF_ASSIGN_OR_RETURN(SessionPtr session, snapshots_->MakeSession(exec));
-  IDF_ASSIGN_OR_RETURN(DataFrame df, session->Sql(sql));
-  return session->ExecuteCollect(df.plan());
+    MaintainedView* view, const ServiceSnapshotPtr& snap) {
+  // Read the version before planning: a RegisterTable racing the lowering
+  // leaves a stale version behind, so the next pass lowers again.
+  const uint64_t ddl_version = snapshots_->ddl_version();
+  if (view->plan == nullptr || view->plan_ddl_version != ddl_version) {
+    IDF_ASSIGN_OR_RETURN(
+        ExecutorContextPtr exec,
+        ExecutorContext::MakeWithPool(exec_->config(), exec_->shared_pool()));
+    IDF_ASSIGN_OR_RETURN(SessionPtr session, snapshots_->MakeSession(exec));
+    IDF_ASSIGN_OR_RETURN(DataFrame df, session->Sql(view->spec.sql));
+    IDF_ASSIGN_OR_RETURN(LogicalPlanPtr optimized,
+                         session->OptimizeOnly(df.plan()));
+    IDF_ASSIGN_OR_RETURN(view->plan, session->PlanOptimized(optimized));
+    view->plan_exec = std::move(exec);
+    view->plan_ddl_version = ddl_version;
+    recompute_plans_lowered_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // The plan names live relations; the pins pick this pass's epoch.
+  view->plan_exec->SetPins(snap);
+  Result<PartitionVec> parts = view->plan->Execute(*view->plan_exec);
+  view->plan_exec->SetPins(nullptr);
+  IDF_RETURN_NOT_OK(parts.status());
+  return CollectRows(parts.ValueOrDie());
 }
 
 Result<ViewSubscriptionPtr> MaterializedViewManager::Subscribe(
@@ -511,33 +627,6 @@ Result<ViewSubscriptionPtr> MaterializedViewManager::Subscribe(
                        session->OptimizeOnly(df.plan()));
   IDF_ASSIGN_OR_RETURN(ViewSpec spec, BuildViewSpec(sql, optimized));
 
-  if (spec.kind == ViewKind::kJoin) {
-    // Both probe directions need a PRIMARY (cTrie) index on the join
-    // column; without one the view still works, just by recomputation.
-    // indexed_columns deliberately excludes bitmap/range secondary
-    // indexes: incremental join maintenance walks per-key chains through
-    // a pinned trie arrangement, and a secondary index's position cut is
-    // published per append batch, not pinned per epoch — maintaining
-    // through one could read a cut newer than the view's epoch. A column
-    // that only carries a secondary index therefore downgrades the view
-    // to safe recomputation instead of risking a torn arrangement.
-    auto has_index = [&infos](const std::string& table, int col) {
-      for (const TableInfo& info : infos) {
-        if (info.name != table) continue;
-        return std::find(info.indexed_columns.begin(),
-                         info.indexed_columns.end(),
-                         col) != info.indexed_columns.end();
-      }
-      return false;
-    };
-    if (!has_index(spec.right.table, spec.right_key_col) ||
-        !has_index(spec.left.table, spec.left_key_col)) {
-      spec.kind = ViewKind::kRecompute;
-      spec.row_post.clear();
-      spec.post.clear();
-    }
-  }
-
   std::vector<std::pair<ViewSubscription::Callback, ViewSnapshotPtr>> callbacks;
   ViewSubscriptionPtr sub;
   {
@@ -556,15 +645,18 @@ Result<ViewSubscriptionPtr> MaterializedViewManager::Subscribe(
       view = std::make_shared<MaintainedView>();
       view->id = next_id_.fetch_add(1, std::memory_order_relaxed);
       view->spec = std::move(spec);
-      if (view->spec.kind == ViewKind::kSelect ||
-          view->spec.kind == ViewKind::kAggregate) {
-        view->input_filter.Build(view->spec.input.predicate,
-                                 view->spec.input.schema);
-      } else if (view->spec.kind == ViewKind::kJoin) {
+      if (view->spec.joins()) {
         view->left_filter.Build(view->spec.left.predicate,
                                 view->spec.left.schema);
         view->right_filter.Build(view->spec.right.predicate,
                                  view->spec.right.schema);
+      } else if (view->spec.kind != ViewKind::kRecompute) {
+        view->input_filter.Build(view->spec.input.predicate,
+                                 view->spec.input.schema);
+      }
+      if (!view->spec.post.empty()) {
+        view->read_post =
+            std::make_shared<const std::vector<ViewPostOp>>(view->spec.post);
       }
       views_by_fingerprint_[view->spec.fingerprint] = view;
       has_views_.store(true, std::memory_order_release);
@@ -573,7 +665,7 @@ Result<ViewSubscriptionPtr> MaterializedViewManager::Subscribe(
       Status st = InitializeState(view.get(), *snap);
       if (st.ok()) {
         view->applied_epoch = snap->epoch;
-        if (view->spec.kind == ViewKind::kJoin) view->prev_pin = *snap;
+        if (view->spec.joins()) view->prev_pin = *snap;
         st = PublishLocked(view.get(), snap, &callbacks);
       }
       if (!st.ok()) {
@@ -639,7 +731,11 @@ ViewManagerStats MaterializedViewManager::Stats() const {
     stats.views_registered = views_by_fingerprint_.size();
     for (const auto& [fingerprint, view] : views_by_fingerprint_) {
       stats.view_subscribers += view->subscriber_count;
-      stats.resident_rows += view->core_rows.size() + view->groups.size();
+      stats.resident_rows += view->spec.kind == ViewKind::kAggregate
+                                 ? view->groups.size()
+                                 : static_cast<uint64_t>(view->live_rows);
+      stats.trace_runs += view->trace.runs().size();
+      stats.trace_rows += view->trace.entries();
     }
   }
   stats.arrangements_shared =
@@ -648,6 +744,10 @@ ViewManagerStats MaterializedViewManager::Stats() const {
   stats.rows_maintained_incrementally =
       rows_maintained_.load(std::memory_order_relaxed);
   stats.views_recomputed = views_recomputed_.load(std::memory_order_relaxed);
+  stats.recompute_plans_lowered =
+      recompute_plans_lowered_.load(std::memory_order_relaxed);
+  stats.maintenance_us =
+      maintenance_ns_.load(std::memory_order_relaxed) / 1000;
   stats.maintenance_errors =
       maintenance_errors_.load(std::memory_order_relaxed);
   return stats;

@@ -6,22 +6,32 @@
 //
 //   select views     compiled/vectorized predicates filter the encoded
 //                    delta rows; survivors pass the view's row-wise
-//                    post-ops and append to the resident result.
-//   aggregate views  the group state lives resident (GroupStateMap); the
-//                    delta folds into a local partial map which merges in
-//                    via aggregate_common's MergeStates — the same kernels
-//                    the from-scratch operator uses, so finalized values
-//                    agree to the bit.
+//                    post-ops and become the pass's new published rows.
 //   join views       the insert-only delta rule Δ(L⋈R) = ΔL⋈R_cur +
 //                    L_prev⋈ΔR: delta rows probe the other side's pinned
 //                    cTrie index (point lookups, newest-first chains), and
 //                    the previous pass's pin on the left keeps pairs of
-//                    same-pass deltas from counting twice. Joined rows
-//                    pass the row-wise post-ops before they are kept, so
-//                    the resident join holds only published rows.
-//   anything else    correct-but-not-incremental fallback: the SQL is
-//                    re-executed against each new epoch pin (counted as
+//                    same-pass deltas from counting twice. A term whose
+//                    probe key has no primary index hashes its delta rows
+//                    and scans the other side's filtered rows at the
+//                    term's pin instead. Joined rows pass the row-wise
+//                    post-ops before they are published.
+//   aggregate views  the group state lives resident; the delta's rows —
+//                    or, over a join, the joined rows both join terms emit
+//                    (Δγ(L⋈R) = γ(ΔL⋈R_cur) + γ(L_prev⋈ΔR)) — fold into it
+//                    with aggregate_common's UpdateState, the kernel the
+//                    from-scratch operator uses. Each group keeps the row
+//                    it last published.
+//   anything else    correct-but-not-incremental fallback: a physical plan
+//                    lowered once (re-lowered when DDL moves) re-executes
+//                    against each new epoch pin (counted as
 //                    views_recomputed).
+//
+// Publishing costs what the pass changed (view/view_trace.h): each pass
+// pushes one sorted delta run onto the view's trace — new rows at +1, or a
+// changed group's previous row at -1 and its new row at +1 — and the run
+// stack merges geometrically. A snapshot captures the run list; readers
+// consolidate it on first dereference and run Sort/Limit there.
 //
 // Arrangement sharing: subscriptions whose optimized plans render to the
 // same fingerprint attach to ONE maintained view (refcounted); 100
@@ -48,18 +58,9 @@
 #include "sql/aggregate_common.h"
 #include "sql/vectorized_eval.h"
 #include "view/view_plan.h"
+#include "view/view_trace.h"
 
 namespace idf {
-
-/// One immutable published result. `epoch` is the service epoch the state
-/// reflects; `version` increments on every publish of this view.
-struct ViewSnapshot {
-  uint64_t epoch = 0;
-  uint64_t version = 0;
-  SchemaPtr schema;
-  std::shared_ptr<const RowVec> rows;
-};
-using ViewSnapshotPtr = std::shared_ptr<const ViewSnapshot>;
 
 class MaterializedViewManager;
 namespace view_detail {
@@ -94,15 +95,20 @@ class ViewSubscription {
 };
 using ViewSubscriptionPtr = std::shared_ptr<ViewSubscription>;
 
-/// View counters; all but resident_rows are exported through ServiceStats.
+/// View counters; exported through ServiceStats except resident_rows,
+/// maintenance_errors and recompute_plans_lowered.
 struct ViewManagerStats {
   uint64_t views_registered = 0;    ///< live maintained arrangements
   uint64_t view_subscribers = 0;    ///< live subscriptions
   uint64_t arrangements_shared = 0; ///< subscriptions that joined an existing arrangement
   uint64_t deltas_propagated = 0;   ///< delta batches applied to views
   uint64_t rows_maintained_incrementally = 0;  ///< delta rows folded into resident state
-  uint64_t resident_rows = 0;       ///< rows held now: select/join results + aggregate groups
+  uint64_t resident_rows = 0;       ///< rows published now by select/join views + aggregate groups
+  uint64_t trace_runs = 0;          ///< delta runs on the live views' traces
+  uint64_t trace_rows = 0;          ///< (row, diff) entries across those runs
+  uint64_t maintenance_us = 0;      ///< total wall time of maintenance passes, microseconds
   uint64_t views_recomputed = 0;    ///< full recompute passes (fallback shape)
+  uint64_t recompute_plans_lowered = 0;  ///< physical plans built for recompute views
   uint64_t maintenance_errors = 0;  ///< passes that degraded a view to recompute
 };
 
@@ -155,6 +161,7 @@ class MaterializedViewManager final : public SnapshotManager::CommitSink {
   };
 
   using MaintainedView = view_detail::MaintainedView;
+  using CompiledFilter = view_detail::CompiledFilter;
 
   /// Runs one maintenance pass. Caller holds maintenance_mu_; publishes
   /// snapshots and appends (callback, snapshot) pairs to `callbacks` for
@@ -170,15 +177,31 @@ class MaterializedViewManager final : public SnapshotManager::CommitSink {
   Status ApplyDelta(MaintainedView* view, DeltaBatch* delta,
                     const ServiceSnapshot& cur, bool right_term = true);
 
+  /// Appends to `out` the joined rows (left columns first) that `delta`
+  /// adds to the view's join core: term 1 (ΔL ⋈ R_cur) and, when
+  /// `right_term`, term 2 (L_prev ⋈ ΔR).
+  Status JoinDelta(MaintainedView* view, DeltaBatch* delta,
+                   const ServiceSnapshot& cur, bool right_term, RowVec* out);
+
+  /// One join term: the `sel` rows of `delta` (keyed on `delta_key`) meet
+  /// the `other` input as of `pin`, through its primary index on
+  /// `other_key` when `pin` holds one and otherwise by scanning its
+  /// filtered rows. `delta_is_left` orders the concatenation.
+  Status JoinTerm(const ServiceSnapshot& pin, const ViewInput& other,
+                  int other_key, CompiledFilter* other_filter,
+                  const RowVec& delta, const std::vector<uint32_t>& sel,
+                  int delta_key, bool delta_is_left, RowVec* out);
+
   /// Runs one delta batch through a view's prepared filter; returns the
   /// ascending indexes of surviving rows. Encodes the batch lazily when
   /// the compiled/vectorized path can use it (shared across views).
   static Result<std::vector<uint32_t>> FilterDelta(
-      view_detail::CompiledFilter* filter, DeltaBatch* delta,
+      CompiledFilter* filter, DeltaBatch* delta,
       const SchemaPtr& schema, ExecutorContext& exec);
 
-  /// Rebuilds the view's published snapshot from its resident state (or,
-  /// for recompute views, by re-executing the SQL against `cur`).
+  /// Publishes the view's next snapshot: pushes this pass's changes onto
+  /// its trace (or, for recompute views, re-executes the cached plan
+  /// against `cur`).
   Status PublishLocked(MaintainedView* view, const ServiceSnapshotPtr& cur,
                        std::vector<std::pair<ViewSubscription::Callback,
                                              ViewSnapshotPtr>>* callbacks);
@@ -187,8 +210,9 @@ class MaterializedViewManager final : public SnapshotManager::CommitSink {
   /// the delta path to build the initial resident state.
   Status InitializeState(MaintainedView* view, const ServiceSnapshot& snap);
 
-  /// Re-executes the view's SQL against `snap` (recompute fallback).
-  Result<RowVec> RecomputeAgainst(const std::string& sql,
+  /// Executes the view's cached physical plan against `snap` (recompute
+  /// fallback), lowering it first when missing or older than the DDL.
+  Result<RowVec> RecomputeAgainst(MaintainedView* view,
                                   const ServiceSnapshotPtr& snap);
 
   SnapshotManager* snapshots_;
@@ -211,7 +235,9 @@ class MaterializedViewManager final : public SnapshotManager::CommitSink {
   std::atomic<uint64_t> rows_maintained_{0};
   std::atomic<uint64_t> arrangements_shared_{0};
   std::atomic<uint64_t> views_recomputed_{0};
+  std::atomic<uint64_t> recompute_plans_lowered_{0};
   std::atomic<uint64_t> maintenance_errors_{0};
+  std::atomic<uint64_t> maintenance_ns_{0};
 };
 
 }  // namespace idf

@@ -59,9 +59,32 @@ bool MatchInput(const LogicalPlanPtr& plan, ViewInput* out) {
   return true;
 }
 
+/// Matches an inner equi-join on plain columns of two inputs; fills the
+/// join fields of `spec` on success.
+bool MatchJoin(const LogicalPlanPtr& plan, ViewSpec* spec) {
+  if (plan->kind() != PlanKind::kJoin) return false;
+  const auto* join = static_cast<const JoinNode*>(plan.get());
+  if (join->join_type() != JoinType::kInner) return false;
+  if (join->left_key()->kind() != ExprKind::kColumnRef ||
+      join->right_key()->kind() != ExprKind::kColumnRef) {
+    return false;
+  }
+  const auto* lk = static_cast<const ColumnRefExpr*>(join->left_key().get());
+  const auto* rk = static_cast<const ColumnRefExpr*>(join->right_key().get());
+  if (!lk->bound() || !rk->bound()) return false;
+  if (!MatchInput(join->left(), &spec->left) ||
+      !MatchInput(join->right(), &spec->right)) {
+    return false;
+  }
+  spec->left_key_col = lk->index();
+  spec->right_key_col = rk->index();
+  return true;
+}
+
 /// Moves the innermost run of row-wise post-ops (Filter, Project) to
-/// `row_post`: they commute with appending rows to the result, so they can
-/// run per delta. Sort and Limit need the whole result and stay in `post`.
+/// `row_post`: they commute with adding rows to the result, so they can run
+/// on each pass's changed rows. Sort and Limit need the whole result and
+/// stay in `post`, which readers run when they consolidate.
 void SplitRowPostOps(ViewSpec* spec) {
   auto first_whole = std::find_if(
       spec->post.begin(), spec->post.end(), [](const ViewPostOp& op) {
@@ -150,7 +173,11 @@ Result<ViewSpec> BuildViewSpec(const std::string& sql,
       break;
     case PlanKind::kAggregate: {
       const auto* agg = static_cast<const AggregateNode*>(core.get());
-      if (!MatchInput(core->children()[0], &spec.input)) break;
+      const LogicalPlanPtr& child = core->children()[0];
+      if (!MatchInput(child, &spec.input)) {
+        if (!MatchJoin(child, &spec)) break;
+        spec.over_join = true;
+      }
       spec.kind = ViewKind::kAggregate;
       spec.group_exprs = agg->group_exprs();
       spec.aggs = agg->aggs();
@@ -159,29 +186,14 @@ Result<ViewSpec> BuildViewSpec(const std::string& sql,
         spec.agg_out_types.push_back(
             out.field(spec.group_exprs.size() + a).type);
       }
-      return spec;
-    }
-    case PlanKind::kJoin: {
-      const auto* join = static_cast<const JoinNode*>(core.get());
-      if (join->join_type() != JoinType::kInner) break;
-      if (join->left_key()->kind() != ExprKind::kColumnRef ||
-          join->right_key()->kind() != ExprKind::kColumnRef) {
-        break;
-      }
-      const auto* lk = static_cast<const ColumnRefExpr*>(join->left_key().get());
-      const auto* rk =
-          static_cast<const ColumnRefExpr*>(join->right_key().get());
-      if (!lk->bound() || !rk->bound()) break;
-      if (!MatchInput(join->left(), &spec.left) ||
-          !MatchInput(join->right(), &spec.right)) {
-        break;
-      }
-      spec.kind = ViewKind::kJoin;
-      spec.left_key_col = lk->index();
-      spec.right_key_col = rk->index();
       SplitRowPostOps(&spec);
       return spec;
     }
+    case PlanKind::kJoin:
+      if (!MatchJoin(core, &spec)) break;
+      spec.kind = ViewKind::kJoin;
+      SplitRowPostOps(&spec);
+      return spec;
     default:
       break;
   }
@@ -192,34 +204,51 @@ Result<ViewSpec> BuildViewSpec(const std::string& sql,
   return spec;
 }
 
+namespace {
+
+/// Runs one row-wise op (kFilter / kProject) on `row` in place; false when
+/// a Filter drops it.
+Result<bool> ApplyRowOp(const ViewPostOp& op, Row* row) {
+  if (op.kind == ViewPostOp::kFilter) {
+    IDF_ASSIGN_OR_RETURN(Value v, op.predicate->Eval(*row));
+    return v.is_bool() && v.bool_value();
+  }
+  Row out;
+  out.reserve(op.exprs.size());
+  for (const ExprPtr& e : op.exprs) {
+    IDF_ASSIGN_OR_RETURN(Value v, e->Eval(*row));
+    out.push_back(std::move(v));
+  }
+  *row = std::move(out);
+  return true;
+}
+
+}  // namespace
+
+Result<bool> ApplyRowPostOps(const std::vector<ViewPostOp>& ops, Row* row) {
+  for (const ViewPostOp& op : ops) {
+    if (op.kind != ViewPostOp::kFilter && op.kind != ViewPostOp::kProject) {
+      return Status::Internal("row-wise post-ops hold only Filter/Project");
+    }
+    IDF_ASSIGN_OR_RETURN(bool keep, ApplyRowOp(op, row));
+    if (!keep) return false;
+  }
+  return true;
+}
+
 Status ApplyPostOps(const std::vector<ViewPostOp>& post, RowVec* rows) {
   for (const ViewPostOp& op : post) {
     switch (op.kind) {
-      case ViewPostOp::kFilter: {
-        RowVec kept;
-        kept.reserve(rows->size());
-        for (Row& row : *rows) {
-          IDF_ASSIGN_OR_RETURN(Value v, op.predicate->Eval(row));
-          if (v.is_bool() && v.bool_value()) {
-            kept.push_back(std::move(row));
-          }
-        }
-        *rows = std::move(kept);
-        break;
-      }
+      case ViewPostOp::kFilter:
       case ViewPostOp::kProject: {
-        RowVec projected;
-        projected.reserve(rows->size());
-        for (const Row& row : *rows) {
-          Row out;
-          out.reserve(op.exprs.size());
-          for (const ExprPtr& e : op.exprs) {
-            IDF_ASSIGN_OR_RETURN(Value v, e->Eval(row));
-            out.push_back(std::move(v));
-          }
-          projected.push_back(std::move(out));
+        size_t kept = 0;
+        for (size_t i = 0; i < rows->size(); ++i) {
+          IDF_ASSIGN_OR_RETURN(bool keep, ApplyRowOp(op, &(*rows)[i]));
+          if (!keep) continue;
+          if (kept != i) (*rows)[kept] = std::move((*rows)[i]);
+          ++kept;
         }
-        *rows = std::move(projected);
+        rows->resize(kept);
         break;
       }
       case ViewPostOp::kSort: {

@@ -13,23 +13,29 @@
 //
 // Maintainable cores (everything append-only; the store never deletes):
 //
-//   kSelect     Filter?(Scan(t))             — maintained result rows; the
-//               filter runs compiled/vectorized over the encoded delta.
-//   kAggregate  Aggregate(Filter?(Scan(t)))  — resident GroupStateMap,
-//               +delta merges via aggregate_common's state kernels.
+//   kSelect     Filter?(Scan(t))             — the filter runs compiled/
+//               vectorized over the encoded delta.
+//   kAggregate  Aggregate(Filter?(Scan(t))) or
+//               Aggregate(Join(Filter?(Scan(a)), Filter?(Scan(b)))) —
+//               resident per-group AggStates; the delta's rows (over a
+//               join: the joined rows the delta rule emits, Δγ(L⋈R) =
+//               γ(ΔL⋈R_cur) + γ(L_prev⋈ΔR)) fold in via aggregate_common's
+//               state kernels.
 //   kJoin       Join(Filter?(Scan(a)), Filter?(Scan(b))) — inner equi-join
 //               on plain columns; deltas probe the other side's pinned
-//               cTrie index instead of rebuilding either side.
+//               cTrie index, or scan it when its key has none.
 //
 // Above the core, any stack of Filter (HAVING, cross-side WHERE) / Project
-// / Sort / TopK / Limit is peeled into post-ops. For kSelect and kJoin the
-// innermost run of row-wise ops (Filter, Project) runs on each delta's
-// output rows, so the resident result already has the published row shape
-// and holds only published rows; the rest (Sort, Limit, and anything above
-// them) runs at publish time. kAggregate runs all its post-ops at publish.
+// / Sort / TopK / Limit is peeled into post-ops. The innermost run of
+// row-wise ops (Filter, Project) becomes `row_post`: it runs on each
+// pass's changed rows before they enter the published trace (for an
+// aggregate, on each changed group's finalized row), so the trace holds
+// only published rows. The rest (Sort, Limit, and anything above them)
+// becomes `post`, which readers run when they consolidate a snapshot.
 // Every other shape degrades to kRecompute: the subscription still works,
-// but each commit re-executes the query against the fresh epoch pin —
-// correct, just not incremental (ViewManager counts these separately).
+// but each commit re-executes the query's cached physical plan against the
+// fresh epoch pin — correct, just not incremental (ViewManager counts
+// these separately).
 #pragma once
 
 #include <optional>
@@ -56,8 +62,8 @@ struct ViewInput {
 };
 
 /// One operator peeled from above the core, applied innermost-first —
-/// either to each delta's output rows (ViewSpec::row_post) or to the
-/// maintained result on every snapshot build (ViewSpec::post).
+/// either to each pass's changed rows (ViewSpec::row_post) or by readers
+/// to a consolidated snapshot (ViewSpec::post).
 struct ViewPostOp {
   enum Kind : uint8_t { kFilter, kProject, kSort, kLimit } kind;
   ExprPtr predicate;                // kFilter (e.g. HAVING)
@@ -76,24 +82,31 @@ struct ViewSpec {
   /// Tables whose commits touch this view (deduplicated).
   std::vector<std::string> tables;
 
-  // kSelect / kAggregate:
+  // kSelect / kAggregate (unless over_join):
   ViewInput input;
 
-  // kAggregate (exprs bound to the table schema):
+  // kAggregate (exprs bound to the input schema, or to the joined row's
+  // schema when over_join):
   std::vector<ExprPtr> group_exprs;
   std::vector<AggSpec> aggs;
   std::vector<TypeId> agg_out_types;
+  bool over_join = false;  // the aggregate's input is the join below
 
-  // kJoin:
+  // kJoin, and kAggregate with over_join:
   ViewInput left, right;
   int left_key_col = -1;   // ordinal in left.schema
   int right_key_col = -1;  // ordinal in right.schema
 
-  // Innermost (closest to core) first. kSelect / kJoin: `row_post` (only
-  // kFilter / kProject) runs on each delta's output rows before they enter
-  // the resident result; `post` runs on the resident result at publish.
+  // Innermost (closest to core) first. `row_post` (only kFilter /
+  // kProject) runs on each pass's changed rows before they enter the
+  // trace; `post` runs when a reader consolidates a snapshot.
   std::vector<ViewPostOp> row_post;
   std::vector<ViewPostOp> post;
+
+  /// The core joins two inputs (kJoin, or kAggregate over a join).
+  bool joins() const {
+    return kind == ViewKind::kJoin || (kind == ViewKind::kAggregate && over_join);
+  }
 };
 
 /// Classifies `plan` (an analyzed plan, normally already optimized, whose
@@ -113,5 +126,9 @@ std::string PlanFingerprint(const LogicalPlanPtr& plan);
 /// Applies a post-op pipeline to `rows` (in place); evaluation errors
 /// abort the caller's delta or publish.
 Status ApplyPostOps(const std::vector<ViewPostOp>& post, RowVec* rows);
+
+/// Applies row-wise post-ops (ViewSpec::row_post: Filter / Project only) to
+/// one row in place; false when a Filter drops it.
+Result<bool> ApplyRowPostOps(const std::vector<ViewPostOp>& ops, Row* row);
 
 }  // namespace idf

@@ -2,11 +2,15 @@
 // any interleaving of appends, a subscription's incrementally maintained
 // snapshot must be byte-equal to a from-scratch execution of the same SQL
 // against the current epoch — across every maintenance strategy (compiled
-// select, grouped and global aggregate, indexed join, recompute fallback),
-// NULL-bearing group and join keys, post-ops (HAVING / ORDER BY / LIMIT),
-// arrangement sharing, and concurrent subscribe/unsubscribe while an
-// appender commits. Runs under TSan in CI.
+// select, grouped and global aggregate, indexed join, aggregate over join
+// with probe and scan terms, recompute fallback), NULL-bearing group and
+// join keys, post-ops (HAVING / ORDER BY / LIMIT), arrangement sharing,
+// and concurrent subscribe/unsubscribe while an appender commits. The
+// trace tests check the published delta runs: held snapshots across later
+// merges, concurrent first reads, and the logarithmic run count. Runs
+// under TSan in CI.
 #include <atomic>
+#include <cmath>
 #include <random>
 #include <string>
 #include <thread>
@@ -15,10 +19,13 @@
 #include <gtest/gtest.h>
 
 #include "indexed/indexed_dataframe.h"
+#include "indexed/multi_indexed_table.h"
 #include "service/query_service.h"
+#include "snb/tables.h"
 #include "sql/session.h"
 #include "types/row.h"
 #include "view/view_plan.h"
+#include "view/view_trace.h"
 
 namespace idf {
 namespace {
@@ -104,8 +111,12 @@ RowVec RandomUsers(std::mt19937* rng, int64_t* next_uid, size_t n) {
            << "recompute failed: " << full.status.ToString();
   }
   ViewSnapshotPtr snap = sub->Snapshot();
-  if (snap == nullptr || snap->rows == nullptr) {
+  if (snap == nullptr) {
     return ::testing::AssertionFailure() << "null snapshot";
+  }
+  if (!snap->rows.status().ok()) {
+    return ::testing::AssertionFailure()
+           << "snapshot read failed: " << snap->rows.status().ToString();
   }
   RowVec got = *snap->rows;
   RowVec want = std::move(full.rows);
@@ -251,12 +262,13 @@ TEST(MaterializedViewTest, JoinWithOneSideWhereFiltersTheInput) {
 
 TEST(MaterializedViewTest, RecomputeFallbackStaysCorrect) {
   auto service = MakeViewService();
-  // Aggregate over a join has no incremental strategy: classified as
+  // A three-table join has no incremental strategy: classified as
   // recompute and re-executed against each new epoch.
   auto sub = service
                  ->Subscribe(
-                     "SELECT u.name, COUNT(*) FROM orders o "
-                     "JOIN users u ON o.user_id = u.uid GROUP BY u.name")
+                     "SELECT a.oid, b.oid, u.name FROM orders a "
+                     "JOIN orders b ON a.user_id = b.user_id "
+                     "JOIN users u ON b.user_id = u.uid WHERE a.amount > 80")
                  .ValueOrDie();
   EXPECT_EQ(sub->kind(), ViewKind::kRecompute);
 
@@ -552,7 +564,9 @@ TEST(MaterializedViewTest, StatsExportIncludesViewCounters) {
   for (const char* key :
        {"\"views_registered\"", "\"view_subscribers\"",
         "\"arrangements_shared\"", "\"deltas_propagated\"",
-        "\"rows_maintained_incrementally\"", "\"views_recomputed\""}) {
+        "\"rows_maintained_incrementally\"", "\"views_recomputed\"",
+        "\"view_trace_runs\"", "\"view_trace_rows\"",
+        "\"view_maintenance_us\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing:\n"
                                                  << json;
   }
@@ -560,13 +574,13 @@ TEST(MaterializedViewTest, StatsExportIncludesViewCounters) {
   ASSERT_TRUE(service->Unsubscribe(sub).ok());
 }
 
-TEST(MaterializedViewTest, SecondaryOnlyJoinColumnDowngradesToRecompute) {
+TEST(MaterializedViewTest, SecondaryOnlyJoinColumnMaintainsThroughScanTerm) {
   // A join keyed on a column that carries only a bitmap/range secondary
-  // index must NOT be classified as incrementally maintainable: secondary
-  // cuts are published per append batch, not pinned per epoch, so the
-  // view subsystem only trusts primary cTrie arrangements. The view must
-  // downgrade to recompute at subscribe time (never via a maintenance
-  // error) and stay correct under live appends.
+  // index must never probe that index: secondary cuts are published per
+  // append batch, not pinned per epoch. The term whose probe key has no
+  // primary cTrie index scans the other side's rows at the term's pin
+  // instead, so the view maintains incrementally and stays correct under
+  // live appends to both sides.
   ServiceConfig cfg;
   cfg.engine.num_threads = 2;
   cfg.engine.num_partitions = 4;
@@ -590,7 +604,7 @@ TEST(MaterializedViewTest, SecondaryOnlyJoinColumnDowngradesToRecompute) {
                      "SELECT o.oid, u.name FROM orders o "
                      "JOIN users u ON o.amount = u.uid")
                  .ValueOrDie();
-  EXPECT_EQ(sub->kind(), ViewKind::kRecompute);
+  EXPECT_EQ(sub->kind(), ViewKind::kJoin);
 
   std::mt19937 rng(41);
   int64_t oid = 0, uid = 0;
@@ -601,9 +615,11 @@ TEST(MaterializedViewTest, SecondaryOnlyJoinColumnDowngradesToRecompute) {
             .ok());
     ASSERT_TRUE(MatchesRecompute(service.get(), sub));
   }
-  // The downgrade happened at classification, not by a failed incremental
-  // pass degrading mid-stream.
+  // Users deltas run the scan term (orders has no primary index on amount).
+  ASSERT_TRUE(service->Append("users", RandomUsers(&rng, &uid, 40)).ok());
+  ASSERT_TRUE(MatchesRecompute(service.get(), sub));
   EXPECT_EQ(service->views().Stats().maintenance_errors, 0u);
+  EXPECT_EQ(service->Stats().views_recomputed, 0u);
   ASSERT_TRUE(service->Unsubscribe(sub).ok());
 }
 
@@ -810,6 +826,377 @@ TEST(MaterializedViewTest, SelfJoinCountsEachSeedPairOnce) {
             sub->Snapshot()->rows->size());
   EXPECT_EQ(service->views().Stats().maintenance_errors, 0u);
   ASSERT_TRUE(service->Unsubscribe(sub).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Aggregate over join: the delta rule Δγ(L⋈R) = γ(ΔL⋈R_cur) + γ(L_prev⋈ΔR)
+// ---------------------------------------------------------------------------
+
+/// Appends random batches to users and orders for `passes` rounds and
+/// checks every subscription after each commit. Every third round commits
+/// to both tables before one maintenance pass, so both join terms run in
+/// the same pass.
+void DriveBothSides(QueryService* service,
+                    const std::vector<ViewSubscriptionPtr>& subs,
+                    uint32_t seed, int passes, bool ordered = false) {
+  std::mt19937 rng(seed);
+  int64_t oid = 1000 * static_cast<int64_t>(seed);
+  int64_t uid = 0;
+  auto check = [&] {
+    for (const auto& sub : subs) {
+      ASSERT_TRUE(MatchesRecompute(service, sub, ordered));
+    }
+  };
+  for (int pass = 0; pass < passes; ++pass) {
+    RowVec users = RandomUsers(&rng, &uid, 1 + rng() % 4);
+    RowVec orders = RandomOrders(&rng, &oid, 1 + rng() % 12);
+    if (pass % 3 == 2) {
+      ASSERT_TRUE(service->snapshots().Append("users", users).ok());
+      ASSERT_TRUE(service->snapshots().Append("orders", orders).ok());
+      service->views().Propagate();
+      check();
+    } else {
+      ASSERT_TRUE(service->Append("users", users).ok());
+      check();
+      ASSERT_TRUE(service->Append("orders", orders).ok());
+      check();
+    }
+  }
+}
+
+TEST(MaterializedViewTest, GroupedAggregateOverJoinAllFunctionsMatchRecompute) {
+  auto service = MakeViewService();
+  // Null join keys on both sides never match; null `status` is a group.
+  auto by_status = service
+                       ->Subscribe(
+                           "SELECT o.status, COUNT(*), SUM(o.amount), "
+                           "MIN(o.amount), MAX(u.name) FROM orders o "
+                           "JOIN users u ON o.user_id = u.uid "
+                           "GROUP BY o.status")
+                       .ValueOrDie();
+  auto by_name = service
+                     ->Subscribe(
+                         "SELECT u.name, COUNT(*), MAX(o.amount) FROM orders o "
+                         "JOIN users u ON o.user_id = u.uid GROUP BY u.name")
+                     .ValueOrDie();
+  EXPECT_EQ(by_status->kind(), ViewKind::kAggregate);
+  EXPECT_EQ(by_name->kind(), ViewKind::kAggregate);
+  DriveBothSides(service.get(), {by_status, by_name}, 71, 12);
+  ViewManagerStats stats = service->views().Stats();
+  EXPECT_EQ(stats.views_recomputed, 0u);
+  EXPECT_EQ(stats.maintenance_errors, 0u);
+  ASSERT_TRUE(service->Unsubscribe(by_status).ok());
+  ASSERT_TRUE(service->Unsubscribe(by_name).ok());
+}
+
+TEST(MaterializedViewTest, GlobalAggregateOverJoinFromEmptyTablesOnward) {
+  auto service = MakeViewService();
+  auto sub = service
+                 ->Subscribe(
+                     "SELECT COUNT(*), SUM(o.amount), MIN(o.amount), "
+                     "MAX(o.amount) FROM orders o "
+                     "JOIN users u ON o.user_id = u.uid")
+                 .ValueOrDie();
+  EXPECT_EQ(sub->kind(), ViewKind::kAggregate);
+  ASSERT_TRUE(MatchesRecompute(service.get(), sub));  // one row: 0, nulls
+  ASSERT_EQ(sub->Snapshot()->rows->size(), 1u);
+  DriveBothSides(service.get(), {sub}, 73, 9);
+  EXPECT_EQ(service->views().Stats().views_recomputed, 0u);
+  ASSERT_TRUE(service->Unsubscribe(sub).ok());
+}
+
+TEST(MaterializedViewTest, HavingOrderByLimitOverJoinAggregateMatchOrdered) {
+  auto service = MakeViewService();
+  // Sort keys are unique per row (status breaks count ties), so the
+  // ordered comparison is deterministic. HAVING drops and re-admits
+  // groups as counts grow.
+  auto sub = service
+                 ->Subscribe(
+                     "SELECT o.status, COUNT(*) AS n FROM orders o "
+                     "JOIN users u ON o.user_id = u.uid GROUP BY o.status "
+                     "HAVING COUNT(*) > 3 ORDER BY n DESC, status LIMIT 2")
+                 .ValueOrDie();
+  EXPECT_EQ(sub->kind(), ViewKind::kAggregate);
+  DriveBothSides(service.get(), {sub}, 79, 10, /*ordered=*/true);
+  EXPECT_EQ(sub->Snapshot()->rows->size(), 2u);
+  EXPECT_EQ(service->views().Stats().views_recomputed, 0u);
+  ASSERT_TRUE(service->Unsubscribe(sub).ok());
+}
+
+TEST(MaterializedViewTest, SelfJoinAggregateMatchesRecompute) {
+  auto service = MakeViewService();
+  std::mt19937 rng(83);
+  int64_t oid = 0;
+  ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 30)).ok());
+  auto sub = service
+                 ->Subscribe(
+                     "SELECT a.status, COUNT(*), SUM(b.amount) FROM orders a "
+                     "JOIN orders b ON a.user_id = b.user_id "
+                     "WHERE b.amount > 40 GROUP BY a.status")
+                 .ValueOrDie();
+  EXPECT_EQ(sub->kind(), ViewKind::kAggregate);
+  ASSERT_TRUE(MatchesRecompute(service.get(), sub));
+  for (int pass = 0; pass < 6; ++pass) {
+    ASSERT_TRUE(
+        service->Append("orders", RandomOrders(&rng, &oid, 1 + rng() % 10))
+            .ok());
+    ASSERT_TRUE(MatchesRecompute(service.get(), sub));
+  }
+  EXPECT_EQ(service->views().Stats().views_recomputed, 0u);
+  ASSERT_TRUE(service->Unsubscribe(sub).ok());
+}
+
+TEST(MaterializedViewTest, MidStreamSubscribeToJoinAggregateSeesExistingRows) {
+  auto service = MakeViewService();
+  std::mt19937 rng(89);
+  int64_t oid = 0, uid = 0;
+  ASSERT_TRUE(service->Append("users", RandomUsers(&rng, &uid, 15)).ok());
+  ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 60)).ok());
+  auto early = service
+                   ->Subscribe(
+                       "SELECT u.name, COUNT(*) FROM orders o "
+                       "JOIN users u ON o.user_id = u.uid GROUP BY u.name")
+                   .ValueOrDie();
+  ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 20)).ok());
+  auto late = service
+                  ->Subscribe(
+                      "SELECT o.status, SUM(o.amount) FROM orders o "
+                      "JOIN users u ON o.user_id = u.uid GROUP BY o.status")
+                  .ValueOrDie();
+  ASSERT_TRUE(MatchesRecompute(service.get(), early));
+  ASSERT_TRUE(MatchesRecompute(service.get(), late));
+  DriveBothSides(service.get(), {early, late}, 97, 6);
+  ASSERT_TRUE(service->Unsubscribe(early).ok());
+  ASSERT_TRUE(service->Unsubscribe(late).ok());
+}
+
+TEST(MaterializedViewTest, UnindexedJoinKeyRunsTheScanTerm) {
+  auto service = MakeViewService();
+  // orders has no primary index on `amount`: user deltas (term 2) and, in
+  // the mirrored view, term 1 scan the orders rows at the term's pin.
+  auto agg = service
+                 ->Subscribe(
+                     "SELECT u.name, COUNT(*) FROM orders o "
+                     "JOIN users u ON o.amount = u.uid GROUP BY u.name")
+                 .ValueOrDie();
+  auto mirrored = service
+                      ->Subscribe(
+                          "SELECT COUNT(*), MAX(o.oid) FROM users u "
+                          "JOIN orders o ON u.uid = o.amount "
+                          "WHERE o.status = 'paid'")
+                      .ValueOrDie();
+  EXPECT_EQ(agg->kind(), ViewKind::kAggregate);
+  EXPECT_EQ(mirrored->kind(), ViewKind::kAggregate);
+  DriveBothSides(service.get(), {agg, mirrored}, 101, 12);
+  ViewManagerStats stats = service->views().Stats();
+  EXPECT_EQ(stats.views_recomputed, 0u);
+  EXPECT_EQ(stats.maintenance_errors, 0u);
+  ASSERT_TRUE(service->Unsubscribe(agg).ok());
+  ASSERT_TRUE(service->Unsubscribe(mirrored).ok());
+}
+
+TEST(MaterializedViewTest, DemoDashboardShapesAllMaintainIncrementally) {
+  // The demo's five dashboards over the demo's tables and indexes (empty:
+  // classification needs schemas and index shapes, not data).
+  ServiceConfig cfg;
+  cfg.engine.num_threads = 2;
+  cfg.engine.num_partitions = 2;
+  auto service = QueryService::Make(cfg).ValueOrDie();
+  auto session = Session::Make(cfg.engine).ValueOrDie();
+  auto indexed = [&](SchemaPtr schema, const char* name, int key) {
+    auto df = session->CreateDataFrame(std::move(schema), {}, name).ValueOrDie();
+    return IndexedDataFrame::CreateIndex(df, key, name).ValueOrDie().relation();
+  };
+  ASSERT_TRUE(service
+                  ->RegisterTable("person", indexed(snb::PersonSchema(), "person",
+                                                    snb::person::kId))
+                  .ok());
+  ASSERT_TRUE(service
+                  ->RegisterTable("knows", indexed(snb::KnowsSchema(), "knows",
+                                                   snb::knows::kPerson1))
+                  .ok());
+  ASSERT_TRUE(service
+                  ->RegisterTable("comment",
+                                  indexed(snb::CommentSchema(), "comment",
+                                          snb::comment::kReplyOfPostId))
+                  .ok());
+  auto post_df =
+      session->CreateDataFrame(snb::PostSchema(), {}, "post").ValueOrDie();
+  auto post = std::make_shared<MultiIndexedTable>(
+      MultiIndexedTable::Create(post_df, {"id", "creatorId"}, "post")
+          .ValueOrDie());
+  ASSERT_TRUE(post->AddBitmapIndex("browserUsed").ok());
+  ASSERT_TRUE(service->RegisterTable("post", post).ok());
+
+  const std::vector<std::pair<std::string, ViewKind>> dashboards = {
+      {"SELECT browserUsed, COUNT(*) AS posts FROM post GROUP BY browserUsed",
+       ViewKind::kAggregate},
+      {"SELECT creatorId, COUNT(*) AS replies, MAX(creationDate) AS lastReply "
+       "FROM comment GROUP BY creatorId",
+       ViewKind::kAggregate},
+      {"SELECT person2Id, creationDate FROM knows WHERE person1Id = 7",
+       ViewKind::kSelect},
+      {"SELECT c.id AS commentId, c.creatorId AS replier, p.id AS postId "
+       "FROM comment c JOIN post p ON c.replyOfPostId = p.id "
+       "WHERE p.creatorId = 7",
+       ViewKind::kJoin},
+      {"SELECT COUNT(*) AS friends FROM knows k JOIN person p "
+       "ON k.person2Id = p.id WHERE k.person1Id = 7",
+       ViewKind::kAggregate},
+  };
+  for (const auto& [sql, kind] : dashboards) {
+    auto sub = service->Subscribe(sql).ValueOrDie();
+    EXPECT_EQ(sub->kind(), kind) << sql;
+    EXPECT_NE(sub->kind(), ViewKind::kRecompute) << sql;
+    ASSERT_TRUE(service->Unsubscribe(sub).ok());
+  }
+}
+
+TEST(MaterializedViewTest, RecomputeViewLowersItsPlanOnceUntilDdl) {
+  auto service = MakeViewService();
+  auto sub = service
+                 ->Subscribe(
+                     "SELECT a.oid, u.name FROM orders a "
+                     "JOIN orders b ON a.user_id = b.user_id "
+                     "JOIN users u ON b.user_id = u.uid")
+                 .ValueOrDie();
+  EXPECT_EQ(sub->kind(), ViewKind::kRecompute);
+  std::mt19937 rng(103);
+  int64_t oid = 0, uid = 0;
+  for (int pass = 0; pass < 4; ++pass) {
+    ASSERT_TRUE(service->Append("users", RandomUsers(&rng, &uid, 3)).ok());
+    ASSERT_TRUE(
+        service->Append("orders", RandomOrders(&rng, &oid, 1 + rng() % 10))
+            .ok());
+    ASSERT_TRUE(MatchesRecompute(service.get(), sub));
+  }
+  EXPECT_EQ(service->views().Stats().recompute_plans_lowered, 1u);
+
+  // DDL moves the version: the next pass re-lowers and stays correct.
+  auto session = Session::Make(ServiceConfig{}.engine).ValueOrDie();
+  auto extra = session->CreateDataFrame(UsersSchema(), {}, "extra").ValueOrDie();
+  ASSERT_TRUE(service
+                  ->RegisterTable("extra", IndexedDataFrame::CreateIndex(
+                                               extra, 0, "extra_by_uid")
+                                               .ValueOrDie()
+                                               .relation())
+                  .ok());
+  ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 8)).ok());
+  ASSERT_TRUE(MatchesRecompute(service.get(), sub));
+  ASSERT_TRUE(service->Append("users", RandomUsers(&rng, &uid, 3)).ok());
+  ASSERT_TRUE(MatchesRecompute(service.get(), sub));
+  EXPECT_EQ(service->views().Stats().recompute_plans_lowered, 2u);
+  ASSERT_TRUE(service->Unsubscribe(sub).ok());
+}
+
+// ---------------------------------------------------------------------------
+// The published trace
+// ---------------------------------------------------------------------------
+
+TEST(ViewTraceTest, DeltaRunsConsolidateAndCancel) {
+  DeltaRun run = DeltaRun::Build(
+      {{Value(int64_t{2})}, {Value(int64_t{1})}, {Value(int64_t{2})},
+       {Value(int64_t{3})}, {Value(int64_t{3})}},
+      {1, 1, 1, 1, -1});
+  ASSERT_EQ(run.size(), 2u);  // (1)+1, (2)+2; (3) cancels
+  for (size_t i = 0; i < run.size(); ++i) {
+    EXPECT_EQ(run.diffs[i], run.rows[i][0].int64_value());
+    EXPECT_EQ(run.hashes[i], HashRow(run.rows[i]));
+  }
+  DeltaRun retract = DeltaRun::Build({{Value(int64_t{1})}}, {-1});
+  DeltaRun merged = DeltaRun::Merge(run, DeltaRun(retract));
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_EQ(merged.rows[0][0].int64_value(), 2);
+
+  ViewRows rows({std::make_shared<const DeltaRun>(run),
+                 std::make_shared<const DeltaRun>(retract)},
+                nullptr);
+  ASSERT_EQ(rows->size(), 2u);  // multiplicity 2 expands
+  EXPECT_EQ((*rows)[0][0].int64_value(), 2);
+  EXPECT_EQ((*rows)[1][0].int64_value(), 2);
+}
+
+TEST(ViewTraceTest, HeldSnapshotReadsItsRowsAfterLaterMerges) {
+  auto service = MakeViewService();
+  const std::string sql = "SELECT oid, amount FROM orders WHERE amount >= 0";
+  auto sub = service->Subscribe(sql).ValueOrDie();
+  std::mt19937 rng(107);
+  int64_t oid = 0;
+  ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 37)).ok());
+  // Held unread: its first dereference comes after the merges below.
+  ViewSnapshotPtr held = sub->Snapshot();
+  RowVec want = service->Execute(sql).rows;
+  const size_t runs_before = held->rows.runs().size();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 1)).ok());
+  }
+  EXPECT_EQ(held->rows.runs().size(), runs_before);
+  RowVec got = *held->rows;
+  SortRows(&got);
+  SortRows(&want);
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(MatchesRecompute(service.get(), sub));
+  ASSERT_TRUE(service->Unsubscribe(sub).ok());
+}
+
+TEST(ViewTraceTest, ConcurrentFirstDereferenceSeesIdenticalRows) {
+  auto service = MakeViewService();
+  auto sub = service
+                 ->Subscribe(
+                     "SELECT status, COUNT(*), SUM(amount) FROM orders "
+                     "GROUP BY status ORDER BY status")
+                 .ValueOrDie();
+  auto join = service
+                  ->Subscribe(
+                      "SELECT o.oid, u.name FROM orders o "
+                      "JOIN users u ON o.user_id = u.uid")
+                  .ValueOrDie();
+  DriveBothSides(service.get(), {}, 109, 15);
+  for (const ViewSubscriptionPtr& s : {sub, join}) {
+    ViewSnapshotPtr fresh = s->Snapshot();  // not yet dereferenced
+    std::vector<RowVec> seen(8);
+    std::vector<std::thread> readers;
+    for (size_t t = 0; t < seen.size(); ++t) {
+      readers.emplace_back([&fresh, &seen, t] { seen[t] = *fresh->rows; });
+    }
+    for (std::thread& r : readers) r.join();
+    for (const RowVec& rows : seen) EXPECT_EQ(rows, seen[0]);
+    EXPECT_TRUE(MatchesRecompute(service.get(), s, /*ordered=*/s == sub));
+  }
+  ASSERT_TRUE(service->Unsubscribe(sub).ok());
+  ASSERT_TRUE(service->Unsubscribe(join).ok());
+}
+
+TEST(ViewTraceTest, RunCountStaysLogarithmicAfterEveryPublish) {
+  auto service = MakeViewService();
+  auto select = service->Subscribe("SELECT oid FROM orders").ValueOrDie();
+  auto global = service->Subscribe("SELECT COUNT(*) FROM orders").ValueOrDie();
+  auto grouped = service
+                     ->Subscribe(
+                         "SELECT user_id, COUNT(*) FROM orders GROUP BY user_id")
+                     .ValueOrDie();
+  std::mt19937 rng(113);
+  int64_t oid = 0;
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 1)).ok());
+    for (const ViewSubscriptionPtr& s : {select, global, grouped}) {
+      ViewSnapshotPtr snap = s->Snapshot();
+      const double rows = std::max<double>(1, snap->rows->size());
+      ASSERT_LE(static_cast<double>(snap->rows.runs().size()),
+                2 * std::log2(rows) + 2)
+          << s->sql() << " after " << i + 1 << " publishes";
+    }
+  }
+  // Retractions cancel in merges: the global count's trace stays tiny.
+  EXPECT_LE(global->Snapshot()->rows.runs().size(), 2u);
+  ViewManagerStats stats = service->views().Stats();
+  EXPECT_GT(stats.trace_runs, 0u);
+  EXPECT_GE(stats.trace_rows, 1000u);
+  EXPECT_GT(stats.maintenance_us, 0u);
+  EXPECT_TRUE(MatchesRecompute(service.get(), grouped));
+  for (const ViewSubscriptionPtr& s : {select, global, grouped}) {
+    ASSERT_TRUE(service->Unsubscribe(s).ok());
+  }
 }
 
 }  // namespace
