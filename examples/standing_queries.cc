@@ -124,8 +124,10 @@ int main(int argc, char** argv) {
   for (std::thread& t : pollers) t.join();
   appender.join();
 
-  // 6. The maintained snapshot equals a from-scratch execution.
+  // 6. The maintained snapshot equals a from-scratch execution. The first
+  //    read builds the rows; status() reports a failed ORDER BY / LIMIT.
   ViewSnapshotPtr final_snap = notified->Snapshot();
+  IDF_CHECK(final_snap->rows.status().ok());
   QueryResult check = service->Execute(notified->sql());
   IDF_CHECK(check.ok());
   std::printf("\nfinal: %zu groups @ epoch %llu (from-scratch agrees: %s), "

@@ -584,6 +584,7 @@ ServiceStats QueryService::Stats() const {
   stats.view_trace_runs = vs.trace_runs;
   stats.view_trace_rows = vs.trace_rows;
   stats.view_maintenance_us = vs.maintenance_us;
+  stats.view_read_errors = vs.read_errors;
   return stats;
 }
 
@@ -623,7 +624,8 @@ std::string ServiceStats::ToJson() const {
       << ", \"views_recomputed\": " << views_recomputed
       << ", \"view_trace_runs\": " << view_trace_runs
       << ", \"view_trace_rows\": " << view_trace_rows
-      << ", \"view_maintenance_us\": " << view_maintenance_us << "}";
+      << ", \"view_maintenance_us\": " << view_maintenance_us
+      << ", \"view_read_errors\": " << view_read_errors << "}";
   return out.str();
 }
 
@@ -657,7 +659,8 @@ std::string ServiceStats::ToString() const {
       << rows_maintained_incrementally << " rows maintained, "
       << views_recomputed << " recomputes, " << view_trace_runs
       << " trace runs holding " << view_trace_rows << " rows, "
-      << view_maintenance_us << "us maintaining";
+      << view_maintenance_us << "us maintaining, " << view_read_errors
+      << " failed reads";
   return out.str();
 }
 

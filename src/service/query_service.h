@@ -116,6 +116,7 @@ struct ServiceStats {
   uint64_t view_trace_runs = 0;   ///< delta runs on the live views' published traces
   uint64_t view_trace_rows = 0;   ///< (row, diff) entries across those runs
   uint64_t view_maintenance_us = 0;  ///< total wall time of view maintenance passes
+  uint64_t view_read_errors = 0;  ///< snapshot reads whose ORDER BY/LIMIT failed to evaluate
 
   std::string ToJson() const;
   std::string ToString() const;

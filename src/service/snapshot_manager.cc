@@ -143,14 +143,6 @@ std::vector<TableInfo> SnapshotManager::TableInfos() const {
     TableInfo info;
     info.name = name;
     info.schema = entry.indexes.front()->schema();
-    for (const IndexedRelationPtr& rel : entry.indexes) {
-      // Primary (cTrie) index columns only: bitmap/range secondary indexes
-      // are not epoch-pinnable arrangements, so the view subsystem must
-      // not treat them as maintainable join paths (it would downgrade
-      // correctness, not just performance). See the kJoin gate in
-      // MaterializedViewManager::Subscribe.
-      info.indexed_columns.push_back(rel->indexed_column());
-    }
     infos.push_back(std::move(info));
   }
   return infos;

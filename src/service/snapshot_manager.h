@@ -76,12 +76,11 @@ struct ServiceSnapshot : SnapshotPins {
 };
 using ServiceSnapshotPtr = std::shared_ptr<const ServiceSnapshot>;
 
-/// Registered schema/index shape of one table (planning metadata for the
-/// view subsystem: no pins, no data).
+/// Registered schema of one table (planning metadata for the view
+/// subsystem: no pins, no data).
 struct TableInfo {
   std::string name;
   SchemaPtr schema;
-  std::vector<int> indexed_columns;  // one ordinal per index
 };
 
 class SnapshotManager {

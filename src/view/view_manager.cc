@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "sql/session.h"
+#include "storage/row_batch.h"
 
 namespace idf {
 
@@ -19,6 +20,10 @@ struct CompiledFilter {
   PredicateSplit split;
   std::unique_ptr<VectorizedPredicate> vec;
   VectorScratch scratch;
+  // A `column = literal` conjunct of the predicate (eq_col -1 = none): a
+  // scan term reads this side through the index on that column, if any.
+  int eq_col = -1;
+  Value eq_value;
 
   void Build(const ExprPtr& pred, const SchemaPtr& schema) {
     predicate = pred;
@@ -26,6 +31,18 @@ struct CompiledFilter {
     split = SplitForCompilation(predicate, *schema);
     if (split.compiled.has_value()) {
       vec = std::make_unique<VectorizedPredicate>(*split.compiled);
+    }
+    std::vector<ExprPtr> conjuncts = {predicate};
+    while (!conjuncts.empty() && eq_col < 0) {
+      ExprPtr e = std::move(conjuncts.back());
+      conjuncts.pop_back();
+      if (e->kind() == ExprKind::kLogical &&
+          static_cast<const LogicalExpr*>(e.get())->op() == LogicalOp::kAnd) {
+        conjuncts.insert(conjuncts.end(), e->children().begin(),
+                         e->children().end());
+      } else if (!MatchEqualityFilter(e, &eq_col, &eq_value)) {
+        eq_col = -1;
+      }
     }
   }
 };
@@ -50,7 +67,7 @@ struct MaintainedView {
 
   CompiledFilter input_filter;               // kSelect / kAggregate
   CompiledFilter left_filter, right_filter;  // join cores
-  ViewPostOpsPtr read_post;  // spec.post, shared with every snapshot
+  ViewReadSidePtr read_side;  // spec.post, shared with every snapshot
 
   // What the current pass changed; each publish drains it into one run.
   RowVec pending;                            // kSelect / kJoin: new rows
@@ -422,28 +439,55 @@ Status MaterializedViewManager::JoinTerm(
     return Status::OK();
   }
   // Scan term: the other side has no primary index on its key. Hash this
-  // term's delta rows on the key and scan the other side's filtered rows
-  // at `pin` — at most one from-scratch join's work, paid only by commits
-  // to this term's delta table.
+  // term's delta rows on the key and read the other side at `pin` — only
+  // commits to this term's delta table pay for it.
   std::unordered_multimap<Value, uint32_t, ValueHasher> by_key;
   for (uint32_t i : sel) {
     if (!delta[i][delta_col].is_null()) by_key.emplace(delta[i][delta_col], i);
   }
   if (by_key.empty()) return Status::OK();
-  DeltaBatch scanned;
-  scanned.table = other.table;
-  IDF_ASSIGN_OR_RETURN(RowVec rows, ScanPinnedTable(pin, other.table));
-  scanned.rows = std::make_shared<const RowVec>(std::move(rows));
-  IDF_ASSIGN_OR_RETURN(std::vector<uint32_t> kept,
-                       FilterDelta(other_filter, &scanned, other.schema, *exec_));
   const auto other_col = static_cast<size_t>(other_key);
-  for (uint32_t j : kept) {
-    const Row& o = (*scanned.rows)[j];
-    if (o[other_col].is_null()) continue;
+  auto visit = [&](const Row& o) {
     auto [first, last] = by_key.equal_range(o[other_col]);
+    if (first == last) return;
+    if (other.predicate != nullptr && !EvalKeep(other.predicate, o, &status)) {
+      return;
+    }
     for (auto it = first; it != last; ++it) emit(delta[it->second], o);
+  };
+  // An equality in the other side's WHERE on an indexed column narrows the
+  // read to one lookup (e.g. `k.person1Id = 42` over knows(person1Id)).
+  if (other_filter->eq_col >= 0) {
+    if (PinnedSnapshotPtr eq = FindPin(pin, other.table, other_filter->eq_col)) {
+      const RowVec rows = eq->GetRows(other_filter->eq_value);
+      scan_term_rows_.fetch_add(rows.size(), std::memory_order_relaxed);
+      for (const Row& o : rows) {
+        visit(o);
+        IDF_RETURN_NOT_OK(status);
+      }
+      return Status::OK();
+    }
   }
-  return Status::OK();
+  // Otherwise one pass over the stored rows in place: decode the join key
+  // only, and the whole row only when some delta row shares it.
+  const PinnedTable* t = pin.find(other.table);
+  if (t == nullptr) {
+    return Status::Internal("view join: table not pinned: " + other.table);
+  }
+  const IndexedRelationSnapshot& rel = t->primary()->snapshot();
+  const Schema& schema = *other.schema;
+  uint64_t read = 0;
+  for (int p = 0; p < rel.num_partitions() && status.ok(); ++p) {
+    rel.view(p).ScanRaw([&](const uint8_t* payload) {
+      if (!status.ok()) return;
+      ++read;
+      const Value key = DecodeColumn(payload, schema, other_key);
+      if (key.is_null() || by_key.find(key) == by_key.end()) return;
+      visit(DecodeRow(payload, schema));
+    });
+  }
+  scan_term_rows_.fetch_add(read, std::memory_order_relaxed);
+  return status;
 }
 
 Status MaterializedViewManager::PublishLocked(
@@ -460,10 +504,25 @@ Status MaterializedViewManager::PublishLocked(
         std::move(rows));
   } else {
     IDF_ASSIGN_OR_RETURN(DeltaRun run, TakeChanges(view));
+    // A previous snapshot that a reader already built lets this one's
+    // first reader apply just this pass's run to its rows — worth it
+    // while the run is smaller than the result (moving a row is far
+    // cheaper than copying one); a pass that rewrites most of a small
+    // aggregate is cheaper to read from the runs.
+    std::shared_ptr<const ViewRows> previous;
+    std::unique_ptr<DeltaRun> delta;
+    if (view->read_side == nullptr && view->published != nullptr &&
+        static_cast<int64_t>(run.size()) < view->live_rows &&
+        view->published->rows.Reusable()) {
+      previous = std::shared_ptr<const ViewRows>(view->published,
+                                                 &view->published->rows);
+      delta = std::make_unique<DeltaRun>(run);
+    }
     view->trace.Push(std::move(run));
     published = std::make_shared<const ViewSnapshot>(
         cur->epoch, ++view->published_version, spec.output_schema,
-        view->trace.runs(), view->read_post);
+        view->trace.runs(), view->read_side, std::move(previous),
+        std::move(delta));
   }
   std::atomic_store_explicit(&view->published, published,
                              std::memory_order_release);
@@ -655,8 +714,8 @@ Result<ViewSubscriptionPtr> MaterializedViewManager::Subscribe(
                                  view->spec.input.schema);
       }
       if (!view->spec.post.empty()) {
-        view->read_post =
-            std::make_shared<const std::vector<ViewPostOp>>(view->spec.post);
+        view->read_side = std::make_shared<const ViewReadSide>(
+            ViewReadSide{view->spec.post, read_errors_});
       }
       views_by_fingerprint_[view->spec.fingerprint] = view;
       has_views_.store(true, std::memory_order_release);
@@ -750,6 +809,8 @@ ViewManagerStats MaterializedViewManager::Stats() const {
       maintenance_ns_.load(std::memory_order_relaxed) / 1000;
   stats.maintenance_errors =
       maintenance_errors_.load(std::memory_order_relaxed);
+  stats.read_errors = read_errors_->load(std::memory_order_relaxed);
+  stats.scan_term_rows = scan_term_rows_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -13,9 +13,11 @@
 //                    the previous pass's pin on the left keeps pairs of
 //                    same-pass deltas from counting twice. A term whose
 //                    probe key has no primary index hashes its delta rows
-//                    and scans the other side's filtered rows at the
-//                    term's pin instead. Joined rows pass the row-wise
-//                    post-ops before they are published.
+//                    and reads the other side at the term's pin instead:
+//                    through the index an equality in that side's WHERE
+//                    names when there is one, else one pass over its
+//                    stored rows decoding only the join key. Joined rows
+//                    pass the row-wise post-ops before they are published.
 //   aggregate views  the group state lives resident; the delta's rows —
 //                    or, over a join, the joined rows both join terms emit
 //                    (Δγ(L⋈R) = γ(ΔL⋈R_cur) + γ(L_prev⋈ΔR)) — fold into it
@@ -30,8 +32,9 @@
 // Publishing costs what the pass changed (view/view_trace.h): each pass
 // pushes one sorted delta run onto the view's trace — new rows at +1, or a
 // changed group's previous row at -1 and its new row at +1 — and the run
-// stack merges geometrically. A snapshot captures the run list; readers
-// consolidate it on first dereference and run Sort/Limit there.
+// stack merges geometrically. A snapshot captures the run list; its first
+// reader builds the rows (from the previous snapshot's rows plus this
+// pass's run when a reader already built those) and runs Sort/Limit.
 //
 // Arrangement sharing: subscriptions whose optimized plans render to the
 // same fingerprint attach to ONE maintained view (refcounted); 100
@@ -96,7 +99,7 @@ class ViewSubscription {
 using ViewSubscriptionPtr = std::shared_ptr<ViewSubscription>;
 
 /// View counters; exported through ServiceStats except resident_rows,
-/// maintenance_errors and recompute_plans_lowered.
+/// maintenance_errors, recompute_plans_lowered and scan_term_rows.
 struct ViewManagerStats {
   uint64_t views_registered = 0;    ///< live maintained arrangements
   uint64_t view_subscribers = 0;    ///< live subscriptions
@@ -110,6 +113,8 @@ struct ViewManagerStats {
   uint64_t views_recomputed = 0;    ///< full recompute passes (fallback shape)
   uint64_t recompute_plans_lowered = 0;  ///< physical plans built for recompute views
   uint64_t maintenance_errors = 0;  ///< passes that degraded a view to recompute
+  uint64_t scan_term_rows = 0;      ///< rows join scan terms read from the side without a key index
+  uint64_t read_errors = 0;         ///< snapshot reads whose Sort/Limit failed (empty rows + rows.status())
 };
 
 class MaterializedViewManager final : public SnapshotManager::CommitSink {
@@ -185,8 +190,9 @@ class MaterializedViewManager final : public SnapshotManager::CommitSink {
 
   /// One join term: the `sel` rows of `delta` (keyed on `delta_key`) meet
   /// the `other` input as of `pin`, through its primary index on
-  /// `other_key` when `pin` holds one and otherwise by scanning its
-  /// filtered rows. `delta_is_left` orders the concatenation.
+  /// `other_key` when `pin` holds one; otherwise through the index an
+  /// equality in `other_filter` names, else by one pass over its stored
+  /// rows. `delta_is_left` orders the concatenation.
   Status JoinTerm(const ServiceSnapshot& pin, const ViewInput& other,
                   int other_key, CompiledFilter* other_filter,
                   const RowVec& delta, const std::vector<uint32_t>& sel,
@@ -238,6 +244,11 @@ class MaterializedViewManager final : public SnapshotManager::CommitSink {
   std::atomic<uint64_t> recompute_plans_lowered_{0};
   std::atomic<uint64_t> maintenance_errors_{0};
   std::atomic<uint64_t> maintenance_ns_{0};
+  std::atomic<uint64_t> scan_term_rows_{0};
+  // Shared with every snapshot of a view with read-side post-ops, which
+  // may outlive the manager.
+  std::shared_ptr<std::atomic<uint64_t>> read_errors_ =
+      std::make_shared<std::atomic<uint64_t>>(0);
 };
 
 }  // namespace idf

@@ -105,8 +105,16 @@ DeltaRun DeltaRun::Merge(const DeltaRun& older, DeltaRun&& newer) {
   return merged;
 }
 
-ViewRows::ViewRows(std::vector<DeltaRunPtr> runs, ViewPostOpsPtr post)
-    : runs_(std::move(runs)), post_(std::move(post)) {}
+ViewRows::ViewRows(std::vector<DeltaRunPtr> runs, ViewReadSidePtr read,
+                   std::shared_ptr<const ViewRows> previous,
+                   std::unique_ptr<DeltaRun> delta)
+    : runs_(std::move(runs)), read_(std::move(read)) {
+  if (read_ == nullptr && previous != nullptr && delta != nullptr &&
+      previous->Reusable()) {
+    previous_ = std::move(previous);
+    delta_ = std::move(delta);
+  }
+}
 
 ViewRows::ViewRows(RowVec rows) : rows_(std::move(rows)) {
   std::call_once(once_, [] {});  // nothing left to consolidate
@@ -118,48 +126,110 @@ const RowVec& ViewRows::Get() const {
 }
 
 void ViewRows::Consolidate() const {
-  // Merge entry lists newest (smallest) run first, so each step meets an
-  // ever larger run and the work stays linear in the captured entries;
-  // rows are copied once, at the end.
-  struct Entry {
-    const Row* row;
-    uint64_t hash;
-    int64_t diff;
-  };
-  std::vector<Entry> acc;
-  std::vector<Entry> next;
-  for (auto it = runs_.rbegin(); it != runs_.rend(); ++it) {
-    const DeltaRun& run = **it;
-    next.clear();
-    next.reserve(acc.size() + run.size());
-    size_t i = 0;
-    size_t j = 0;
-    while (i < run.size() || j < acc.size()) {
-      const int c = i == run.size()   ? 1
-                    : j == acc.size() ? -1
-                                      : CompareEntries(run.hashes[i], run.rows[i],
-                                                       acc[j].hash, *acc[j].row);
-      if (c < 0) {
-        next.push_back({&run.rows[i], run.hashes[i], run.diffs[i]});
-        ++i;
-        continue;
-      }
-      const int64_t d = acc[j].diff + (c == 0 ? run.diffs[i++] : 0);
-      if (d != 0) next.push_back({acc[j].row, acc[j].hash, d});
-      ++j;
+  if (previous_ != nullptr) {
+    ApplyToPrevious();
+  } else {
+    MergeRuns();
+  }
+  if (read_ == nullptr) {
+    reusable_.store(true, std::memory_order_release);
+    return;
+  }
+  hashes_ = {};
+  status_ = ApplyPostOps(read_->post, &rows_);
+  if (!status_.ok()) {
+    rows_.clear();
+    if (read_->errors != nullptr) {
+      read_->errors->fetch_add(1, std::memory_order_relaxed);
     }
-    acc.swap(next);
   }
+}
+
+void ViewRows::MergeRuns() const {
+  // k-way merge over the run heads: k is O(log n) and the heads almost
+  // always differ in their hash, so picking the least head is a few
+  // integer compares. Equal rows across runs sum their diffs.
+  build_ = Build::kMergedRuns;
+  const size_t k = runs_.size();
+  std::vector<size_t> pos(k, 0);
   size_t total = 0;
-  for (const Entry& e : acc) total += e.diff > 0 ? static_cast<size_t>(e.diff) : 0;
+  for (const DeltaRunPtr& run : runs_) total += run->size();
   rows_.reserve(total);
-  for (const Entry& e : acc) {
-    for (int64_t k = 0; k < e.diff; ++k) rows_.push_back(*e.row);
+  hashes_.reserve(total);
+  for (;;) {
+    size_t least = k;
+    for (size_t r = 0; r < k; ++r) {
+      if (pos[r] == runs_[r]->size()) continue;
+      if (least == k ||
+          CompareEntries(runs_[r]->hashes[pos[r]], runs_[r]->rows[pos[r]],
+                         runs_[least]->hashes[pos[least]],
+                         runs_[least]->rows[pos[least]]) < 0) {
+        least = r;
+      }
+    }
+    if (least == k) break;
+    const DeltaRun& min_run = *runs_[least];
+    const size_t at = pos[least];
+    int64_t diff = 0;
+    for (size_t r = 0; r < k; ++r) {
+      if (pos[r] == runs_[r]->size()) continue;
+      if (r == least ||
+          CompareEntries(runs_[r]->hashes[pos[r]], runs_[r]->rows[pos[r]],
+                         min_run.hashes[at], min_run.rows[at]) == 0) {
+        diff += runs_[r]->diffs[pos[r]];
+        if (r != least) ++pos[r];
+      }
+    }
+    for (int64_t c = 0; c < diff; ++c) {
+      rows_.push_back(min_run.rows[at]);
+      hashes_.push_back(min_run.hashes[at]);
+    }
+    ++pos[least];
   }
-  if (post_ != nullptr) {
-    status_ = ApplyPostOps(*post_, &rows_);
-    if (!status_.ok()) rows_.clear();
+}
+
+void ViewRows::ApplyToPrevious() const {
+  // The previous snapshot's rows, in run order with their hashes, plus
+  // this pass's run: one linear merge. Sole owner of the previous
+  // snapshot (no reader can reach it any more) -> its rows move. The
+  // delta is this snapshot's private copy, so its rows always move.
+  const bool owned = previous_.use_count() == 1;
+  build_ = owned ? Build::kMovedPrevious : Build::kCopiedPrevious;
+  RowVec& old_rows = previous_->rows_;
+  const std::vector<uint64_t>& old_hashes = previous_->hashes_;
+  DeltaRun& delta = *delta_;
+  rows_.reserve(old_rows.size() + delta.size());
+  hashes_.reserve(old_rows.size() + delta.size());
+  auto take = [&](size_t i) {
+    rows_.push_back(owned ? std::move(old_rows[i]) : old_rows[i]);
+    hashes_.push_back(old_hashes[i]);
+  };
+  size_t i = 0;
+  for (size_t j = 0; j < delta.size(); ++j) {
+    int c = -1;
+    while (i < old_rows.size() &&
+           (c = CompareEntries(old_hashes[i], old_rows[i], delta.hashes[j],
+                               delta.rows[j])) < 0) {
+      take(i++);
+    }
+    if (i == old_rows.size()) c = 1;
+    // Equal rows sit together: `have` copies of this one so far.
+    int64_t have = 0;
+    while (c == 0) {
+      ++have;
+      ++i;
+      c = i < old_rows.size() ? CompareEntries(old_hashes[i], old_rows[i],
+                                               delta.hashes[j], delta.rows[j])
+                              : 1;
+    }
+    for (int64_t n = have + delta.diffs[j]; n > 0; --n) {
+      rows_.push_back(n == 1 ? std::move(delta.rows[j]) : delta.rows[j]);
+      hashes_.push_back(delta.hashes[j]);
+    }
   }
+  while (i < old_rows.size()) take(i++);
+  previous_.reset();
+  delta_.reset();
 }
 
 }  // namespace idf

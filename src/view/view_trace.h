@@ -13,15 +13,35 @@
 // of everything below the newer runs. Publishing therefore costs the
 // pass's changed rows plus amortized merge work — never the whole view.
 //
-// Readers consolidate: a ViewSnapshot's `rows` handle merges the runs it
-// captured on first dereference (sum diffs, drop zeros, expand
-// multiplicities), applies the view's read-side post-ops (Sort, Limit and
-// anything above them), and caches the result. Without an ORDER BY the
-// rows come out in the runs' hash order, which no caller may rely on. That happens once per
-// snapshot, thread-safely, on the reading thread — a subscriber pays only
-// for the snapshots it actually reads.
+// Readers consolidate: a ViewSnapshot's `rows` handle builds the published
+// rows on first dereference, applies the view's read-side post-ops (Sort,
+// Limit and anything above them), and caches the result. The work happens
+// once per snapshot, thread-safely, on whichever thread reads first — for
+// a callback that reads, that is the appender's thread inside
+// QueryService::Append. Unread snapshots cost nothing.
+//
+// Two ways to build the rows:
+//   from the runs      a k-way merge of every run the snapshot captured
+//                      (sum diffs, drop zeros, expand multiplicities) and
+//                      one copy of each published row;
+//   from the previous  when the previous snapshot was already read when
+//                      this one was published, the first reader applies
+//                      only this pass's run to the previous rows. If this
+//                      snapshot holds the last reference to the previous
+//                      one, its rows are moved, not copied, so a
+//                      subscriber that reads every snapshot pays for the
+//                      changed rows plus a move of the others.
+// Views with read-side post-ops always build from the runs (their cached
+// rows are sorted/limited, not in run order).
+//
+// Without an ORDER BY the rows come out in the runs' hash order, which no
+// caller may rely on. A read-side post-op that fails to evaluate leaves
+// the rows empty and sets `rows.status()`; readers of views with ORDER BY
+// or LIMIT must check it (the failures are counted in
+// ViewManagerStats::read_errors).
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -52,17 +72,30 @@ struct DeltaRun {
 };
 using DeltaRunPtr = std::shared_ptr<const DeltaRun>;
 using ViewTrace = RunStack<DeltaRun>;
-using ViewPostOpsPtr = std::shared_ptr<const std::vector<ViewPostOp>>;
+
+/// What readers of one view run when they consolidate a snapshot.
+struct ViewReadSide {
+  std::vector<ViewPostOp> post;  // Sort, Limit and anything above them
+  /// Bumped on every read whose post-ops failed (shared with the manager).
+  std::shared_ptr<std::atomic<uint64_t>> errors;
+};
+using ViewReadSidePtr = std::shared_ptr<const ViewReadSide>;
 
 /// The rows of one published snapshot: `*rows` is a `const RowVec&` and
 /// `rows->size()` works as on a plain shared_ptr<const RowVec>. The first
-/// dereference (from any thread; later ones wait for it) consolidates the
-/// captured runs and runs the read-side post-ops; the result is cached.
+/// dereference (from any thread; later ones wait for it) builds the rows
+/// and runs the read-side post-ops; the result is cached.
 class ViewRows {
  public:
-  /// A trace-backed result: `runs` as captured at publish, `post` the
-  /// view's read-side post-ops (may be null = none).
-  ViewRows(std::vector<DeltaRunPtr> runs, ViewPostOpsPtr post);
+  /// A trace-backed result: `runs` as captured at publish, `read` the
+  /// view's read-side post-ops (null = none). `previous` (optional, only
+  /// without read-side post-ops) is the previous snapshot's rows, already
+  /// Reusable(), and `delta` a private copy of the run this snapshot's
+  /// pass pushed: the first reader then applies `delta` to them instead of
+  /// merging `runs`.
+  ViewRows(std::vector<DeltaRunPtr> runs, ViewReadSidePtr read,
+           std::shared_ptr<const ViewRows> previous = nullptr,
+           std::unique_ptr<DeltaRun> delta = nullptr);
   /// An already consolidated result (the recompute fallback).
   explicit ViewRows(RowVec rows);
 
@@ -82,14 +115,33 @@ class ViewRows {
   /// The runs this snapshot captured (empty for a consolidated result).
   const std::vector<DeltaRunPtr>& runs() const { return runs_; }
 
+  /// True once a reader built the rows in run order (no read-side
+  /// post-ops): the next snapshot may then start from them.
+  bool Reusable() const { return reusable_.load(std::memory_order_acquire); }
+
+  /// How the rows were built (consolidates first if no reader has yet).
+  enum class Build : uint8_t { kGiven, kMergedRuns, kCopiedPrevious, kMovedPrevious };
+  Build build() const {
+    Get();
+    return build_;
+  }
+
  private:
   const RowVec& Get() const;
   void Consolidate() const;
+  void MergeRuns() const;
+  void ApplyToPrevious() const;
 
   std::vector<DeltaRunPtr> runs_;
-  ViewPostOpsPtr post_;
+  ViewReadSidePtr read_;
+  mutable std::shared_ptr<const ViewRows> previous_;  // dropped on first read
+  mutable std::unique_ptr<DeltaRun> delta_;  // dropped on first read
   mutable std::once_flag once_;
+  mutable std::atomic<bool> reusable_{false};
+  mutable Build build_ = Build::kGiven;
   mutable RowVec rows_;
+  // HashRow of each of rows_ while they are in run order (no post-ops).
+  mutable std::vector<uint64_t> hashes_;
   mutable Status status_;
 };
 
@@ -97,11 +149,14 @@ class ViewRows {
 /// reflects; `version` increments on every publish of this view.
 struct ViewSnapshot {
   ViewSnapshot(uint64_t epoch, uint64_t version, SchemaPtr schema,
-               std::vector<DeltaRunPtr> runs, ViewPostOpsPtr post)
+               std::vector<DeltaRunPtr> runs, ViewReadSidePtr read,
+               std::shared_ptr<const ViewRows> previous,
+               std::unique_ptr<DeltaRun> delta)
       : epoch(epoch),
         version(version),
         schema(std::move(schema)),
-        rows(std::move(runs), std::move(post)) {}
+        rows(std::move(runs), std::move(read), std::move(previous),
+             std::move(delta)) {}
   ViewSnapshot(uint64_t epoch, uint64_t version, SchemaPtr schema,
                RowVec consolidated)
       : epoch(epoch),

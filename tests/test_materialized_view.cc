@@ -1199,5 +1199,161 @@ TEST(ViewTraceTest, RunCountStaysLogarithmicAfterEveryPublish) {
   }
 }
 
+TEST(ViewTraceTest, ReadsStartFromThePreviousSnapshot) {
+  // A delta run per row state change: +2 new, 1 -> 0, 2 -> 1, 1 -> 3.
+  auto row = [](int64_t v) { return Row{Value(v)}; };
+  DeltaRun base = DeltaRun::Build({row(1), row(2), row(2), row(3), row(4)},
+                                  {1, 1, 1, 1, 1});
+  DeltaRun delta = DeltaRun::Build({row(5), row(1), row(2), row(4), row(6)},
+                                   {2, -1, -1, 2, 1});
+  auto base_ptr = std::make_shared<const DeltaRun>(base);
+  const std::vector<DeltaRunPtr> both = {base_ptr,
+                                         std::make_shared<const DeltaRun>(delta)};
+  ViewRows merged(both, nullptr);
+  ASSERT_EQ(merged.build(), ViewRows::Build::kMergedRuns);
+  ASSERT_EQ(merged->size(), 8u);  // 2, 3, 4 x3, 5 x2, 6
+
+  for (bool hold_previous : {false, true}) {
+    auto previous = std::make_shared<ViewSnapshot>(
+        1, 1, nullptr, std::vector<DeltaRunPtr>{base_ptr}, nullptr, nullptr,
+        nullptr);
+    const RowVec previous_rows = *previous->rows;  // read: now reusable
+    ASSERT_TRUE(previous->rows.Reusable());
+    std::shared_ptr<const ViewRows> link(previous, &previous->rows);
+    ViewSnapshotPtr held = hold_previous ? previous : nullptr;
+    previous.reset();
+    ViewRows next(both, nullptr, std::move(link),
+                  std::make_unique<DeltaRun>(delta));
+    EXPECT_EQ(*next, *merged) << "hold_previous=" << hold_previous;
+    EXPECT_EQ(next.build(), hold_previous ? ViewRows::Build::kCopiedPrevious
+                                          : ViewRows::Build::kMovedPrevious);
+    if (held != nullptr) EXPECT_EQ(*held->rows, previous_rows);
+  }
+
+  // An unread previous snapshot cannot seed the next one.
+  auto unread = std::make_shared<ViewSnapshot>(
+      1, 1, nullptr, std::vector<DeltaRunPtr>{base_ptr}, nullptr, nullptr,
+      nullptr);
+  ViewRows cold(both, nullptr,
+                std::shared_ptr<const ViewRows>(unread, &unread->rows),
+                std::make_unique<DeltaRun>(delta));
+  EXPECT_EQ(cold.build(), ViewRows::Build::kMergedRuns);
+  EXPECT_EQ(*cold, *merged);
+}
+
+TEST(ViewTraceTest, ReadingSubscriberMovesThePreviousRows) {
+  auto service = MakeViewService();
+  std::mt19937 rng(127);
+  int64_t oid = 0, uid = 0;
+  ASSERT_TRUE(service->Append("users", RandomUsers(&rng, &uid, 20)).ok());
+  ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 60)).ok());
+  auto select =
+      service->Subscribe("SELECT oid, amount FROM orders WHERE amount > 20")
+          .ValueOrDie();
+  auto grouped = service
+                     ->Subscribe(
+                         "SELECT user_id, COUNT(*), MIN(amount) FROM orders "
+                         "GROUP BY user_id")
+                     .ValueOrDie();
+  auto join = service
+                  ->Subscribe(
+                      "SELECT o.oid, u.name FROM orders o "
+                      "JOIN users u ON o.user_id = u.uid")
+                  .ValueOrDie();
+  // Every pass rewrites the single row: cheaper to read from the runs.
+  auto global = service->Subscribe("SELECT COUNT(*) FROM orders").ValueOrDie();
+  auto ordered = service
+                     ->Subscribe(
+                         "SELECT oid, amount FROM orders ORDER BY amount DESC, "
+                         "oid LIMIT 5")
+                     .ValueOrDie();
+  const std::vector<ViewSubscriptionPtr> moved = {select, grouped, join};
+  for (const auto& s : moved) ASSERT_TRUE(MatchesRecompute(service.get(), s));
+  ASSERT_TRUE(MatchesRecompute(service.get(), global));
+  for (int pass = 0; pass < 20; ++pass) {
+    ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 2)).ok());
+    for (const auto& s : moved) {
+      // Nobody else holds the previous snapshot: its rows move.
+      EXPECT_EQ(s->Snapshot()->rows.build(), ViewRows::Build::kMovedPrevious)
+          << s->sql() << " pass " << pass;
+      ASSERT_TRUE(MatchesRecompute(service.get(), s));
+    }
+    EXPECT_EQ(global->Snapshot()->rows.build(), ViewRows::Build::kMergedRuns);
+    ASSERT_TRUE(MatchesRecompute(service.get(), global));
+    // ORDER BY ... LIMIT rows are not in run order: always from the runs.
+    EXPECT_EQ(ordered->Snapshot()->rows.build(), ViewRows::Build::kMergedRuns);
+    ASSERT_TRUE(MatchesRecompute(service.get(), ordered, /*ordered=*/true));
+  }
+  // A held snapshot is copied from, not moved, and keeps its rows.
+  ViewSnapshotPtr held = join->Snapshot();
+  const RowVec held_rows = *held->rows;
+  ASSERT_TRUE(service->Append("users", RandomUsers(&rng, &uid, 5)).ok());
+  EXPECT_EQ(join->Snapshot()->rows.build(), ViewRows::Build::kCopiedPrevious);
+  EXPECT_EQ(*held->rows, held_rows);
+  ASSERT_TRUE(MatchesRecompute(service.get(), join));
+  // A snapshot nobody read before the next publish: that one merges.
+  ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 2)).ok());
+  ViewSnapshotPtr skipped = join->Snapshot();
+  ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 2)).ok());
+  EXPECT_EQ(join->Snapshot()->rows.build(), ViewRows::Build::kMergedRuns);
+  ASSERT_TRUE(MatchesRecompute(service.get(), join));
+  for (const auto& s : {select, grouped, join, global, ordered}) {
+    ASSERT_TRUE(service->Unsubscribe(s).ok());
+  }
+}
+
+TEST(ViewTraceTest, FailedReadSidePostOpIsCountedAndReported) {
+  auto errors = std::make_shared<std::atomic<uint64_t>>(0);
+  // An unbound sort key fails to evaluate at read time.
+  ViewPostOp sort{ViewPostOp::kSort, nullptr, {}, {}, 0};
+  sort.keys.push_back(SortKey{std::make_shared<ColumnRefExpr>("missing"), true});
+  auto read = std::make_shared<const ViewReadSide>(ViewReadSide{{sort}, errors});
+  DeltaRun run = DeltaRun::Build({{Value(int64_t{1})}, {Value(int64_t{2})}}, {1, 1});
+  ViewRows rows({std::make_shared<const DeltaRun>(std::move(run))}, read);
+  EXPECT_TRUE(rows->empty());
+  EXPECT_FALSE(rows.status().ok());
+  EXPECT_FALSE(rows.Reusable());
+  EXPECT_EQ(errors->load(), 1u);
+  EXPECT_TRUE(rows->empty());  // cached: counted once
+  EXPECT_EQ(errors->load(), 1u);
+}
+
+TEST(MaterializedViewTest, ScanTermReadsThroughAnIndexedEquality) {
+  auto service = MakeViewService();
+  std::mt19937 rng(131);
+  int64_t oid = 0, uid = 0;
+  ASSERT_TRUE(service->Append("orders", RandomOrders(&rng, &oid, 200)).ok());
+  // orders has no primary index on `amount`, so users deltas scan orders;
+  // `o.user_id = 3` names orders' index, so the scan is one lookup.
+  auto narrow = service
+                    ->Subscribe(
+                        "SELECT u.name, COUNT(*) FROM orders o "
+                        "JOIN users u ON o.amount = u.uid "
+                        "WHERE o.user_id = 3 GROUP BY u.name")
+                    .ValueOrDie();
+  const size_t user3 =
+      service->Execute("SELECT oid FROM orders WHERE user_id = 3").rows.size();
+  ASSERT_GT(user3, 0u);
+  uint64_t before = service->views().Stats().scan_term_rows;
+  ASSERT_TRUE(service->Append("users", RandomUsers(&rng, &uid, 30)).ok());
+  ASSERT_TRUE(MatchesRecompute(service.get(), narrow));
+  EXPECT_EQ(service->views().Stats().scan_term_rows - before, user3);
+  ASSERT_TRUE(service->Unsubscribe(narrow).ok());
+
+  // Without such an equality the term reads every stored orders row once.
+  auto wide = service
+                  ->Subscribe(
+                      "SELECT u.name, COUNT(*) FROM orders o "
+                      "JOIN users u ON o.amount = u.uid "
+                      "WHERE o.status = 'paid' GROUP BY u.name")
+                  .ValueOrDie();
+  before = service->views().Stats().scan_term_rows;
+  ASSERT_TRUE(service->Append("users", RandomUsers(&rng, &uid, 30)).ok());
+  ASSERT_TRUE(MatchesRecompute(service.get(), wide));
+  EXPECT_EQ(service->views().Stats().scan_term_rows - before, 200u);
+  EXPECT_EQ(service->views().Stats().views_recomputed, 0u);
+  ASSERT_TRUE(service->Unsubscribe(wide).ok());
+}
+
 }  // namespace
 }  // namespace idf
