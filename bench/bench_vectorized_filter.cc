@@ -12,6 +12,12 @@
 //
 // Sweeps selectivity via the `v < threshold` arg: 10 keeps ~1% (filter
 // cost dominates), 500 keeps ~50% (decode amortizes the eval win).
+//
+//  - WideRowEqualityScan: the SNB SQ5/SQ6 access path — a compiled
+//    `id = const` scan over rows shaped like SNB `comment` (8 columns,
+//    variable-width string tails), reported as scan_us_per_krow. Reading
+//    each row's position costs more than the one-slot equality, so this
+//    case tracks the scan's row plumbing rather than the kernel.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -22,6 +28,7 @@
 #include "common/logging.h"
 #include "indexed/indexed_dataframe.h"
 #include "indexed/indexed_operators.h"
+#include "snb/tables.h"
 #include "sql/session.h"
 #include "sql/vectorized_eval.h"
 #include "storage/row_batch.h"
@@ -303,6 +310,57 @@ BENCHMARK(BM_FusedGlobalAgg_Vectorized)
     ->Arg(10)
     ->Arg(500)
     ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Wide-row equality scan (SNB SQ5/SQ6 over `comment`)
+// ---------------------------------------------------------------------------
+
+void BM_WideRowEqualityScan(benchmark::State& state) {
+  constexpr int64_t kComments = 18000;  // demo_bench's `comment` size
+  static IndexedRelationPtr rel = [] {
+    auto& fx = SharedFixture();
+    RowVec rows;
+    rows.reserve(kComments);
+    for (int64_t i = 0; i < kComments; ++i) {
+      rows.push_back({Value(i), Value(i % 500), Value(int64_t{1262304000} + i),
+                      Value("10.0." + std::to_string(i % 256) + ".1"),
+                      Value(i % 3 == 0 ? "Firefox" : "Chrome"),
+                      Value("comment body " + std::string(static_cast<size_t>(
+                                                  20 + i % 60), 'x')),
+                      Value(static_cast<int32_t>(20 + i % 60)), Value(i % 4000)});
+    }
+    auto df = fx.vec_session
+                  ->CreateDataFrame(snb::CommentSchema(), rows, "comment")
+                  .ValueOrDie();
+    return IndexedDataFrame::CreateIndex(df, 1, "comment_by_creatorId")
+        .ValueOrDie()
+        .relation();
+  }();
+  auto& fx = SharedFixture();
+  ExprPtr pred = BindExpr(Eq(Col("id"), Lit(Value(int64_t{kComments / 2}))),
+                          *rel->schema())
+                     .ValueOrDie();
+  auto op = std::make_shared<IndexedScanFilterOp>(
+      rel, pred, PushedFilter::FromSplit(SplitForCompilation(pred, *rel->schema())));
+  size_t iters = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    auto parts = op->Execute(fx.vec_session->exec());
+    if (!parts.ok() || TotalRows(*parts) != 1) {
+      state.SkipWithError("equality scan did not return its one row");
+      return;
+    }
+    ++iters;
+  }
+  const std::chrono::duration<double, std::micro> dt =
+      std::chrono::steady_clock::now() - t0;
+  state.counters["rows"] = static_cast<double>(kComments);
+  if (iters > 0) {
+    state.counters["scan_us_per_krow"] =
+        dt.count() / static_cast<double>(iters) / (kComments / 1000.0);
+  }
+}
+BENCHMARK(BM_WideRowEqualityScan)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace idf

@@ -13,7 +13,9 @@ User counters with a declared direction are diffed the same way, since a
 claim usually rests on a counter, not on real_time:
   lower is better   names ending in _us (so also _p50_us, _p99_us) or
                     containing _us_per_ (microseconds per unit of work);
-  higher is better  names starting with speedup_.
+  higher is better  names starting with speedup_, or ending in _avoided
+                    (work an index or a fused path skipped, such as
+                    index_scans_avoided).
 Counters without a declared direction (row counts, commits, ...) are not
 compared.
 
@@ -40,7 +42,7 @@ def direction(counter):
     """'lower', 'higher', or None when the counter declares no direction."""
     if counter.endswith("_us") or "_us_per_" in counter:
         return "lower"
-    if counter.startswith("speedup_"):
+    if counter.startswith("speedup_") or counter.endswith("_avoided"):
         return "higher"
     return None
 

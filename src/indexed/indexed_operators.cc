@@ -96,9 +96,11 @@ Result<const IndexedRelationSnapshot*> ReadVersion(
 // Operators flatten the rows of all partitions into one global index space
 // and let ThreadPool::ParallelForRange hand out ~MorselGrain-row chunks via
 // an atomic cursor. A skewed partition is then processed by many workers
-// instead of serializing the query on one partition-granular task. Chunk
-// outputs are tagged with their partition and reassembled in chunk order,
-// which preserves append order within every partition.
+// instead of serializing the query on one partition-granular task. A
+// morsel reads its rows straight from each partition's row directory (a
+// row's position is a lookup, never a walk over the rows before it).
+// Chunk outputs are tagged with their partition and reassembled in chunk
+// order, which preserves append order within every partition.
 //
 // Every parallel region is given the context's cancellation token: a
 // cancelled or timed-out query drains its remaining morsels without running
@@ -106,34 +108,40 @@ Result<const IndexedRelationSnapshot*> ReadVersion(
 // DeadlineExceeded instead of returning partial output.
 // ---------------------------------------------------------------------------
 
-/// Payload pointers of every row, per partition, plus cumulative row counts
-/// (`part_end[p]` = rows of partitions 0..p) defining the flat index space.
+/// Cumulative row counts of a snapshot's views (`part_end[p]` = rows of
+/// partitions 0..p), defining the flat index space morsels are carved from.
 struct FlatRaw {
-  std::vector<std::vector<const uint8_t*>> per_part;
   std::vector<size_t> part_end;
   size_t total = 0;
 };
 
-FlatRaw CollectRaw(ExecutorContext& ctx, const IndexedRelationSnapshot& snap) {
+FlatRaw FlatIndex(const IndexedRelationSnapshot& snap) {
   FlatRaw flat;
-  const size_t num_parts = static_cast<size_t>(snap.num_partitions());
-  flat.per_part.resize(num_parts);
-  ctx.pool().ParallelFor(
-      num_parts,
-      [&](size_t p) {
-        std::vector<const uint8_t*>& refs = flat.per_part[p];
-        refs.reserve(snap.view(static_cast<int>(p)).num_rows());
-        snap.view(static_cast<int>(p)).ScanRaw([&refs](const uint8_t* payload) {
-          refs.push_back(payload);
-        });
-      },
-      ctx.cancellation());
-  flat.part_end.resize(num_parts);
-  for (size_t p = 0; p < num_parts; ++p) {
-    flat.total += flat.per_part[p].size();
+  flat.part_end.resize(static_cast<size_t>(snap.num_partitions()));
+  for (size_t p = 0; p < flat.part_end.size(); ++p) {
+    flat.total += snap.view(static_cast<int>(p)).num_rows();
     flat.part_end[p] = flat.total;
   }
   return flat;
+}
+
+/// First partition whose flat range contains index `i`.
+size_t PartitionOfIndex(const std::vector<size_t>& part_end, size_t i) {
+  return static_cast<size_t>(
+      std::upper_bound(part_end.begin(), part_end.end(), i) - part_end.begin());
+}
+
+/// Splits morsel [begin, end) of the flat index space into its partition
+/// segments, in order: `fn(p, first, last)` covers the partition-local
+/// append ordinals [first, last) of partition `p`.
+template <typename Fn>
+void ForEachSegment(const FlatRaw& flat, size_t begin, size_t end, Fn&& fn) {
+  for (size_t p = PartitionOfIndex(flat.part_end, begin); begin < end; ++p) {
+    const size_t pstart = p == 0 ? 0 : flat.part_end[p - 1];
+    const size_t pend = std::min(end, flat.part_end[p]);
+    if (pend > begin) fn(p, begin - pstart, pend - pstart);
+    begin = pend;
+  }
 }
 
 /// Output of one morsel restricted to one partition.
@@ -177,12 +185,6 @@ bool ResidualPasses(const Expr* residual, const Row& row, Status* error) {
     return false;
   }
   return !v->is_null() && v->bool_value();
-}
-
-/// First partition whose flat range contains index `i`.
-size_t PartitionOfIndex(const std::vector<size_t>& part_end, size_t i) {
-  return static_cast<size_t>(
-      std::upper_bound(part_end.begin(), part_end.end(), i) - part_end.begin());
 }
 
 /// Reassembles per-chunk pieces into per-partition row vectors; chunk order
@@ -230,25 +232,28 @@ Result<PartitionVec> MorselScanDense(ExecutorContext& ctx,
                                      const IndexedRelationSnapshot& snap,
                                      const PerRow& per_row) {
   IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-  FlatRaw flat = CollectRaw(ctx, snap);
+  const FlatRaw flat = FlatIndex(snap);
   const size_t num_parts = static_cast<size_t>(snap.num_partitions());
   const size_t n = flat.total;
   ctx.metrics().AddRowsScanned(n);
   std::vector<RowVec> rows(num_parts);
-  for (size_t p = 0; p < num_parts; ++p) rows[p].resize(flat.per_part[p].size());
+  for (size_t p = 0; p < num_parts; ++p) {
+    rows[p].resize(snap.view(static_cast<int>(p)).num_rows());
+  }
   size_t dispatched = ctx.pool().ParallelForRange(
       n, ctx.MorselGrain(n),
       [&](size_t begin, size_t end) {
         ctx.metrics().AddTask();
-        size_t i = begin;
-        size_t p = PartitionOfIndex(flat.part_end, begin);
-        while (i < end) {
-          const size_t pstart = p == 0 ? 0 : flat.part_end[p - 1];
-          const size_t pend = std::min(end, flat.part_end[p]);
-          RowVec& dst = rows[p];
-          for (; i < pend; ++i) dst[i - pstart] = per_row(flat.per_part[p][i - pstart]);
-          ++p;
-        }
+        ForEachSegment(flat, begin, end, [&](size_t p, size_t first, size_t last) {
+          Row* dst = rows[p].data() + first;
+          snap.view(static_cast<int>(p))
+              .ForEachPayloadRun(first, last,
+                                 [&](const uint8_t* const* payloads, size_t cnt) {
+                                   for (size_t j = 0; j < cnt; ++j) {
+                                     *dst++ = per_row(payloads[j]);
+                                   }
+                                 });
+        });
       },
       ctx.cancellation());
   IDF_RETURN_NOT_OK(ctx.CheckCancelled());
@@ -270,7 +275,7 @@ Result<PartitionVec> MorselScan(ExecutorContext& ctx,
                                 const IndexedRelationSnapshot& snap,
                                 const PerRow& per_row) {
   IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-  FlatRaw flat = CollectRaw(ctx, snap);
+  const FlatRaw flat = FlatIndex(snap);
   const size_t num_parts = static_cast<size_t>(snap.num_partitions());
   const size_t n = flat.total;
   ctx.metrics().AddRowsScanned(n);
@@ -284,19 +289,18 @@ Result<PartitionVec> MorselScan(ExecutorContext& ctx,
         ctx.metrics().AddTask();
         std::vector<MorselPiece> pieces;
         ChunkStats stats;
-        size_t i = begin;
-        size_t p = PartitionOfIndex(flat.part_end, begin);
-        while (i < end) {
-          const size_t pstart = p == 0 ? 0 : flat.part_end[p - 1];
-          const size_t pend = std::min(end, flat.part_end[p]);
+        ForEachSegment(flat, begin, end, [&](size_t p, size_t first, size_t last) {
           MorselPiece piece{p, {}};
-          piece.rows.reserve(pend - i);  // exact for scans, upper bound for filters
-          for (; i < pend; ++i) {
-            per_row(flat.per_part[p][i - pstart], &piece.rows, &stats);
-          }
+          piece.rows.reserve(last - first);  // exact for scans, upper bound for filters
+          snap.view(static_cast<int>(p))
+              .ForEachPayloadRun(first, last,
+                                 [&](const uint8_t* const* payloads, size_t cnt) {
+                                   for (size_t j = 0; j < cnt; ++j) {
+                                     per_row(payloads[j], &piece.rows, &stats);
+                                   }
+                                 });
           if (!piece.rows.empty()) pieces.push_back(std::move(piece));
-          ++p;
-        }
+        });
         FlushChunkStats(ctx, stats);
         if (!stats.error.ok()) {
           std::lock_guard<std::mutex> lock(error_mu);
@@ -398,7 +402,7 @@ Result<PartitionVec> VectorizedScanFilter(ExecutorContext& ctx,
                                           const Expr* residual,
                                           const std::vector<int>& project_cols) {
   IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-  FlatRaw flat = CollectRaw(ctx, snap);
+  const FlatRaw flat = FlatIndex(snap);
   const size_t num_parts = static_cast<size_t>(snap.num_partitions());
   const size_t n = flat.total;
   ctx.metrics().AddRowsScanned(n);
@@ -415,29 +419,26 @@ Result<PartitionVec> VectorizedScanFilter(ExecutorContext& ctx,
         std::vector<MorselPiece> pieces;
         ChunkStats stats;
         VectorScratch vs;
-        std::vector<uint32_t> sel(end - begin);
-        size_t i = begin;
-        size_t p = PartitionOfIndex(flat.part_end, begin);
-        while (i < end) {
-          const size_t pstart = p == 0 ? 0 : flat.part_end[p - 1];
-          const size_t pend = std::min(end, flat.part_end[p]);
-          const uint8_t* const* payloads =
-              flat.per_part[p].data() + (i - pstart);
-          const size_t cnt = pend - i;
-          const size_t kept = vec.FilterBatch(payloads, cnt, sel.data(), &vs);
-          stats.vector_batches += VectorizedPredicate::NumBatches(cnt);
-          stats.filtered_vectorized += cnt - kept;
-          stats.filtered_encoded += cnt - kept;
+        std::vector<uint32_t> sel(
+            std::min(end - begin, RowBatchStore::kDirectoryChunkRows));
+        ForEachSegment(flat, begin, end, [&](size_t p, size_t first, size_t last) {
           MorselPiece piece{p, {}};
-          piece.rows.reserve(kept);
-          for (size_t j = 0; j < kept; ++j) {
-            EmitFilteredRow(payloads[sel[j]], schema, residual, project_cols,
-                            &piece.rows, &stats);
-          }
+          // Each directory run is one contiguous payload span: the kernel
+          // filters it in place, no pointer copy.
+          snap.view(static_cast<int>(p))
+              .ForEachPayloadRun(first, last,
+                                 [&](const uint8_t* const* payloads, size_t cnt) {
+            const size_t kept = vec.FilterBatch(payloads, cnt, sel.data(), &vs);
+            stats.vector_batches += VectorizedPredicate::NumBatches(cnt);
+            stats.filtered_vectorized += cnt - kept;
+            stats.filtered_encoded += cnt - kept;
+            for (size_t j = 0; j < kept; ++j) {
+              EmitFilteredRow(payloads[sel[j]], schema, residual, project_cols,
+                              &piece.rows, &stats);
+            }
+          });
           if (!piece.rows.empty()) pieces.push_back(std::move(piece));
-          i = pend;
-          ++p;
-        }
+        });
         FlushChunkStats(ctx, stats);
         if (!stats.error.ok()) {
           std::lock_guard<std::mutex> lock(error_mu);
@@ -847,7 +848,7 @@ Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
   }
 
   IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-  FlatRaw flat = CollectRaw(ctx, snap);
+  const FlatRaw flat = FlatIndex(snap);
   const size_t n = flat.total;
   ctx.metrics().AddRowsScanned(n);
   const size_t grain = ctx.MorselGrain(n);
@@ -864,7 +865,9 @@ Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
         uint64_t encoded_rows = 0;
         VectorScratch vs;
         std::vector<uint32_t> sel;
-        if (use_vec) sel.resize(end - begin);
+        if (use_vec) {
+          sel.resize(std::min(end - begin, RowBatchStore::kDirectoryChunkRows));
+        }
         // Accumulates one row that passed the compiled filter. Shared by
         // the scalar path and the vector path's grouped tail.
         auto accumulate_row = [&](const uint8_t* payload) {
@@ -904,49 +907,37 @@ Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
           }
           if (!has_decoded) ++encoded_rows;
         };
-        size_t i = begin;
-        size_t p = PartitionOfIndex(flat.part_end, begin);
-        while (i < end) {
-          const size_t pstart = p == 0 ? 0 : flat.part_end[p - 1];
-          const size_t pend = std::min(end, flat.part_end[p]);
-          if (use_vec) {
-            const uint8_t* const* payloads =
-                flat.per_part[p].data() + (i - pstart);
-            const size_t cnt = pend - i;
-            const size_t kept =
-                vec->FilterBatch(payloads, cnt, sel.data(), &vs);
-            stats.vector_batches += VectorizedPredicate::NumBatches(cnt);
-            stats.filtered_vectorized += cnt - kept;
-            stats.filtered_encoded += cnt - kept;
-            if (ungrouped_fast) {
-              if (kept > 0) {
-                auto [it, inserted] = groups.try_emplace(Row{});
-                if (inserted) it->second.resize(num_aggs);
-                for (size_t a = 0; a < num_aggs; ++a) {
-                  AccumulateSelectedLanes(&it->second[a], aggs_[a].fn,
-                                          inputs[a].acc, payloads, sel.data(),
-                                          kept);
-                }
-                encoded_rows += kept;
-              }
-            } else {
-              for (size_t j = 0; j < kept; ++j) {
-                accumulate_row(payloads[sel[j]]);
-              }
-            }
-            i = pend;
-          } else {
-            for (; i < pend; ++i) {
-              const uint8_t* payload = flat.per_part[p][i - pstart];
-              if (compiled && !compiled->Matches(payload)) {
+        auto accumulate_run = [&](const uint8_t* const* payloads, size_t cnt) {
+          if (!use_vec) {
+            for (size_t j = 0; j < cnt; ++j) {
+              if (compiled && !compiled->Matches(payloads[j])) {
                 ++stats.filtered_encoded;
                 continue;
               }
-              accumulate_row(payload);
+              accumulate_row(payloads[j]);
             }
+            return;
           }
-          ++p;
-        }
+          const size_t kept = vec->FilterBatch(payloads, cnt, sel.data(), &vs);
+          stats.vector_batches += VectorizedPredicate::NumBatches(cnt);
+          stats.filtered_vectorized += cnt - kept;
+          stats.filtered_encoded += cnt - kept;
+          if (!ungrouped_fast) {
+            for (size_t j = 0; j < kept; ++j) accumulate_row(payloads[sel[j]]);
+            return;
+          }
+          if (kept == 0) return;
+          auto [it, inserted] = groups.try_emplace(Row{});
+          if (inserted) it->second.resize(num_aggs);
+          for (size_t a = 0; a < num_aggs; ++a) {
+            AccumulateSelectedLanes(&it->second[a], aggs_[a].fn, inputs[a].acc,
+                                    payloads, sel.data(), kept);
+          }
+          encoded_rows += kept;
+        };
+        ForEachSegment(flat, begin, end, [&](size_t p, size_t first, size_t last) {
+          snap.view(static_cast<int>(p)).ForEachPayloadRun(first, last, accumulate_run);
+        });
         FlushChunkStats(ctx, stats);
         if (encoded_rows > 0) {
           ctx.metrics().AddRowsAggregatedEncoded(encoded_rows);

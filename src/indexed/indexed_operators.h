@@ -94,7 +94,7 @@ class IndexedScanFilterOp : public PhysicalOp {
 
 /// Secondary-index probe: per partition, the view's bitmap or range index
 /// yields the matching row positions (several ANDed probes intersect their
-/// sorted position lists — the bitmap-AND path), the payload directory
+/// sorted position lists — the bitmap-AND path), the store's row directory
 /// resolves positions to encoded payloads, and a linear suffix scan covers
 /// rows appended after the index cut. The survivors feed the same pushed
 /// filter + projection machinery as the fused scan. Views lacking the

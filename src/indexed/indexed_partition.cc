@@ -14,12 +14,11 @@ SecondaryIndexSet::SecondaryIndexSet(SchemaPtr schema,
     : schema_(std::move(schema)),
       specs_(std::move(specs)),
       bitmaps_(specs_.size()),
-      ranges_(specs_.size()),
-      directory_(std::make_shared<PayloadDirectory>()) {}
+      ranges_(specs_.size()) {}
 
-SecondaryMaintenanceStats SecondaryIndexSet::PublishCut(StoreWatermark boundary) {
+SecondaryMaintenanceStats SecondaryIndexSet::PublishCut(const RowBatchStore& store) {
   SecondaryMaintenanceStats stats;
-  const uint64_t limit = directory_->size();
+  const uint64_t limit = store.num_rows();
   const Schema& schema = *schema_;
   ++epoch_;
   auto cut = std::make_shared<SecondaryIndexCut>();
@@ -29,18 +28,21 @@ SecondaryMaintenanceStats SecondaryIndexSet::PublishCut(StoreWatermark boundary)
     // One index's whole upkeep is timed: feeding the new rows to its
     // builder and building its immutable cut.
     const auto t0 = std::chrono::steady_clock::now();
-    for (uint64_t pos = indexed_; pos < limit; ++pos) {
-      const uint8_t* payload = directory_->At(pos);
-      // Null keys are stored but unindexed (same contract as the cTrie);
-      // ProbeMatches never matches a null, so probe == scan still holds.
-      if (RawColumnIsNull(payload, spec.column)) continue;
-      Value v = DecodeColumn(payload, schema, spec.column);
-      if (spec.kind == SecondaryIndexKind::kBitmap) {
-        bitmaps_[s].Add(v, static_cast<uint32_t>(pos));
-      } else {
-        ranges_[s].Add(v, static_cast<uint32_t>(pos));
+    uint64_t pos = indexed_;
+    store.ForEachPayloadRun(indexed_, limit, [&](const uint8_t* const* payloads,
+                                                 size_t n) {
+      for (size_t i = 0; i < n; ++i, ++pos) {
+        // Null keys are stored but unindexed (same contract as the cTrie);
+        // ProbeMatches never matches a null, so probe == scan still holds.
+        if (RawColumnIsNull(payloads[i], spec.column)) continue;
+        Value v = DecodeColumn(payloads[i], schema, spec.column);
+        if (spec.kind == SecondaryIndexKind::kBitmap) {
+          bitmaps_[s].Add(v, static_cast<uint32_t>(pos));
+        } else {
+          ranges_[s].Add(v, static_cast<uint32_t>(pos));
+        }
       }
-    }
+    });
     SecondaryIndexCut::Entry entry;
     entry.spec = spec;
     if (spec.kind == SecondaryIndexKind::kBitmap) {
@@ -59,11 +61,9 @@ SecondaryMaintenanceStats SecondaryIndexSet::PublishCut(StoreWatermark boundary)
   stats.rows = static_cast<size_t>(limit - indexed_);
   indexed_ = limit;
   cut->covered = limit;
-  cut->boundary = boundary;
   cut->epoch = epoch_;
-  cut->directory = directory_;
-  // The release edge of this store is what makes the plain directory and
-  // segment writes above visible to lock-free readers.
+  // The release edge of this store is what makes the plain segment writes
+  // above visible to lock-free readers.
   std::atomic_store_explicit(&cut_, SecondaryIndexCutPtr(std::move(cut)),
                              std::memory_order_release);
   return stats;
@@ -160,10 +160,7 @@ Status IndexedPartition::AppendToGen(PartitionGeneration& g, const Row& row) {
   }
   SecondaryIndexSetPtr sec =
       std::atomic_load_explicit(&g.secondary, std::memory_order_acquire);
-  if (sec != nullptr) {
-    sec->StageRow(g.store.PayloadAt(ptr));
-    sec->PublishCut(g.store.Watermark());
-  }
+  if (sec != nullptr) sec->PublishCut(g.store);
   return Status::OK();
 }
 
@@ -219,7 +216,6 @@ Status IndexedPartition::AppendBatch(const std::vector<EncodedRowRef>& rows,
     }
     const PackedPointer ptr = ptr_res.ValueUnsafe();
     local.rows_appended += 1;
-    if (sec != nullptr) sec->StageRow(g.store.PayloadAt(ptr));
     if (row.indexed) {
       slot->head = ptr;
       slot->head_size = row.size;
@@ -238,9 +234,7 @@ Status IndexedPartition::AppendBatch(const std::vector<EncodedRowRef>& rows,
   // Secondary-index maintenance rides inside the same lock acquisition:
   // one cut publish per batch. On error the committed prefix is indexed,
   // matching the store and the cTrie heads above.
-  if (sec != nullptr) {
-    local.maintenance = sec->PublishCut(g.store.Watermark());
-  }
+  if (sec != nullptr) local.maintenance = sec->PublishCut(g.store);
   if (result != nullptr) *result = local;
   return error;
 }
@@ -271,24 +265,12 @@ Status IndexedPartition::AddSecondaryIndexLocked(const SecondaryIndexSpec& spec)
   }
   specs.push_back(spec);
   // Backfill a replacement set from the rows already in the store (the
-  // position space is unchanged, so rebuilding every index from scratch
-  // keeps registration one code path; readers holding the old set's cuts
-  // stay valid — the old directory lives inside them). The write lock
-  // excludes appends, so the watermark is the exact backfill boundary.
+  // position space is the store's append ordinals, so rebuilding every
+  // index from scratch keeps registration one code path; readers holding
+  // the old set's cuts stay valid). The write lock excludes appends, so
+  // the store's row count is the exact backfill boundary.
   auto fresh = std::make_shared<SecondaryIndexSet>(schema_, std::move(specs));
-  const StoreWatermark wm = g.store.Watermark();
-  const Schema& schema = *schema_;
-  for (uint32_t b = 0; b < wm.num_batches; ++b) {
-    const RowBatch* batch = g.store.BatchAt(b);
-    const size_t limit =
-        (b + 1 == wm.num_batches) ? wm.last_batch_bytes : batch->committed_size();
-    uint32_t offset = 0;
-    while (offset + 8 < limit) {
-      fresh->StageRow(batch->payload_at(offset));
-      offset = batch->NextRowOffset(offset, schema);
-    }
-  }
-  fresh->PublishCut(wm);
+  fresh->PublishCut(g.store);
   std::atomic_store_explicit(&g.secondary, std::move(fresh),
                              std::memory_order_release);
   return Status::OK();
@@ -384,28 +366,18 @@ Status IndexedPartition::CompactLocked(CompactionResult* result) {
   }
 
   // Null-key rows are unindexed and unreachable from any chain: carry them
-  // over in append order by a forward scan of the old store.
-  const StoreWatermark wm = old_gen->store.Watermark();
-  const int col = indexed_col_;
-  for (uint32_t b = 0; b < wm.num_batches; ++b) {
-    const RowBatch* batch = old_gen->store.BatchAt(b);
-    const size_t limit =
-        (b + 1 == wm.num_batches) ? wm.last_batch_bytes : batch->committed_size();
-    uint32_t offset = 0;
-    while (offset + 8 < limit) {
-      const uint8_t* payload = batch->payload_at(offset);
-      if (RawColumnIsNull(payload, col)) {
-        const uint32_t size = EncodedRowSize(payload, schema);
-        IDF_RETURN_NOT_OK(fresh->store
-                              .AppendEncoded(payload, size, PackedPointer::Null(),
-                                             /*prev_size=*/0)
-                              .status());
-      }
-      offset = batch->NextRowOffset(offset, schema);
-    }
+  // over in append order through the old store's row directory.
+  const size_t old_rows = old_gen->store.num_rows();
+  for (size_t pos = 0; pos < old_rows; ++pos) {
+    const uint8_t* payload = old_gen->store.PayloadOfRow(pos);
+    if (!RawColumnIsNull(payload, indexed_col_)) continue;
+    IDF_RETURN_NOT_OK(fresh->store
+                          .AppendEncoded(payload, EncodedRowSize(payload, schema),
+                                         PackedPointer::Null(), /*prev_size=*/0)
+                          .status());
   }
 
-  if (fresh->store.num_rows() != old_gen->store.num_rows()) {
+  if (fresh->store.num_rows() != old_rows) {
     // Leave the live generation untouched; the partially built one dies.
     return Status::Internal(
         "compaction row-count mismatch: rewrote " +
@@ -416,25 +388,14 @@ Status IndexedPartition::CompactLocked(CompactionResult* result) {
   // Rebuild the secondary indexes over the rewritten (chain-clustered)
   // position space; range runs are merged into one so post-compaction
   // probes binary-search a single run. Readers holding old-generation
-  // views keep the old cuts and directory.
+  // views keep the old cuts, which resolve through the old store.
   SecondaryIndexSetPtr old_sec =
       std::atomic_load_explicit(&old_gen->secondary, std::memory_order_acquire);
   if (old_sec != nullptr) {
     auto fresh_sec = std::make_shared<SecondaryIndexSet>(schema_, old_sec->specs());
-    const StoreWatermark fwm = fresh->store.Watermark();
-    for (uint32_t b = 0; b < fwm.num_batches; ++b) {
-      const RowBatch* batch = fresh->store.BatchAt(b);
-      const size_t limit = (b + 1 == fwm.num_batches) ? fwm.last_batch_bytes
-                                                      : batch->committed_size();
-      uint32_t offset = 0;
-      while (offset + 8 < limit) {
-        fresh_sec->StageRow(batch->payload_at(offset));
-        offset = batch->NextRowOffset(offset, schema);
-      }
-    }
-    fresh_sec->PublishCut(fwm);  // feeds the builders (sealed runs/segments)
+    fresh_sec->PublishCut(fresh->store);  // feeds the builders (sealed runs/segments)
     fresh_sec->MergeRuns();
-    fresh_sec->PublishCut(fwm);  // republish with each range index merged
+    fresh_sec->PublishCut(fresh->store);  // republish with each range index merged
     std::atomic_store_explicit(&fresh->secondary, std::move(fresh_sec),
                                std::memory_order_release);
   }
@@ -447,13 +408,6 @@ Status IndexedPartition::CompactLocked(CompactionResult* result) {
   std::atomic_store_explicit(&gen_, std::move(fresh), std::memory_order_release);
   if (result != nullptr) *result = std::move(local);
   return Status::OK();
-}
-
-bool IndexedPartition::View::InView(PackedPointer ptr) const {
-  if (ptr.is_null()) return false;
-  if (ptr.batch() + 1 < watermark_.num_batches) return true;
-  if (ptr.batch() + 1 > watermark_.num_batches) return false;
-  return ptr.offset() < watermark_.last_batch_bytes;
 }
 
 RowVec IndexedPartition::View::GetRows(const Value& key) const {
@@ -489,43 +443,12 @@ void IndexedPartition::View::Scan(const std::function<void(const Row&)>& fn) con
   });
 }
 
-void IndexedPartition::View::ScanRaw(
-    const std::function<void(const uint8_t*)>& fn) const {
-  const Schema& schema = *schema_;
-  for (uint32_t b = 0; b < watermark_.num_batches; ++b) {
-    const RowBatch* batch = gen_->store.BatchAt(b);
-    size_t limit = (b + 1 == watermark_.num_batches) ? watermark_.last_batch_bytes
-                                                     : batch->committed_size();
-    uint32_t offset = 0;
-    while (offset + 8 < limit) {
-      fn(batch->payload_at(offset));
-      offset = batch->NextRowOffset(offset, schema);
-    }
-  }
-}
-
 void IndexedPartition::View::ScanRawFrom(
-    const StoreWatermark& from,
-    const std::function<void(const uint8_t*)>& fn) const {
-  const Schema& schema = *schema_;
-  const uint32_t first = from.num_batches == 0 ? 0 : from.num_batches - 1;
-  for (uint32_t b = first; b < watermark_.num_batches; ++b) {
-    const RowBatch* batch = gen_->store.BatchAt(b);
-    size_t limit = (b + 1 == watermark_.num_batches) ? watermark_.last_batch_bytes
-                                                     : batch->committed_size();
-    // A watermark's last_batch_bytes is the committed END of a row, which
-    // is not 8-byte aligned when the payload has a variable-width tail;
-    // row HEADERS are aligned (RowBatch::AppendEncoded), so the first
-    // suffix row starts at the next 8-byte boundary.
-    uint32_t offset =
-        (from.num_batches != 0 && b == from.num_batches - 1)
-            ? static_cast<uint32_t>((from.last_batch_bytes + 7) & ~size_t{7})
-            : 0;
-    while (offset + 8 < limit) {
-      fn(batch->payload_at(offset));
-      offset = batch->NextRowOffset(offset, schema);
-    }
-  }
+    size_t from, const std::function<void(const uint8_t*)>& fn) const {
+  ForEachPayloadRun(from, watermark_.num_rows,
+                    [&fn](const uint8_t* const* payloads, size_t n) {
+                      for (size_t i = 0; i < n; ++i) fn(payloads[i]);
+                    });
 }
 
 namespace {
@@ -605,7 +528,7 @@ size_t IndexedPartition::View::ProbeSecondary(
   // Indexed prefix: each probe yields ascending positions from the cut;
   // ANDed probes intersect them (the bitmap-AND path). Emission stays in
   // append order — the same order a scan yields — resolved through the
-  // payload directory.
+  // row directory of this view's generation.
   std::vector<uint32_t> positions;
   for (size_t i = 0; i < probes.size(); ++i) {
     const SecondaryProbe& probe = probes[i];
@@ -625,17 +548,17 @@ size_t IndexedPartition::View::ProbeSecondary(
     }
     if (positions.empty()) break;
   }
-  const PayloadDirectory& dir = *secondary_->directory;
-  for (uint32_t pos : positions) out->push_back(dir.At(pos));
+  const RowBatchStore& store = gen_->store;
+  for (uint32_t pos : positions) out->push_back(store.PayloadOfRow(pos));
   local.from_index = positions.size();
   local.matches = positions.size();
   local.rows_avoided =
       static_cast<size_t>(secondary_->covered) - positions.size();
 
-  // Unindexed suffix: rows appended between the cut's publish boundary and
+  // Unindexed suffix: rows appended between the cut's covered prefix and
   // this view's watermark (possibly none). Snapshot() captured the cut
-  // before the watermark, so the suffix starts at or before the watermark.
-  ScanRawFrom(secondary_->boundary, scan_match);
+  // before the watermark, so covered <= num_rows().
+  ScanRawFrom(secondary_->covered, scan_match);
   if (stats != nullptr) *stats = local;
   return local.matches;
 }

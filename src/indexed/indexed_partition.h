@@ -30,6 +30,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -55,52 +56,13 @@ struct SecondaryIndexSpec {
   SecondaryIndexKind kind{};
 };
 
-/// Append-ordinal -> encoded-payload directory: translates the row
-/// positions a secondary index stores back into payload pointers without
-/// re-walking the row batches. Chunked, with the chunk-slot array
-/// preallocated (RowBatchStore's trick) so the appender never reallocates
-/// memory a concurrent reader may be traversing: readers only dereference
-/// positions below a published cut's `covered`, and the cut's
-/// release/acquire publish edge orders those plain writes.
-class PayloadDirectory {
- public:
-  static constexpr uint32_t kChunkSize = 4096;   ///< entries per chunk
-  static constexpr uint32_t kMaxChunks = 65536;  ///< 268M rows per partition
-
-  PayloadDirectory() : chunks_(new std::unique_ptr<Chunk>[kMaxChunks]) {}
-  IDF_DISALLOW_COPY_AND_ASSIGN(PayloadDirectory);
-
-  /// Appender-only (partition write lock).
-  void Append(const uint8_t* payload) {
-    const uint64_t c = size_ / kChunkSize;
-    if (chunks_[c] == nullptr) chunks_[c] = std::make_unique<Chunk>();
-    chunks_[c]->entries[size_ % kChunkSize] = payload;
-    ++size_;
-  }
-
-  /// Valid for positions below the covered count of an acquired cut.
-  const uint8_t* At(uint64_t pos) const {
-    return chunks_[pos / kChunkSize]->entries[pos % kChunkSize];
-  }
-
-  /// Appender-side size (readers use the cut's `covered` instead).
-  uint64_t size() const { return size_; }
-
- private:
-  struct Chunk {
-    const uint8_t* entries[kChunkSize];
-  };
-  std::unique_ptr<std::unique_ptr<Chunk>[]> chunks_;
-  uint64_t size_ = 0;
-};
-using PayloadDirectoryPtr = std::shared_ptr<const PayloadDirectory>;
-
 /// Immutable snapshot of every secondary index of one partition, published
-/// after each append batch. A probe against a view = the cut's positions
-/// (all < `covered`) plus a linear scan of the store suffix between
-/// `boundary` and the view's watermark — so probe results are always
-/// exactly the rows a full scan of the same view would match, even when
-/// the view's watermark ran ahead of the last published cut.
+/// after each append batch. Positions are store append ordinals, resolved
+/// through the generation's row directory. A probe against a view = the
+/// cut's positions (all < `covered`) plus a linear scan of the ordinals
+/// between `covered` and the view's row count — so probe results are
+/// always exactly the rows a full scan of the same view would match, even
+/// when the view's watermark ran ahead of the last published cut.
 struct SecondaryIndexCut {
   struct Entry {
     SecondaryIndexSpec spec;
@@ -108,10 +70,8 @@ struct SecondaryIndexCut {
     RangeIndexCutPtr range;    ///< set iff spec.kind == kRange
   };
   std::vector<Entry> entries;
-  uint64_t covered = 0;    ///< append ordinals [0, covered) are indexed
-  StoreWatermark boundary; ///< store watermark of the covered prefix
-  uint64_t epoch = 0;      ///< publish sequence within the generation
-  PayloadDirectoryPtr directory;
+  uint64_t covered = 0;  ///< append ordinals [0, covered) are indexed
+  uint64_t epoch = 0;    ///< publish sequence within the generation
 
   const Entry* Find(int column) const {
     for (const Entry& e : entries) {
@@ -144,14 +104,10 @@ class SecondaryIndexSet {
  public:
   SecondaryIndexSet(SchemaPtr schema, std::vector<SecondaryIndexSpec> specs);
 
-  /// Appender-only: registers one committed row payload (every store row,
-  /// in append order, whether or not any indexed column is null).
-  void StageRow(const uint8_t* payload) { directory_->Append(payload); }
-
-  /// Appender-only: feeds every staged-but-unindexed row to the builders
-  /// and publishes a fresh cut whose covered prefix corresponds to
-  /// `boundary` (the store watermark right after the batch committed).
-  SecondaryMaintenanceStats PublishCut(StoreWatermark boundary);
+  /// Appender-only: feeds the rows of `store` not yet indexed (ordinals
+  /// [indexed, store.num_rows())) to the builders and publishes a fresh cut
+  /// covering every committed row. `store` is the generation's own store.
+  SecondaryMaintenanceStats PublishCut(const RowBatchStore& store);
 
   /// Appender-only: collapses each range index's sorted runs into one
   /// (compaction's rebuild finisher; call before the final PublishCut).
@@ -170,7 +126,6 @@ class SecondaryIndexSet {
   // Parallel to specs_: exactly one of the two builders is live per spec.
   std::vector<BitmapIndexBuilder> bitmaps_;
   std::vector<RangeIndexBuilder> ranges_;
-  std::shared_ptr<PayloadDirectory> directory_;
   uint64_t indexed_ = 0;  ///< rows already fed to the builders
   uint64_t epoch_ = 0;
   std::shared_ptr<const SecondaryIndexCut> cut_;  // atomic_load/store
@@ -368,7 +323,17 @@ class IndexedPartition {
 
     /// Visits the raw encoded payload of every row in this view, in append
     /// order; callers decode lazily (e.g. one filter column per row).
-    void ScanRaw(const std::function<void(const uint8_t*)>& fn) const;
+    void ScanRaw(const std::function<void(const uint8_t*)>& fn) const {
+      ScanRawFrom(0, fn);
+    }
+
+    /// Calls `fn(payloads, count)` on consecutive runs of the row
+    /// directory covering append ordinals [begin, end), in order; `end`
+    /// must not exceed num_rows(). The morsel drivers read rows this way.
+    template <typename Fn>
+    void ForEachPayloadRun(size_t begin, size_t end, Fn&& fn) const {
+      gen_->store.ForEachPayloadRun(begin, end, std::forward<Fn>(fn));
+    }
 
     /// Visits the packed pointers of the chain for `key`, newest first
     /// (diagnostics and tests).
@@ -421,11 +386,9 @@ class IndexedPartition {
           watermark_(wm),
           secondary_(std::move(secondary)) {}
 
-    bool InView(PackedPointer ptr) const;
-
-    /// ScanRaw starting at the row `from` points past (the suffix between
-    /// a cut's boundary and this view's watermark).
-    void ScanRawFrom(const StoreWatermark& from,
+    /// ScanRaw starting at append ordinal `from` (the suffix between a
+    /// cut's covered prefix and this view's row count).
+    void ScanRawFrom(size_t from,
                      const std::function<void(const uint8_t*)>& fn) const;
 
     SchemaPtr schema_;

@@ -987,7 +987,27 @@ Result<LogicalPlanPtr> Parser::ParseSelectBranch(bool branch_mode) {
   }
 
   if (aggregated) {
-    // Project first (select names exist), then sort by output columns.
+    // Project first (select names exist), then sort by output columns. A
+    // key naming a select item, qualified or not, sorts by that item's
+    // output column: a qualified ref is bound to a FROM-scope ordinal,
+    // which means nothing over the projected aggregate.
+    for (SortKey& key : sort_keys) {
+      bool named = false;
+      for (size_t i = 0; i < items.size() && !named; ++i) {
+        if (!items[i].agg.has_value() && ExprEquals(key.expr, items[i].expr)) {
+          key.expr = std::make_shared<ColumnRefExpr>(project_names[i],
+                                                     static_cast<int>(i));
+          named = true;
+        }
+      }
+      std::vector<int> scope_refs;
+      if (!named) CollectRefIndices(key.expr, &scope_refs);
+      if (!scope_refs.empty()) {
+        return Status::InvalidArgument(
+            "SQL: ORDER BY key '" + key.expr->ToString() +
+            "' over an aggregate must name a select item");
+      }
+    }
     plan = std::make_shared<ProjectNode>(std::move(plan),
                                          std::move(project_exprs),
                                          std::move(project_names));

@@ -193,11 +193,6 @@ Result<uint32_t> RowBatch::AppendEncoded(const uint8_t* payload, size_t payload_
   return static_cast<uint32_t>(start);
 }
 
-uint32_t RowBatch::NextRowOffset(uint32_t offset, const Schema& schema) const {
-  uint32_t end = offset + 8 + EncodedRowSize(payload_at(offset), schema);
-  return (end + 7) & ~uint32_t{7};
-}
-
 PackedPointer RowBatch::back_pointer_at(uint32_t offset) const {
   uint64_t header;
   std::memcpy(&header, data_.get() + offset, 8);

@@ -129,9 +129,6 @@ class RowBatch {
 
   const uint8_t* data() const { return data_.get(); }
 
-  /// Offset of the row following the one at `offset` (walk-forward scan).
-  uint32_t NextRowOffset(uint32_t offset, const Schema& schema) const;
-
  private:
   size_t capacity_;
   size_t write_size_ = 0;              // appender's private cursor

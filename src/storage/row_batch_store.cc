@@ -51,6 +51,9 @@ Result<PackedPointer> RowBatchStore::AppendEncoded(const uint8_t* payload, size_
   }
   auto offset_res = current->AppendEncoded(payload, len, back_pointer);
   if (!offset_res.ok()) return offset_res.status();
+  AppendToDirectory(current->payload_at(offset_res.ValueUnsafe()));
+  // Publish: the directory entry (and any chunk or spine it needed) is
+  // written before this release, so readers below num_rows_ see it.
   num_rows_.fetch_add(1, std::memory_order_release);
   PackedPointer ptr =
       PackedPointer::MakeChecked(n - 1, offset_res.ValueUnsafe(), prev_size);
@@ -58,6 +61,31 @@ Result<PackedPointer> RowBatchStore::AppendEncoded(const uint8_t* payload, size_
     return Status::Internal("packed pointer overflow");
   }
   return ptr;
+}
+
+void RowBatchStore::AppendToDirectory(const uint8_t* payload) {
+  const size_t c = directory_rows_ / kDirectoryChunkRows;
+  if (directory_rows_ % kDirectoryChunkRows == 0) {
+    const Spine* live = spines_.empty() ? nullptr : spines_.back().get();
+    if (live == nullptr || c == live->capacity) {
+      // Double the spine; the replaced one stays readable (and owned) for
+      // readers that acquired it, and costs less than the new one.
+      auto grown = std::make_unique<Spine>(live == nullptr ? 4 : 2 * live->capacity);
+      for (size_t i = 0; i < c; ++i) grown->chunks[i] = live->chunks[i];
+      spines_.push_back(std::move(grown));
+    }
+    chunks_.emplace_back(new const uint8_t*[kDirectoryChunkRows]);
+    spines_.back()->chunks[c] = chunks_.back().get();
+    spine_.store(spines_.back().get(), std::memory_order_release);
+  }
+  chunks_[c][directory_rows_ % kDirectoryChunkRows] = payload;
+  ++directory_rows_;
+}
+
+size_t RowBatchStore::directory_bytes() const {
+  size_t total = chunks_.size() * kDirectoryChunkRows * sizeof(const uint8_t*);
+  for (const auto& spine : spines_) total += spine->capacity * sizeof(const uint8_t**);
+  return total;
 }
 
 StoreWatermark RowBatchStore::Watermark() const {

@@ -9,8 +9,18 @@
 // preallocated slot directory so the appender never relocates memory that
 // readers may be traversing; a StoreWatermark captured together with a
 // CTrie snapshot delimits one consistent version of the data.
+//
+// The row directory maps each row's append ordinal to its payload, so a
+// scan reads row positions instead of decoding every row's variable-width
+// tail to find the next one. It is chunked (kDirectoryChunkRows pointers
+// per chunk) behind a spine that doubles when full; a replaced spine stays
+// alive until the store dies, so a reader holding it never reads freed
+// memory. The appender writes a row's entry (and any new chunk or spine)
+// before the release increment of num_rows_, so every ordinal below an
+// acquired row count is readable without locks.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -32,6 +42,9 @@ struct StoreWatermark {
 
 class RowBatchStore {
  public:
+  /// Row-directory entries per chunk (32 KiB of payload pointers).
+  static constexpr size_t kDirectoryChunkRows = 4096;
+
   /// `max_batches` bounds the slot directory (the paper allows 2^31
   /// batches per partition; we preallocate pointers for `max_batches` and
   /// fail with CapacityError beyond — configurable).
@@ -68,6 +81,28 @@ class RowBatchStore {
     return slots_[i].load(std::memory_order_acquire);
   }
 
+  /// Payload of the row with append ordinal `pos`. Thread-safe for `pos`
+  /// below a row count acquired from this store (num_rows(), Watermark()).
+  const uint8_t* PayloadOfRow(size_t pos) const {
+    const Spine* spine = spine_.load(std::memory_order_acquire);
+    return spine->chunks[pos / kDirectoryChunkRows][pos % kDirectoryChunkRows];
+  }
+
+  /// Calls `fn(payloads, count)` on consecutive directory runs that cover
+  /// the ordinals [begin, end) in append order; a run never crosses a
+  /// chunk. Same thread-safety contract as PayloadOfRow for `end`.
+  template <typename Fn>
+  void ForEachPayloadRun(size_t begin, size_t end, Fn&& fn) const {
+    if (begin >= end) return;
+    const Spine* spine = spine_.load(std::memory_order_acquire);
+    while (begin < end) {
+      const size_t off = begin % kDirectoryChunkRows;
+      const size_t n = std::min(end - begin, kDirectoryChunkRows - off);
+      fn(spine->chunks[begin / kDirectoryChunkRows] + off, n);
+      begin += n;
+    }
+  }
+
   /// Captures the current consistent prefix. Thread-safe.
   StoreWatermark Watermark() const;
 
@@ -81,6 +116,10 @@ class RowBatchStore {
   size_t allocated_bytes() const { return num_batches() * batch_bytes_; }
   size_t used_bytes() const;
 
+  /// Bytes of the row directory: its chunks plus its live and replaced
+  /// spines. Appender-side (or quiescent) accounting.
+  size_t directory_bytes() const;
+
   size_t max_row_bytes() const { return max_row_bytes_; }
 
  private:
@@ -91,6 +130,19 @@ class RowBatchStore {
   std::atomic<size_t> num_rows_{0};
   std::unique_ptr<std::atomic<RowBatch*>[]> slots_;
   std::vector<uint8_t> scratch_;
+
+  // Row directory. Readers touch only the spine they acquire and the
+  // chunks it names; the vectors below are appender-only ownership.
+  struct Spine {
+    explicit Spine(size_t cap) : capacity(cap), chunks(new const uint8_t**[cap]) {}
+    size_t capacity;
+    std::unique_ptr<const uint8_t**[]> chunks;
+  };
+  void AppendToDirectory(const uint8_t* payload);
+  std::atomic<const Spine*> spine_{nullptr};
+  std::vector<std::unique_ptr<Spine>> spines_;  // live one last
+  std::vector<std::unique_ptr<const uint8_t*[]>> chunks_;
+  size_t directory_rows_ = 0;  // appender's count of directory entries
 };
 
 }  // namespace idf

@@ -212,7 +212,9 @@ TEST(RowBatchTest, WalkForwardVisitsAllRows) {
   while (offset < batch.committed_size()) {
     ASSERT_LT(count, rows.size());
     EXPECT_EQ(DecodeRow(batch.payload_at(offset), *schema), rows[count]);
-    offset = batch.NextRowOffset(offset, *schema);
+    // Headers are 8-byte aligned; the next one follows this payload.
+    offset += 8 + EncodedRowSize(batch.payload_at(offset), *schema);
+    offset = (offset + 7) & ~uint32_t{7};
     ++count;
   }
   EXPECT_EQ(count, rows.size());

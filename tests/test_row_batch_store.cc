@@ -1,8 +1,11 @@
 // Unit tests for RowBatchStore: pointer addressing, batch rollover,
-// watermarks, capacity limits.
+// watermarks, capacity limits, and the row directory (append ordinal ->
+// payload) checked against a walk over the encoded bytes.
 #include "storage/row_batch_store.h"
 
 #include <gtest/gtest.h>
+
+#include "reference_walk.h"
 
 namespace idf {
 namespace {
@@ -116,6 +119,102 @@ TEST(RowBatchStoreTest, UsedAndAllocatedBytes) {
   EXPECT_EQ(store.allocated_bytes(), 1024u);
   EXPECT_GT(store.used_bytes(), 0u);
   EXPECT_LE(store.used_bytes(), store.allocated_bytes());
+}
+
+// --- Row directory --------------------------------------------------------
+
+/// Two variable-width tails, either of which may be null.
+SchemaPtr WideSchema() {
+  return Schema::Make({{"k", TypeId::kInt64, true},
+                       {"a", TypeId::kString, true},
+                       {"b", TypeId::kString, true}});
+}
+
+Row WideRow(int64_t i) {
+  return {i % 11 == 0 ? Value() : Value(i),
+          i % 5 == 0 ? Value() : Value(std::string(static_cast<size_t>(i % 23), 'a')),
+          i % 7 == 0 ? Value() : Value("b" + std::to_string(i))};
+}
+
+/// The payloads ForEachPayloadRun yields for [begin, end), checking that no
+/// run crosses a directory chunk.
+std::vector<const uint8_t*> DirectoryRange(const RowBatchStore& store,
+                                           size_t begin, size_t end) {
+  std::vector<const uint8_t*> out;
+  store.ForEachPayloadRun(begin, end, [&](const uint8_t* const* payloads,
+                                          size_t n) {
+    const size_t first = begin + out.size();
+    EXPECT_GT(n, 0u);
+    EXPECT_EQ(first / RowBatchStore::kDirectoryChunkRows,
+              (first + n - 1) / RowBatchStore::kDirectoryChunkRows);
+    out.insert(out.end(), payloads, payloads + n);
+  });
+  EXPECT_EQ(out.size(), end - begin);
+  return out;
+}
+
+TEST(RowBatchStoreDirectoryTest, MatchesReferenceWalkAcrossBatchesAndChunks) {
+  // Small batches force rollover every few rows; 10k rows span three
+  // directory chunks.
+  RowBatchStore store(512, 256);
+  SchemaPtr schema = WideSchema();
+  const size_t n = 10000;
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(store
+                    .AppendRow(*schema, WideRow(static_cast<int64_t>(i)),
+                               PackedPointer::Null(), 0)
+                    .ok());
+  }
+  ASSERT_GT(store.num_batches(), 100u);
+  ASSERT_GT(n, 2 * RowBatchStore::kDirectoryChunkRows);
+  const std::vector<const uint8_t*> walk = ReferenceWalk(store, *schema, n);
+  ASSERT_EQ(walk.size(), n);
+  ASSERT_EQ(DirectoryRange(store, 0, n), walk);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(store.PayloadOfRow(i), walk[i]) << i;
+    ASSERT_EQ(DecodeRow(store.PayloadOfRow(i), *schema),
+              WideRow(static_cast<int64_t>(i)))
+        << i;
+  }
+  // Ranges starting and ending inside chunks, and straddling boundaries.
+  const size_t k = RowBatchStore::kDirectoryChunkRows;
+  for (auto [b, e] : {std::pair<size_t, size_t>{1, 2}, {k - 3, k + 3},
+                      {k, 2 * k}, {17, n - 5}, {n, n}}) {
+    EXPECT_EQ(DirectoryRange(store, b, e),
+              std::vector<const uint8_t*>(walk.begin() + static_cast<long>(b),
+                                          walk.begin() + static_cast<long>(e)))
+        << b << ".." << e;
+  }
+}
+
+TEST(RowBatchStoreDirectoryTest, DirectoryGrowsWithRowsNotCapacity) {
+  // No spine sized for the maximum capacity: an empty store holds no
+  // directory, and one row costs one chunk plus a small spine.
+  RowBatchStore store(4096, 1024);
+  SchemaPtr schema = KvSchema();
+  EXPECT_EQ(store.directory_bytes(), 0u);
+  ASSERT_TRUE(
+      store.AppendRow(*schema, KvRow(1, "a"), PackedPointer::Null(), 0).ok());
+  const size_t chunk_bytes = RowBatchStore::kDirectoryChunkRows * sizeof(void*);
+  EXPECT_GE(store.directory_bytes(), chunk_bytes);
+  EXPECT_LE(store.directory_bytes(), chunk_bytes + 256);
+}
+
+TEST(RowBatchStoreDirectoryTest, WatermarkRowCountBoundsTheDirectory) {
+  // A watermark captured earlier keeps addressing the same prefix while
+  // later appends extend the directory (and grow its spine).
+  RowBatchStore store(1024, 256);
+  SchemaPtr schema = WideSchema();
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(store.AppendRow(*schema, WideRow(i), PackedPointer::Null(), 0).ok());
+  }
+  const StoreWatermark wm = store.Watermark();
+  const std::vector<const uint8_t*> before = DirectoryRange(store, 0, wm.num_rows);
+  for (int64_t i = 100; i < 40000; ++i) {
+    ASSERT_TRUE(store.AppendRow(*schema, WideRow(i), PackedPointer::Null(), 0).ok());
+  }
+  EXPECT_EQ(DirectoryRange(store, 0, wm.num_rows), before);
+  EXPECT_EQ(wm.num_rows, 100u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "indexed/indexed_dataframe.h"
+#include "snb/tables.h"
 #include "sql/session.h"
 
 namespace idf {
@@ -227,6 +228,94 @@ TEST_F(SqlParserTest, GroupByWithAggregates) {
     EXPECT_EQ(rows[static_cast<size_t>(c)][0], Value(c));
     EXPECT_EQ(rows[static_cast<size_t>(c)][1], Value(int64_t{10}));
   }
+}
+
+/// SNB-shaped `post` and `comment` tables for the grouped-join ORDER BY
+/// cases. Per post browser: Chrome 3 comments, Safari 3, Firefox 1. Per
+/// comment creator: 5 -> 3, 7 -> 2, 1 -> 1, 9 -> 1. Comment browsers: Opera
+/// 4, Edge 3.
+void RegisterSnbPair(const SessionPtr& session) {
+  RowVec posts;
+  const char* browsers[] = {"Chrome", "Firefox", "Safari"};
+  for (int64_t id = 1; id <= 3; ++id) {
+    posts.push_back({Value(id), Value(int64_t{100}), Value(int64_t{0}),
+                     Value(int64_t{0}), Value("ip"), Value(browsers[id - 1]),
+                     Value("text"), Value(int32_t{4})});
+  }
+  // (creatorId, replyOfPostId, browserUsed)
+  const struct {
+    int64_t creator;
+    int64_t post;
+    const char* browser;
+  } comments[] = {{9, 1, "Opera"}, {5, 1, "Edge"},  {5, 1, "Opera"},
+                  {1, 2, "Edge"},  {7, 3, "Opera"}, {7, 3, "Opera"},
+                  {5, 3, "Edge"}};
+  RowVec rows;
+  int64_t id = 10;
+  for (const auto& c : comments) {
+    rows.push_back({Value(id++), Value(c.creator), Value(int64_t{0}), Value("ip"),
+                    Value(c.browser), Value("reply"), Value(int32_t{5}),
+                    Value(c.post)});
+  }
+  auto post_df =
+      session->CreateDataFrame(snb::PostSchema(), posts, "post").ValueOrDie();
+  ASSERT_TRUE(session->RegisterTable("post", post_df).ok());
+  auto comment_df =
+      session->CreateDataFrame(snb::CommentSchema(), rows, "comment").ValueOrDie();
+  ASSERT_TRUE(session->RegisterTable("comment", comment_df).ok());
+}
+
+TEST_F(SqlParserTest, QualifiedOrderByKeyOverGroupedJoinAggregate) {
+  RegisterSnbPair(session_);
+  const std::vector<Row> by_post_browser = {
+      {Value("Chrome"), Value(int64_t{3})},
+      {Value("Safari"), Value(int64_t{3})},
+      {Value("Firefox"), Value(int64_t{1})}};
+  // Qualified and unqualified keys name the same select item.
+  for (const char* key : {"p.browserUsed", "browserUsed"}) {
+    EXPECT_EQ(Run(std::string("SELECT p.browserUsed, COUNT(*) AS n FROM comment c "
+                              "JOIN post p ON c.replyOfPostId = p.id GROUP BY "
+                              "p.browserUsed ORDER BY n DESC, ") +
+                  key),
+              by_post_browser)
+        << key;
+  }
+  EXPECT_EQ(Run("SELECT c.browserUsed, COUNT(*) AS n FROM comment c JOIN post p "
+                "ON c.replyOfPostId = p.id GROUP BY c.browserUsed ORDER BY n "
+                "DESC, c.browserUsed"),
+            (std::vector<Row>{{Value("Opera"), Value(int64_t{4})},
+                              {Value("Edge"), Value(int64_t{3})}}));
+}
+
+TEST_F(SqlParserTest, QualifiedOrderByKeyNamingNoSelectItemIsRejected) {
+  RegisterSnbPair(session_);
+  // `c.creatorId` is not selected; its FROM-scope ordinal would land on
+  // `n` over the projection.
+  Status st = Fails(
+      "SELECT p.browserUsed, COUNT(*) AS n FROM comment c JOIN post p ON "
+      "c.replyOfPostId = p.id GROUP BY p.browserUsed ORDER BY c.creatorId");
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("ORDER BY"), std::string::npos);
+}
+
+TEST_F(SqlParserTest, QualifiedIntegerOrderByKeySortsByItsOwnColumn) {
+  RegisterSnbPair(session_);
+  // `c.creatorId` is FROM-scope ordinal 1, which over the projection is
+  // `n`: a key left on that ordinal would sort by the count instead.
+  EXPECT_EQ(Run("SELECT c.creatorId, COUNT(*) AS n FROM comment c JOIN post p "
+                "ON c.replyOfPostId = p.id GROUP BY c.creatorId ORDER BY "
+                "c.creatorId DESC"),
+            (std::vector<Row>{{Value(int64_t{9}), Value(int64_t{1})},
+                              {Value(int64_t{7}), Value(int64_t{2})},
+                              {Value(int64_t{5}), Value(int64_t{3})},
+                              {Value(int64_t{1}), Value(int64_t{1})}}));
+  EXPECT_EQ(Run("SELECT c.creatorId, COUNT(*) AS n FROM comment c JOIN post p "
+                "ON c.replyOfPostId = p.id GROUP BY c.creatorId ORDER BY n "
+                "DESC, c.creatorId"),
+            (std::vector<Row>{{Value(int64_t{5}), Value(int64_t{3})},
+                              {Value(int64_t{7}), Value(int64_t{2})},
+                              {Value(int64_t{1}), Value(int64_t{1})},
+                              {Value(int64_t{9}), Value(int64_t{1})}}));
 }
 
 TEST_F(SqlParserTest, GroupBySelectItemMustBeGrouped) {
