@@ -7,14 +7,18 @@
 // acceptance benchmark of the partition-parallel batched write path:
 // batched rows/sec vs a per-row baseline measured once at startup
 // (speedup_vs_serial; >= 2x expected on a multi-core host).
+// BM_AppendAfterPin prices a commit that follows a reader's pin, as every
+// commit does while views or readers pin between batches.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
 #include "indexed/indexed_relation.h"
+#include "snb/tables.h"
 #include "sql/session.h"
 
 namespace idf {
@@ -205,6 +209,95 @@ BENCHMARK(BM_AppendBatchedVsPerRow)
     ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+// --- Appends after a pin -------------------------------------------------
+//
+// 32-row batches into a 4-partition, 18k-row relation shaped like the SNB
+// `comment` table (indexed on replyOfPostId, three string columns), with
+// pin=1 taking a relation snapshot before every batch and holding it until
+// the next one. A pin that froze the trie would make the next append renew
+// the frozen path; trie_nodes_per_batch counts the nodes each batch
+// allocates, so pin=1 must match pin=0. pin_us_per_batch times the pin
+// itself (4 partition views), outside append_us_per_batch.
+
+constexpr int64_t kCommentPosts = 6000;
+
+Row CommentShapedRow(int64_t id) {
+  const int64_t post = (id * 7919) % kCommentPosts;  // scattered replies
+  return {Value(id),
+          Value(id % 997),
+          Value(int64_t{1262304000000000} + id * 1000000),
+          Value("10.0." + std::to_string(id % 256) + "." + std::to_string(id % 199)),
+          Value(id % 3 == 0 ? "Firefox" : "Chrome"),
+          Value("comment body " + std::to_string(id) + " about post " +
+                std::to_string(post)),
+          Value(static_cast<int32_t>(20 + id % 60)),
+          Value(post)};
+}
+
+void BM_AppendAfterPin(benchmark::State& state) {
+  const bool pin = state.range(0) != 0;
+  constexpr size_t kBaseRows = 18000;
+  constexpr size_t kBatchRows = 32;
+  EngineConfig cfg;
+  cfg.num_partitions = 4;
+  auto ctx = ExecutorContext::Make(cfg).ValueOrDie();
+  RowVec base;
+  base.reserve(kBaseRows);
+  for (size_t i = 0; i < kBaseRows; ++i) {
+    base.push_back(CommentShapedRow(static_cast<int64_t>(i)));
+  }
+  auto rel = IndexedRelation::Build(*ctx, "comment", snb::CommentSchema(),
+                                    snb::comment::kReplyOfPostId, base)
+                 .ValueOrDie();
+  auto trie_nodes = [&rel] {
+    size_t n = 0;
+    for (int p = 0; p < rel->num_partitions(); ++p) {
+      n += rel->partition(p).gen()->index.allocated_nodes();
+    }
+    return n;
+  };
+  int64_t next = static_cast<int64_t>(kBaseRows);
+  RowVec batch;
+  batch.reserve(kBatchRows);
+  std::optional<IndexedRelationSnapshot> held;
+  double append_us = 0;
+  double pin_us = 0;
+  size_t batches = 0;
+  const size_t nodes_before = trie_nodes();
+  for (auto _ : state) {
+    state.PauseTiming();
+    batch.clear();
+    for (size_t i = 0; i < kBatchRows; ++i) batch.push_back(CommentShapedRow(next++));
+    state.ResumeTiming();
+    if (pin) {
+      const auto pin_start = std::chrono::steady_clock::now();
+      held.emplace(rel->Snapshot());
+      pin_us += std::chrono::duration<double, std::micro>(
+                    std::chrono::steady_clock::now() - pin_start)
+                    .count();
+    }
+    auto start = std::chrono::steady_clock::now();
+    Status st = rel->AppendRows(*ctx, batch);
+    append_us += std::chrono::duration<double, std::micro>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+    ++batches;
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      return;
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kBatchRows));
+  if (batches > 0) {
+    state.counters["append_us_per_batch"] = append_us / static_cast<double>(batches);
+    state.counters["pin_us_per_batch"] = pin_us / static_cast<double>(batches);
+    state.counters["trie_nodes_per_batch"] =
+        static_cast<double>(trie_nodes() - nodes_before) / static_cast<double>(batches);
+  }
+}
+BENCHMARK(BM_AppendAfterPin)->ArgName("pin")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace idf

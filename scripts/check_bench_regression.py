@@ -19,6 +19,12 @@ claim usually rests on a counter, not on real_time:
 Counters without a declared direction (row counts, commits, ...) are not
 compared.
 
+A run with repetitions is compared by its median: when a file holds
+median aggregate rows (--benchmark_repetitions=N, with or without
+--benchmark_report_aggregates_only=true), each benchmark's median
+real_time and median counters stand for it, and its per-repetition rows
+are ignored. Files without medians compare their single rows.
+
 Usage: check_bench_regression.py BASELINE.json CURRENT.json
            [--threshold 0.15] [--fail-on-regression]
 """
@@ -48,22 +54,31 @@ def direction(counter):
 
 
 def load(path):
-    """(benchmark -> real_time ns, (benchmark, counter) -> value)."""
+    """(benchmark -> real_time ns, (benchmark, counter) -> value).
+
+    Medians of repeated runs replace the per-repetition rows (see above);
+    other aggregates (mean, stddev, cv) are skipped.
+    """
     with open(path) as f:
         doc = json.load(f)
+    rows = {}     # benchmark -> single (or last repetition's) row
+    medians = {}  # benchmark -> median aggregate row
+    for b in doc.get("benchmarks", []):
+        if b.get("run_type") == "aggregate":
+            if b.get("aggregate_name") == "median":
+                medians[b["run_name"]] = b
+            continue
+        rows[b["name"]] = b
+    rows.update(medians)
     times = {}
     counters = {}
-    for b in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev of repeated runs).
-        if b.get("run_type") == "aggregate":
-            continue
-        ns = b["real_time"] * UNIT_NS.get(b.get("time_unit", "ns"), 1)
-        times[b["name"]] = ns
+    for name, b in rows.items():
+        times[name] = b["real_time"] * UNIT_NS.get(b.get("time_unit", "ns"), 1)
         for key, value in b.items():
             if key in NON_COUNTER_KEYS or not isinstance(value, (int, float)):
                 continue
             if direction(key) is not None:
-                counters[(b["name"], key)] = float(value)
+                counters[(name, key)] = float(value)
     return times, counters
 
 

@@ -144,20 +144,22 @@ Status IndexedPartition::AppendToGen(PartitionGeneration& g, const Row& row) {
   uint32_t prev_size = 0;
   if (!key.is_null()) {
     h = key.Hash();
-    std::optional<uint64_t> head = g.index.Lookup(h);
+    std::optional<uint64_t> head = g.index.PeekLookup(h);
     if (head.has_value()) {
       back_pointer = PackedPointer(*head);
       prev_size = EncodedRowSize(g.store.PayloadAt(back_pointer), *schema_);
     }
   }
   IDF_ASSIGN_OR_RETURN(PackedPointer ptr,
-                       g.store.AppendRow(*schema_, row, back_pointer, prev_size));
+                       g.store.StageRow(*schema_, row, back_pointer, prev_size));
   if (!key.is_null()) {
-    // Publish after the row bytes are committed: concurrent readers that see
-    // this trie entry can safely dereference the pointer.
+    // Head first, row count second (see the file comment in the header):
+    // a reader that sees the head can dereference the staged row, and a
+    // watermark that covers the row finds it from the head.
     g.index.Insert(h, ptr.bits());
     RecordAppend(g, h, ptr);
   }
+  g.store.PublishStaged();
   SecondaryIndexSetPtr sec =
       std::atomic_load_explicit(&g.secondary, std::memory_order_acquire);
   if (sec != nullptr) sec->PublishCut(g.store);
@@ -195,7 +197,7 @@ Status IndexedPartition::AppendBatch(const std::vector<EncodedRowRef>& rows,
       auto [it, inserted] = heads.try_emplace(row.hash);
       slot = &it->second;
       if (inserted) {
-        std::optional<uint64_t> head = g.index.Lookup(row.hash);
+        std::optional<uint64_t> head = g.index.PeekLookup(row.hash);
         if (head.has_value()) {
           slot->head = PackedPointer(*head);
           slot->head_size = EncodedRowSize(g.store.PayloadAt(slot->head), *schema_);
@@ -209,7 +211,7 @@ Status IndexedPartition::AppendBatch(const std::vector<EncodedRowRef>& rows,
       back = slot->head;
       prev_size = slot->head_size;
     }
-    auto ptr_res = g.store.AppendEncoded(row.payload, row.size, back, prev_size);
+    auto ptr_res = g.store.StageEncoded(row.payload, row.size, back, prev_size);
     if (!ptr_res.ok()) {
       error = ptr_res.status();
       break;
@@ -224,13 +226,15 @@ Status IndexedPartition::AppendBatch(const std::vector<EncodedRowRef>& rows,
   }
 
   // Publish one head per key, after every row of the batch (or of the
-  // prefix that made it in) has its bytes committed. Readers snapshotting
-  // between publishes see a consistent prefix of the batch per key.
+  // prefix that made it in) is staged; then publish the rows themselves.
+  // A view taken before PublishStaged skips the new heads' rows by its
+  // watermark, and a view taken after finds every row from its head.
   for (const auto& [hash, slot] : heads) {
     if (slot.head.is_null()) continue;  // key never landed a row
     g.index.Insert(hash, slot.head.bits());
     local.keys_published += 1;
   }
+  g.store.PublishStaged();
   // Secondary-index maintenance rides inside the same lock acquisition:
   // one cut publish per batch. On error the committed prefix is indexed,
   // matching the store and the cTrie heads above.
@@ -285,20 +289,22 @@ std::vector<SecondaryIndexSpec> IndexedPartition::secondary_specs() const {
 
 IndexedPartition::View IndexedPartition::Snapshot() const {
   // Lock-free vs both appends and compaction swaps: grab the generation
-  // first, then snapshot inside it. If a swap lands in between we read the
-  // old (frozen, still complete) generation. Order matters inside the
-  // generation: the secondary cut and the trie snapshot are captured
-  // BEFORE the watermark, so everything reachable from either (cut
-  // positions, trie pointers) is covered by the watermark — in particular
-  // cut.covered <= wm.num_rows, which ProbeSecondary relies on.
+  // first, then read inside it. If a swap lands in between we read the
+  // old (frozen, still complete) generation. The secondary cut is captured
+  // BEFORE the watermark, so cut.covered <= wm.num_rows, which
+  // ProbeSecondary relies on. The trie needs no capture: lookups read the
+  // live one and the watermark bounds their chains.
   PartitionGenerationPtr g = gen();
   SecondaryIndexSetPtr set =
       std::atomic_load_explicit(&g->secondary, std::memory_order_acquire);
   SecondaryIndexCutPtr cut = set != nullptr ? set->cut() : nullptr;
-  CTrie trie = g->index.ReadOnlySnapshot();
   StoreWatermark wm = g->store.Watermark();
-  return View(schema_, indexed_col_, std::move(g), std::move(trie), wm,
-              std::move(cut));
+  return View(schema_, indexed_col_, std::move(g), wm, std::move(cut));
+}
+
+size_t IndexedPartition::index_bytes() const {
+  PartitionGenerationPtr g = gen();
+  return g->index.PeekLiveMemoryBytes() + g->store.directory_bytes();
 }
 
 ChainStatsSnapshot IndexedPartition::ChainStats() const {
@@ -323,15 +329,14 @@ Status IndexedPartition::CompactLocked(CompactionResult* result) {
   const Schema& schema = *schema_;
 
   // Collect every chain of the old generation: (hash, pointers newest
-  // first). The trie is frozen for writes while we hold the partition
-  // lock, so a read-only snapshot covers everything.
+  // first). The partition lock excludes every trie writer, so a walk of
+  // the live root sees everything.
   struct Chain {
     uint64_t hash;
     std::vector<PackedPointer> ptrs;  // newest first (walk order)
   };
   std::vector<Chain> chains;
-  CTrie old_trie = old_gen->index.ReadOnlySnapshot();
-  old_trie.ForEach([&](uint64_t hash, uint64_t head) {
+  old_gen->index.PeekForEach([&](uint64_t hash, uint64_t head) {
     Chain c;
     c.hash = hash;
     for (PackedPointer p(head); !p.is_null(); p = old_gen->store.BackPointerAt(p)) {
@@ -428,9 +433,7 @@ size_t IndexedPartition::View::GetRawRows(
 void IndexedPartition::View::ScanChain(
     const Value& key, const std::function<void(PackedPointer)>& fn) const {
   if (key.is_null()) return;
-  std::optional<uint64_t> head = trie_.Lookup(key.Hash());
-  if (!head.has_value()) return;
-  for (PackedPointer ptr(*head); !ptr.is_null();
+  for (PackedPointer ptr = ChainHead(key); !ptr.is_null();
        ptr = gen_->store.BackPointerAt(ptr)) {
     fn(ptr);
   }

@@ -20,10 +20,16 @@
 //
 // Concurrency: appends and compaction are serialized per partition (the
 // owner, IndexedRelation, holds the partition write lock); reads are
-// lock-free and proceed concurrently with appends. A View captures a CTrie
-// snapshot plus a store watermark, giving queries a consistent version
-// while the update stream keeps appending — the paper's "updates with
-// multi-version concurrency".
+// lock-free and proceed concurrently with appends. A View captures a store
+// watermark, giving queries a consistent version while the update stream
+// keeps appending — the paper's "updates with multi-version concurrency".
+// Rows are append-only and every chain runs newest first, so the watermark
+// alone names a version: a view looks keys up in the live cTrie and skips
+// the chain rows past its watermark. Pinning writes nothing, and the trie
+// is never snapshotted, so appends never re-copy a path a pin froze. An
+// append stages its rows, publishes their heads in the trie, and only then
+// publishes the rows to watermarks, so every row a view covers is
+// reachable from its key's live head.
 #pragma once
 
 #include <atomic>
@@ -152,9 +158,9 @@ struct PartitionGeneration {
   IDF_DISALLOW_COPY_AND_ASSIGN(PartitionGeneration);
 
   RowBatchStore store;
-  // ReadOnlySnapshot() CASes the trie root (RDCSS) without changing the
-  // logical contents; snapshots from const contexts are fine.
-  mutable CTrie index;
+  /// Written by the appender and the compactor only; readers use the
+  /// trie's Peek* reads, which never write it, and take no snapshots.
+  CTrie index;
 
   /// Secondary indexes of this generation (null when the table has none).
   /// Swapped only by AddSecondaryIndexLocked (under the partition write
@@ -255,9 +261,9 @@ class IndexedPartition {
   /// list of a set is immutable once installed).
   std::vector<SecondaryIndexSpec> secondary_specs() const;
 
-  /// \brief A consistent read view: generation + cTrie snapshot + store
-  /// watermark. Holds its generation alive, so a view outlives compaction
-  /// of the partition it came from.
+  /// \brief A consistent read view: generation + store watermark (+ the
+  /// secondary-index cut). Holds its generation alive, so a view outlives
+  /// compaction of the partition it came from.
   class View {
    public:
     /// All rows whose indexed column equals `key`, newest first (reverse
@@ -279,8 +285,8 @@ class IndexedPartition {
     template <typename Fn>
     size_t ForEachRawRow(const Value& key, Fn&& fn) const {
       if (key.is_null()) return 0;
-      std::optional<uint64_t> head = trie_.Lookup(key.Hash());
-      if (!head.has_value()) return 0;
+      PackedPointer ptr = ChainHead(key);
+      if (ptr.is_null()) return 0;
       const Schema& schema = *schema_;
       const int col = indexed_col_;
       const RowBatchStore& store = gen_->store;
@@ -294,7 +300,6 @@ class IndexedPartition {
           EncodeFixedKeySlot(schema.field(col).type, key, &want_slot);
       const size_t bitmap_bytes = EncodedBitmapBytes(schema.num_fields());
       size_t matched = 0;
-      PackedPointer ptr(*head);
       while (!ptr.is_null()) {
         const uint8_t* payload = store.PayloadAt(ptr);
         // Chain nodes are scattered across row batches, so the backward
@@ -378,13 +383,27 @@ class IndexedPartition {
    private:
     friend class IndexedPartition;
     View(SchemaPtr schema, int indexed_col, PartitionGenerationPtr gen,
-         CTrie trie, StoreWatermark wm, SecondaryIndexCutPtr secondary)
+         StoreWatermark wm, SecondaryIndexCutPtr secondary)
         : schema_(std::move(schema)),
           indexed_col_(indexed_col),
           gen_(std::move(gen)),
-          trie_(std::move(trie)),
           watermark_(wm),
           secondary_(std::move(secondary)) {}
+
+    /// The newest row of `key`'s chain inside this view (null when none):
+    /// the live head, stepped back past the rows appended after the
+    /// watermark. Positions decrease along every chain (appends and
+    /// compaction both write a chain oldest first), so the rest of the
+    /// chain is covered too. `key` must not be null.
+    PackedPointer ChainHead(const Value& key) const {
+      std::optional<uint64_t> head = gen_->index.PeekLookup(key.Hash());
+      if (!head.has_value()) return PackedPointer::Null();
+      PackedPointer ptr(*head);
+      while (!ptr.is_null() && !watermark_.Covers(ptr)) {
+        ptr = gen_->store.BackPointerAt(ptr);
+      }
+      return ptr;
+    }
 
     /// ScanRaw starting at append ordinal `from` (the suffix between a
     /// cut's covered prefix and this view's row count).
@@ -394,13 +413,12 @@ class IndexedPartition {
     SchemaPtr schema_;
     int indexed_col_;
     PartitionGenerationPtr gen_;
-    CTrie trie_;
     StoreWatermark watermark_;
     SecondaryIndexCutPtr secondary_;
   };
 
-  /// Captures a consistent read view (O(1): generation pointer copy, cTrie
-  /// read-only snapshot, two atomic loads). Thread-safe, lock-free.
+  /// Captures a consistent read view (O(1): generation pointer copy and a
+  /// few atomic loads; writes nothing). Thread-safe, lock-free.
   View Snapshot() const;
 
   /// Convenience: lookup against a fresh snapshot.
@@ -432,11 +450,13 @@ class IndexedPartition {
   size_t distinct_keys() const { return gen()->index.size_hint(); }
 
   /// Memory accounting for the paper's "low memory overhead" claim:
-  /// `index_bytes` is the live cTrie structure; `arena_bytes` additionally
-  /// includes retired nodes the arena holds until the snapshot family dies
-  /// (the cost of the leak-until-destruction reclamation strategy).
+  /// `index_bytes` is the live cTrie structure plus the row directory;
+  /// `arena_bytes` is every trie node allocated, including the ones
+  /// path-copying updates replaced, which the arena holds until the
+  /// generation dies (the leak-until-destruction reclamation strategy).
+  /// Both are safe while appends run and write nothing.
   size_t data_bytes() const { return gen()->store.used_bytes(); }
-  size_t index_bytes() const { return gen()->index.LiveMemoryBytes(); }
+  size_t index_bytes() const;
   size_t arena_bytes() const { return gen()->index.MemoryBytesEstimate(); }
 
   /// The live generation's store. The reference is only stable while no

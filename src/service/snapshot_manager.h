@@ -10,14 +10,15 @@
 //    therefore run concurrently with each other, exactly as without the
 //    manager.
 //  - PinAll() holds the gate EXCLUSIVE while it captures the per-partition
-//    trie views of every index of every registered table. No batch can be
-//    mid-flight at that instant, so a reader never observes a torn batch:
-//    half of a multi-partition append, or a row present in one index of a
-//    table but missing from another.
+//    views (store watermarks) of every index of every registered table.
+//    No batch can be mid-flight at that instant, so a reader never
+//    observes a torn batch: half of a multi-partition append, or a row
+//    present in one index of a table but missing from another.
 //
-// Pinning is O(total partitions) pointer captures (the CTrie's O(1)
-// snapshot per partition), so the exclusive section is microseconds even
-// with many tables; appends are delayed by at most that.
+// Pinning is O(total partitions) atomic loads (a generation pointer and a
+// store watermark per partition; nothing is written or copied), so the
+// exclusive section is microseconds even with many tables; appends are
+// delayed by at most that.
 //
 // Pins are additionally cached per epoch: while no batch commits, every
 // PinAll() after the first returns the cached snapshot without touching

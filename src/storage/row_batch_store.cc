@@ -23,6 +23,24 @@ RowBatchStore::~RowBatchStore() {
 Result<PackedPointer> RowBatchStore::AppendRow(const Schema& schema, const Row& row,
                                                PackedPointer back_pointer,
                                                uint32_t prev_size) {
+  IDF_ASSIGN_OR_RETURN(PackedPointer ptr,
+                       StageRow(schema, row, back_pointer, prev_size));
+  PublishStaged();
+  return ptr;
+}
+
+Result<PackedPointer> RowBatchStore::AppendEncoded(const uint8_t* payload, size_t len,
+                                                   PackedPointer back_pointer,
+                                                   uint32_t prev_size) {
+  IDF_ASSIGN_OR_RETURN(PackedPointer ptr,
+                       StageEncoded(payload, len, back_pointer, prev_size));
+  PublishStaged();
+  return ptr;
+}
+
+Result<PackedPointer> RowBatchStore::StageRow(const Schema& schema, const Row& row,
+                                              PackedPointer back_pointer,
+                                              uint32_t prev_size) {
   IDF_RETURN_NOT_OK(EncodeRow(schema, row, &scratch_));
   if (scratch_.size() > max_row_bytes_) {
     return Status::CapacityError("encoded row of " +
@@ -30,12 +48,12 @@ Result<PackedPointer> RowBatchStore::AppendRow(const Schema& schema, const Row& 
                                  " bytes exceeds max_row_bytes=" +
                                  std::to_string(max_row_bytes_));
   }
-  return AppendEncoded(scratch_.data(), scratch_.size(), back_pointer, prev_size);
+  return StageEncoded(scratch_.data(), scratch_.size(), back_pointer, prev_size);
 }
 
-Result<PackedPointer> RowBatchStore::AppendEncoded(const uint8_t* payload, size_t len,
-                                                   PackedPointer back_pointer,
-                                                   uint32_t prev_size) {
+Result<PackedPointer> RowBatchStore::StageEncoded(const uint8_t* payload, size_t len,
+                                                  PackedPointer back_pointer,
+                                                  uint32_t prev_size) {
   size_t n = num_batches_.load(std::memory_order_relaxed);
   RowBatch* current = n == 0 ? nullptr : slots_[n - 1].load(std::memory_order_relaxed);
   if (current == nullptr || current->remaining() < len + 16) {
@@ -51,10 +69,9 @@ Result<PackedPointer> RowBatchStore::AppendEncoded(const uint8_t* payload, size_
   }
   auto offset_res = current->AppendEncoded(payload, len, back_pointer);
   if (!offset_res.ok()) return offset_res.status();
+  // PublishStaged's release store covers this entry (and any chunk or
+  // spine it needed), so readers below num_rows_ see it.
   AppendToDirectory(current->payload_at(offset_res.ValueUnsafe()));
-  // Publish: the directory entry (and any chunk or spine it needed) is
-  // written before this release, so readers below num_rows_ see it.
-  num_rows_.fetch_add(1, std::memory_order_release);
   PackedPointer ptr =
       PackedPointer::MakeChecked(n - 1, offset_res.ValueUnsafe(), prev_size);
   if (ptr.is_null()) {
@@ -72,9 +89,13 @@ void RowBatchStore::AppendToDirectory(const uint8_t* payload) {
       // readers that acquired it, and costs less than the new one.
       auto grown = std::make_unique<Spine>(live == nullptr ? 4 : 2 * live->capacity);
       for (size_t i = 0; i < c; ++i) grown->chunks[i] = live->chunks[i];
+      directory_bytes_.fetch_add(grown->capacity * sizeof(const uint8_t**),
+                                 std::memory_order_relaxed);
       spines_.push_back(std::move(grown));
     }
     chunks_.emplace_back(new const uint8_t*[kDirectoryChunkRows]);
+    directory_bytes_.fetch_add(kDirectoryChunkRows * sizeof(const uint8_t*),
+                               std::memory_order_relaxed);
     spines_.back()->chunks[c] = chunks_.back().get();
     spine_.store(spines_.back().get(), std::memory_order_release);
   }
@@ -82,23 +103,27 @@ void RowBatchStore::AppendToDirectory(const uint8_t* payload) {
   ++directory_rows_;
 }
 
-size_t RowBatchStore::directory_bytes() const {
-  size_t total = chunks_.size() * kDirectoryChunkRows * sizeof(const uint8_t*);
-  for (const auto& spine : spines_) total += spine->capacity * sizeof(const uint8_t**);
-  return total;
-}
-
 StoreWatermark RowBatchStore::Watermark() const {
   StoreWatermark wm;
-  // Read row count first: the rows it covers are fully published by the
-  // time we read the batch sizes below (appends publish size before count).
   wm.num_rows = num_rows_.load(std::memory_order_acquire);
-  wm.num_batches = static_cast<uint32_t>(num_batches_.load(std::memory_order_acquire));
-  if (wm.num_batches > 0) {
-    wm.last_batch_bytes =
-        slots_[wm.num_batches - 1].load(std::memory_order_acquire)->committed_size();
+  if (wm.num_rows == 0) return wm;
+  // The byte bound comes from the last covered row itself, never from a
+  // batch's committed size: that may already include rows staged or
+  // published after the count was read.
+  const uintptr_t last = reinterpret_cast<uintptr_t>(PayloadOfRow(wm.num_rows - 1));
+  // Its batch opened before the row was published, so the batch count
+  // read next includes it; the row sits in the newest batch unless later
+  // appends opened more.
+  size_t b = num_batches_.load(std::memory_order_acquire) - 1;
+  for (;; --b) {
+    const uintptr_t base =
+        reinterpret_cast<uintptr_t>(BatchAt(static_cast<uint32_t>(b))->data());
+    if (last >= base && last < base + batch_bytes_) {
+      wm.num_batches = static_cast<uint32_t>(b + 1);
+      wm.last_batch_bytes = last - base;
+      return wm;
+    }
   }
-  return wm;
 }
 
 size_t RowBatchStore::used_bytes() const {

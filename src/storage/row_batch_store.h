@@ -7,8 +7,8 @@
 // sequentially; IndexedRelation serializes appends per partition); readers
 // run lock-free and concurrently with the appender. Batches live in a
 // preallocated slot directory so the appender never relocates memory that
-// readers may be traversing; a StoreWatermark captured together with a
-// CTrie snapshot delimits one consistent version of the data.
+// readers may be traversing; a StoreWatermark delimits one consistent
+// version of the data.
 //
 // The row directory maps each row's append ordinal to its payload, so a
 // scan reads row positions instead of decoding every row's variable-width
@@ -16,8 +16,14 @@
 // per chunk) behind a spine that doubles when full; a replaced spine stays
 // alive until the store dies, so a reader holding it never reads freed
 // memory. The appender writes a row's entry (and any new chunk or spine)
-// before the release increment of num_rows_, so every ordinal below an
+// before the release store of num_rows_, so every ordinal below an
 // acquired row count is readable without locks.
+//
+// Appends may be staged: a staged row is written (bytes, header, directory
+// entry) and addressable by its packed pointer, but no row count or
+// watermark covers it until PublishStaged(). IndexedPartition stages a
+// batch, links it into the cTrie, then publishes, so every row a watermark
+// covers is already reachable from its key's head.
 #pragma once
 
 #include <algorithm>
@@ -30,14 +36,22 @@
 
 namespace idf {
 
-/// A consistent prefix of the store: everything up to (and excluding)
-/// batch `num_batches-1`, plus the first `last_batch_bytes` bytes of the
-/// last batch. Appends are strictly sequential, so any such prefix is a
-/// version.
+/// A consistent prefix of the store: its first `num_rows` rows. Rows are
+/// laid out in append order, so the same prefix is also a byte bound:
+/// batches [0, num_batches-1) whole, plus the rows of batch num_batches-1
+/// whose header starts below `last_batch_bytes` (the payload offset of row
+/// num_rows-1). Scans read the first form, chain walks the second; both
+/// are derived from one acquired row count, so they name the same rows.
 struct StoreWatermark {
   uint32_t num_batches = 0;
   size_t last_batch_bytes = 0;
   size_t num_rows = 0;
+
+  /// True iff the row `ptr` addresses belongs to this prefix.
+  bool Covers(PackedPointer ptr) const {
+    const uint64_t b = uint64_t{ptr.batch()} + 1;
+    return b < num_batches || (b == num_batches && ptr.offset() < last_batch_bytes);
+  }
 };
 
 class RowBatchStore {
@@ -64,6 +78,21 @@ class RowBatchStore {
   Result<PackedPointer> AppendEncoded(const uint8_t* payload, size_t len,
                                       PackedPointer back_pointer,
                                       uint32_t prev_size);
+
+  /// AppendRow / AppendEncoded without publishing: the row is readable
+  /// through the returned pointer but is not counted until PublishStaged.
+  /// Appender-only.
+  Result<PackedPointer> StageRow(const Schema& schema, const Row& row,
+                                 PackedPointer back_pointer, uint32_t prev_size);
+  Result<PackedPointer> StageEncoded(const uint8_t* payload, size_t len,
+                                     PackedPointer back_pointer,
+                                     uint32_t prev_size);
+
+  /// Publishes every staged row (release): row counts and watermarks
+  /// acquired afterwards cover them. Appender-only.
+  void PublishStaged() {
+    num_rows_.store(directory_rows_, std::memory_order_release);
+  }
 
   /// Payload address of the row `ptr` points at. `ptr` must be non-null and
   /// produced by this store. Thread-safe.
@@ -103,7 +132,8 @@ class RowBatchStore {
     }
   }
 
-  /// Captures the current consistent prefix. Thread-safe.
+  /// Captures the current consistent prefix: one acquired row count, with
+  /// the byte bound taken from the last row it covers. Thread-safe.
   StoreWatermark Watermark() const;
 
   size_t num_batches() const {
@@ -117,8 +147,10 @@ class RowBatchStore {
   size_t used_bytes() const;
 
   /// Bytes of the row directory: its chunks plus its live and replaced
-  /// spines. Appender-side (or quiescent) accounting.
-  size_t directory_bytes() const;
+  /// spines. Thread-safe (the appender keeps an atomic count).
+  size_t directory_bytes() const {
+    return directory_bytes_.load(std::memory_order_relaxed);
+  }
 
   size_t max_row_bytes() const { return max_row_bytes_; }
 
@@ -143,6 +175,7 @@ class RowBatchStore {
   std::vector<std::unique_ptr<Spine>> spines_;  // live one last
   std::vector<std::unique_ptr<const uint8_t*[]>> chunks_;
   size_t directory_rows_ = 0;  // appender's count of directory entries
+  std::atomic<size_t> directory_bytes_{0};
 };
 
 }  // namespace idf

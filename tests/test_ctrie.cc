@@ -223,6 +223,79 @@ TEST(CTrieTest, AllocatedNodesGrowWithInserts) {
   EXPECT_GT(t.MemoryBytesEstimate(), 0u);
 }
 
+// --- Peek reads --------------------------------------------------------------
+
+/// Peek reads of `t` agree with `model` and with LiveMemoryBytes, and
+/// allocate no nodes.
+void ExpectPeeksAgree(const CTrie& t, const std::map<uint64_t, uint64_t>& model,
+                      uint64_t key_space) {
+  const size_t nodes = t.allocated_nodes();
+  for (uint64_t k = 0; k < key_space; ++k) {
+    auto it = model.find(k);
+    auto peek = t.PeekLookup(k);
+    if (it == model.end()) {
+      EXPECT_FALSE(peek.has_value()) << k;
+    } else {
+      ASSERT_TRUE(peek.has_value()) << k;
+      EXPECT_EQ(*peek, it->second) << k;
+    }
+  }
+  std::map<uint64_t, uint64_t> seen;
+  t.PeekForEach([&seen](uint64_t k, uint64_t v) { seen[k] = v; });
+  EXPECT_EQ(seen, model);
+  const size_t peek_bytes = t.PeekLiveMemoryBytes();
+  EXPECT_EQ(t.allocated_nodes(), nodes);
+  EXPECT_EQ(peek_bytes, t.LiveMemoryBytes());
+}
+
+void PeeksAgreeUnderInsertsAndRemoves(CTrie::HashFn hash) {
+  CTrie t(hash);
+  Random64 rng(42);
+  std::map<uint64_t, uint64_t> model;
+  constexpr uint64_t kKeys = 600;
+  for (int op = 1; op <= 3000; ++op) {
+    const uint64_t k = rng.Uniform(kKeys);
+    if (rng.Uniform(4) == 0) {
+      t.Remove(k);
+      model.erase(k);
+    } else {
+      const uint64_t v = rng.Next();
+      t.Insert(k, v);
+      model[k] = v;
+    }
+    if (op % 500 == 0) ExpectPeeksAgree(t, model, kKeys);
+  }
+}
+
+TEST(CTriePeekTest, PeeksAgreeUnderInsertsAndRemoves) {
+  PeeksAgreeUnderInsertsAndRemoves(nullptr);
+}
+
+TEST(CTriePeekTest, PeeksAgreeWithCollisionsAndTombs) {
+  PeeksAgreeUnderInsertsAndRemoves(&BadHash);
+}
+
+TEST(CTriePeekTest, PeeksReadEachHandlesOwnVersion) {
+  CTrie t;
+  std::map<uint64_t, uint64_t> base;
+  for (uint64_t i = 0; i < 500; ++i) {
+    t.Insert(i, i);
+    base[i] = i;
+  }
+  CTrie frozen = t.ReadOnlySnapshot();
+  CTrie fork = t.Snapshot();
+  std::map<uint64_t, uint64_t> live = base, forked = base;
+  for (uint64_t i = 0; i < 200; ++i) {
+    t.Insert(i, i + 1000);
+    live[i] = i + 1000;
+    fork.Insert(i + 500, 7);
+    forked[i + 500] = 7;
+  }
+  ExpectPeeksAgree(frozen, base, 1000);
+  ExpectPeeksAgree(t, live, 1000);
+  ExpectPeeksAgree(fork, forked, 1000);
+}
+
 class CTrieSweepTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(CTrieSweepTest, InsertLookupRemoveAtScale) {

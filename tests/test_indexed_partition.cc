@@ -3,7 +3,9 @@
 // secondary probes read through the row directory.
 #include "indexed/indexed_partition.h"
 
+#include <algorithm>
 #include <atomic>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -412,6 +414,156 @@ TEST(IndexedPartitionDirectoryTest, ConcurrentScansSeeCompleteRows) {
   for (auto& t : readers) t.join();
   EXPECT_EQ(errors.load(), 0u);
   EXPECT_EQ(part.num_rows(), static_cast<size_t>(n));
+}
+
+// --- Pins read by watermark over the live trie ------------------------------
+
+/// Encoded rows of one AppendBatch call; `refs` point into `bytes`.
+struct EncodedRows {
+  std::vector<std::vector<uint8_t>> bytes;
+  std::vector<IndexedPartition::EncodedRowRef> refs;
+};
+
+EncodedRows EncodeRows(const Schema& schema, const RowVec& rows) {
+  EncodedRows out;
+  out.bytes.resize(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_TRUE(EncodeRow(schema, rows[i], &out.bytes[i]).ok());
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Value& key = rows[i][0];
+    out.refs.push_back({out.bytes[i].data(), static_cast<uint32_t>(out.bytes[i].size()),
+                        key.is_null() ? 0 : key.Hash(), !key.is_null()});
+  }
+  return out;
+}
+
+RowVec WideRows(int64_t begin, int64_t end) {
+  RowVec rows;
+  for (int64_t i = begin; i < end; ++i) rows.push_back(WideRow(i));
+  return rows;
+}
+
+TEST(IndexedPartitionPinTest, PinsAllocateNoTrieNodes) {
+  SchemaPtr schema = WideSchema();
+  IndexedPartition part(schema, 0, TinyBatchConfig());
+  for (int64_t i = 0; i < 2000; ++i) ASSERT_TRUE(part.Append(WideRow(i)).ok());
+  const size_t before = part.arena_bytes();
+  std::vector<IndexedPartition::View> held;
+  for (int i = 0; i < 1000; ++i) held.push_back(part.Snapshot());
+  // Stats walk the live trie without a snapshot, too.
+  EXPECT_GT(part.index_bytes(), 0u);
+  EXPECT_EQ(part.arena_bytes(), before);
+}
+
+TEST(IndexedPartitionPinTest, AppendsAfterPinsAllocateLikeUnpinnedAppends) {
+  // K rounds of (pin, 32-row batch) against K unpinned batches of the same
+  // rows: a pin that froze the trie would make the next batch re-copy the
+  // frozen path, so the pinned partition would allocate more nodes.
+  SchemaPtr schema = WideSchema();
+  IndexedPartition pinned(schema, 0, TinyBatchConfig());
+  IndexedPartition unpinned(schema, 0, TinyBatchConfig());
+  std::vector<IndexedPartition::View> held;
+  constexpr int kRounds = 50;
+  for (int r = 0; r < kRounds; ++r) {
+    const EncodedRows batch = EncodeRows(*schema, WideRows(32 * r, 32 * (r + 1)));
+    held.push_back(pinned.Snapshot());
+    ASSERT_TRUE(pinned.AppendBatch(batch.refs).ok());
+    ASSERT_TRUE(unpinned.AppendBatch(batch.refs).ok());
+  }
+  EXPECT_EQ(pinned.arena_bytes(), unpinned.arena_bytes());
+  EXPECT_EQ(pinned.gen()->index.allocated_nodes(), unpinned.gen()->index.allocated_nodes());
+  // Every held view still reads exactly its own prefix.
+  for (size_t r = 0; r < held.size(); ++r) {
+    EXPECT_EQ(held[r].num_rows(), 32 * r);
+    size_t found = 0;
+    for (int64_t k = 0; k < 97; ++k) found += held[r].GetRows(Value(k)).size();
+    size_t nulls = 0;
+    for (int64_t i = 0; i < static_cast<int64_t>(32 * r); ++i) nulls += i % 9 == 0;
+    EXPECT_EQ(found + nulls, 32 * r) << "view " << r;
+  }
+}
+
+TEST(IndexedPartitionPinTest, IndexEqualsScanForTheSameViewUnderALiveAppender) {
+  // One appender alternates 32-row AppendBatch calls with per-row Appends
+  // across tiny batches; readers take unpinned views and check that, for
+  // sampled keys, the chain of the view yields exactly the view's scan
+  // filtered on the key (newest first), and that no chain row lies past
+  // the view's row count.
+  SchemaPtr schema = WideSchema();
+  IndexedPartition part(schema, 0, TinyBatchConfig());
+  constexpr int64_t kRows = 8000;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> errors{0};
+  std::atomic<uint64_t> views{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      int64_t probe = r;
+      while (!stop.load()) {
+        IndexedPartition::View view = part.Snapshot();
+        const std::vector<const uint8_t*> scanned = ScanPayloads(view);
+        if (scanned.size() != view.num_rows()) errors.fetch_add(1);
+        const std::set<const uint8_t*> in_view(scanned.begin(), scanned.end());
+        for (int s = 0; s < 4; ++s, probe = (probe + 13) % 97) {
+          const Value key(probe);
+          std::vector<const uint8_t*> want;
+          for (const uint8_t* payload : scanned) {
+            if (DecodeColumn(payload, *schema, 0) == key) want.push_back(payload);
+          }
+          std::reverse(want.begin(), want.end());
+          std::vector<const uint8_t*> got;
+          view.GetRawRows(key, &got);
+          if (got != want) errors.fetch_add(1);
+          if (view.GetRows(key).size() != want.size()) errors.fetch_add(1);
+          view.ScanChain(key, [&](PackedPointer ptr) {
+            if (in_view.count(view.generation()->store.PayloadAt(ptr)) == 0) {
+              errors.fetch_add(1);
+            }
+          });
+        }
+        views.fetch_add(1);
+      }
+    });
+  }
+  int64_t next = 0;
+  while (next < kRows) {
+    const EncodedRows batch = EncodeRows(*schema, WideRows(next, next + 32));
+    ASSERT_TRUE(part.AppendBatch(batch.refs).ok());
+    next += 32;
+    for (int i = 0; i < 8; ++i) ASSERT_TRUE(part.Append(WideRow(next++)).ok());
+  }
+  const uint64_t target = views.load() + 4;
+  while (views.load() < target) std::this_thread::yield();
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_GT(views.load(), 0u);
+}
+
+TEST(IndexedPartitionPinTest, StatsReadWhileAppendsRun) {
+  // index_bytes() counts the trie and the row directory, and is read
+  // lock-free while the appender grows both.
+  SchemaPtr schema = WideSchema();
+  IndexedPartition part(schema, 0, TinyBatchConfig());
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> errors{0};
+  std::thread reader([&] {
+    size_t last = 0;
+    while (!stop.load()) {
+      const size_t bytes = part.index_bytes();
+      if (bytes < last) errors.fetch_add(1);  // append-only: never shrinks
+      last = bytes;
+      (void)part.arena_bytes();
+      (void)part.distinct_keys();
+    }
+  });
+  for (int64_t i = 0; i < 10000; ++i) ASSERT_TRUE(part.Append(WideRow(i)).ok());
+  stop.store(true);
+  reader.join();
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_GE(part.store().directory_bytes(), 10000 * sizeof(const uint8_t*));
+  EXPECT_GT(part.index_bytes(), part.store().directory_bytes());
 }
 
 }  // namespace

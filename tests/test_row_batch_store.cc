@@ -110,6 +110,51 @@ TEST(RowBatchStoreTest, WatermarkTracksAppends) {
   EXPECT_GT(w2.last_batch_bytes, w1.last_batch_bytes);
 }
 
+TEST(RowBatchStoreTest, StagedRowsAreUncountedUntilPublished) {
+  RowBatchStore store(4096, 1024);
+  SchemaPtr schema = KvSchema();
+  auto a = store.AppendRow(*schema, KvRow(1, "a"), PackedPointer::Null(), 0);
+  auto b = store.StageRow(*schema, KvRow(2, "b"), PackedPointer::Null(), 0);
+  auto c = store.StageRow(*schema, KvRow(3, "c"), *b, 0);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  EXPECT_EQ(store.num_rows(), 1u);
+  StoreWatermark wm = store.Watermark();
+  EXPECT_EQ(wm.num_rows, 1u);
+  EXPECT_TRUE(wm.Covers(*a));
+  EXPECT_FALSE(wm.Covers(*b));
+  EXPECT_FALSE(wm.Covers(*c));
+  // A staged row is readable through its pointer before it is published.
+  EXPECT_EQ(DecodeRow(store.PayloadAt(*c), *schema), KvRow(3, "c"));
+  EXPECT_EQ(store.BackPointerAt(*c), *b);
+  store.PublishStaged();
+  EXPECT_EQ(store.num_rows(), 3u);
+  wm = store.Watermark();
+  EXPECT_EQ(wm.num_rows, 3u);
+  EXPECT_TRUE(wm.Covers(*a) && wm.Covers(*b) && wm.Covers(*c));
+}
+
+TEST(RowBatchStoreTest, WatermarkCoversExactlyItsRows) {
+  // Across batch rollovers, a watermark's byte bound (Covers) names the
+  // same rows as its row count.
+  RowBatchStore store(256, 128);
+  SchemaPtr schema = KvSchema();
+  std::vector<PackedPointer> ptrs;
+  std::vector<StoreWatermark> marks = {store.Watermark()};
+  for (int64_t i = 0; i < 300; ++i) {
+    auto ptr = store.AppendRow(*schema, KvRow(i, std::string(static_cast<size_t>(i % 40), 'x')),
+                               PackedPointer::Null(), 0);
+    ASSERT_TRUE(ptr.ok());
+    ptrs.push_back(*ptr);
+    marks.push_back(store.Watermark());
+  }
+  ASSERT_GT(store.num_batches(), 20u);
+  for (const StoreWatermark& wm : marks) {
+    for (size_t j = 0; j < ptrs.size(); ++j) {
+      ASSERT_EQ(wm.Covers(ptrs[j]), j < wm.num_rows) << j << " vs " << wm.num_rows;
+    }
+  }
+}
+
 TEST(RowBatchStoreTest, UsedAndAllocatedBytes) {
   RowBatchStore store(1024, 512);
   SchemaPtr schema = KvSchema();
