@@ -615,8 +615,7 @@ CTrie CTrie::ReadOnlySnapshot() {
 }
 
 void CTrie::ForEachNode(ci::MainNode* m,
-                        const std::function<void(uint64_t, uint64_t)>& fn,
-                        bool peek) const {
+                        const std::function<void(uint64_t, uint64_t)>& fn) const {
   switch (m->kind) {
     case ci::NodeKind::kCNode: {
       CNode* cn = static_cast<CNode*>(m);
@@ -625,7 +624,7 @@ void CTrie::ForEachNode(ci::MainNode* m,
           SNode* sn = static_cast<SNode*>(b);
           fn(sn->key, sn->value);
         } else {
-          ForEachNode(ReadMain(static_cast<INode*>(b), peek), fn, peek);
+          ForEachNode(GcasRead(static_cast<INode*>(b)), fn);
         }
       }
       break;
@@ -648,12 +647,15 @@ void CTrie::ForEachNode(ci::MainNode* m,
 
 void CTrie::ForEach(const std::function<void(uint64_t, uint64_t)>& fn) const {
   if (read_only_) {
-    INode* root = RdcssReadRoot();
-    ForEachNode(GcasRead(root), fn, /*peek=*/false);
+    ForEachLive(fn);
     return;
   }
   CTrie snap = const_cast<CTrie*>(this)->ReadOnlySnapshot();
   snap.ForEach(fn);
+}
+
+void CTrie::ForEachLive(const std::function<void(uint64_t, uint64_t)>& fn) const {
+  ForEachNode(GcasRead(RdcssReadRoot()), fn);
 }
 
 size_t CTrie::Size() const {
@@ -667,7 +669,7 @@ size_t CTrie::MemoryBytesEstimate() const {
   return arena_->allocated_count() * 72;
 }
 
-size_t CTrie::LiveBytesOfMain(ci::MainNode* m, bool peek) const {
+size_t CTrie::LiveBytesOfMain(ci::MainNode* m) const {
   switch (m->kind) {
     case ci::NodeKind::kCNode: {
       CNode* cn = static_cast<CNode*>(m);
@@ -676,8 +678,7 @@ size_t CTrie::LiveBytesOfMain(ci::MainNode* m, bool peek) const {
         if (b->kind == ci::NodeKind::kSNode) {
           bytes += sizeof(SNode);
         } else {
-          bytes += sizeof(INode) +
-                   LiveBytesOfMain(ReadMain(static_cast<INode*>(b), peek), peek);
+          bytes += sizeof(INode) + LiveBytesOfMain(GcasRead(static_cast<INode*>(b)));
         }
       }
       return bytes;
@@ -697,85 +698,7 @@ size_t CTrie::LiveBytesOfMain(ci::MainNode* m, bool peek) const {
 }
 
 size_t CTrie::LiveMemoryBytes() const {
-  if (read_only_) {
-    INode* root = RdcssReadRoot();
-    return sizeof(INode) + LiveBytesOfMain(GcasRead(root), /*peek=*/false);
-  }
-  CTrie snap = const_cast<CTrie*>(this)->ReadOnlySnapshot();
-  return snap.LiveMemoryBytes();
-}
-
-// ---------------------------------------------------------------------------
-// Peek reads (never write the trie)
-// ---------------------------------------------------------------------------
-
-CTrie::INode* CTrie::PeekRoot() const {
-  ci::ArenaNode* r = root_->load(std::memory_order_acquire);
-  if (IDF_PREDICT_TRUE(r->kind == ci::NodeKind::kINode)) {
-    return static_cast<INode*>(r);
-  }
-  // A snapshot's RDCSS is in flight: until it commits, the root is the
-  // old one.
-  return static_cast<ci::RdcssDescriptor*>(r)->ov;
-}
-
-CTrie::MainNode* CTrie::PeekMain(INode* in) const {
-  MainNode* m = in->main.load(std::memory_order_acquire);
-  MainNode* p = m->prev.load(std::memory_order_acquire);
-  if (IDF_PREDICT_TRUE(p == nullptr)) return m;
-  // A failed GCAS rolls back to the main it replaced.
-  if (p->kind == ci::NodeKind::kFailed) {
-    return p->prev.load(std::memory_order_acquire);
-  }
-  // Pending: GcasCommit commits it iff the root still carries the INode's
-  // generation, else it rolls back to `p`.
-  return PeekRoot()->gen == in->gen ? m : p;
-}
-
-std::optional<uint64_t> CTrie::PeekLookup(uint64_t key) const {
-  const uint64_t hash = hash_fn_(key);
-  INode* in = PeekRoot();
-  for (int lev = 0;; lev += kBitsPerLevel) {
-    MainNode* m = PeekMain(in);
-    switch (m->kind) {
-      case ci::NodeKind::kCNode: {
-        CNode* cn = static_cast<CNode*>(m);
-        const uint64_t flag = FlagOf(BranchPos(hash, lev));
-        if ((cn->bmp & flag) == 0) return std::nullopt;
-        Branch* branch = cn->array[static_cast<size_t>(ArrayIndex(cn->bmp, flag))];
-        if (branch->kind == ci::NodeKind::kINode) {
-          in = static_cast<INode*>(branch);
-          continue;
-        }
-        SNode* sn = static_cast<SNode*>(branch);
-        if (sn->hash == hash && sn->key == key) return sn->value;
-        return std::nullopt;
-      }
-      case ci::NodeKind::kTNode: {
-        // A tomb still holds its entry until a writer cleans it.
-        SNode* sn = static_cast<TNode*>(m)->sn;
-        if (sn->hash == hash && sn->key == key) return sn->value;
-        return std::nullopt;
-      }
-      case ci::NodeKind::kLNode: {
-        for (LNode* p = static_cast<LNode*>(m); p != nullptr; p = p->next) {
-          if (p->sn->key == key) return p->sn->value;
-        }
-        return std::nullopt;
-      }
-      default:
-        IDF_LOG(Fatal) << "unexpected main node kind in PeekLookup";
-        return std::nullopt;
-    }
-  }
-}
-
-void CTrie::PeekForEach(const std::function<void(uint64_t, uint64_t)>& fn) const {
-  ForEachNode(PeekMain(PeekRoot()), fn, /*peek=*/true);
-}
-
-size_t CTrie::PeekLiveMemoryBytes() const {
-  return sizeof(INode) + LiveBytesOfMain(PeekMain(PeekRoot()), /*peek=*/true);
+  return sizeof(INode) + LiveBytesOfMain(GcasRead(RdcssReadRoot()));
 }
 
 }  // namespace idf

@@ -221,27 +221,15 @@ class CTrie {
 
   /// Bytes of the *live* trie structure (nodes reachable from the current
   /// root): the real index size, comparable to the paper's memory-overhead
-  /// claim. O(n) traversal of a read-only snapshot.
+  /// claim. O(n) walk of the live root; takes no snapshot.
   size_t LiveMemoryBytes() const;
 
-  // --- Peek reads ---------------------------------------------------------
-  // Reads that never write the trie: no snapshot, no GCAS helping, no
-  // generation renewal, no tomb cleaning. They descend the live root and
-  // take a pending GCAS's outcome from the generations, as its writer will
-  // commit it. Exact for a trie that is never snapshotted, where every node
-  // shares one generation and every pending GCAS commits: the partition
-  // index, whose readers bound what they see by a store watermark instead
-  // of a snapshot (indexed/indexed_partition.h). Safe beside concurrent
-  // writers: nodes are freed only with the arena.
-
-  /// Lookup without writing the trie.
-  std::optional<uint64_t> PeekLookup(uint64_t key) const;
-
-  /// Visits every (key, value) pair reachable from the live root.
-  void PeekForEach(const std::function<void(uint64_t, uint64_t)>& fn) const;
-
-  /// LiveMemoryBytes of the live root, without a snapshot.
-  size_t PeekLiveMemoryBytes() const;
+  /// Visits every (key, value) pair reachable from the live root, without
+  /// taking a snapshot. Exact when no writer runs concurrently; beside a
+  /// writer it sees each key at some recent version. On a trie that is
+  /// never snapshotted it allocates nothing (at most it helps a pending
+  /// write commit, as Lookup does).
+  void ForEachLive(const std::function<void(uint64_t, uint64_t)>& fn) const;
 
  private:
   using INode = ctrie_internal::INode;
@@ -288,18 +276,9 @@ class CTrie {
   void CleanParent(INode* parent, INode* in, uint64_t hash, int lev,
                    Gen* startgen);
   CNode* DualBranchCNode(SNode* a, SNode* b, int lev, Gen* gen);
-  // --- peek helpers (never write) ---
-  INode* PeekRoot() const;
-  MainNode* PeekMain(INode* in) const;
-  /// The main node of `in`: GcasRead, or PeekMain when `peek`.
-  MainNode* ReadMain(INode* in, bool peek) const {
-    return peek ? PeekMain(in) : GcasRead(in);
-  }
-
   void ForEachNode(ctrie_internal::MainNode* m,
-                   const std::function<void(uint64_t, uint64_t)>& fn,
-                   bool peek) const;
-  size_t LiveBytesOfMain(ctrie_internal::MainNode* m, bool peek) const;
+                   const std::function<void(uint64_t, uint64_t)>& fn) const;
+  size_t LiveBytesOfMain(ctrie_internal::MainNode* m) const;
 
   static constexpr int kBitsPerLevel = 6;
   static constexpr int kBranchFactor = 64;

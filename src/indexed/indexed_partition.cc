@@ -106,6 +106,8 @@ void ChainStatsSnapshot::Merge(const ChainStatsSnapshot& o) {
   for (int i = 0; i < kHistBuckets; ++i) {
     chain_len_histogram[i] += o.chain_len_histogram[i];
   }
+  skipping_lookups += o.skipping_lookups;
+  rows_skipped += o.rows_skipped;
 }
 
 std::string ChainStatsSnapshot::ToString() const {
@@ -113,7 +115,9 @@ std::string ChainStatsSnapshot::ToString() const {
                   ", links=" + std::to_string(total_links) +
                   ", max_len=" + std::to_string(max_chain_len) +
                   ", mean_span=" + std::to_string(MeanBatchSpan()) +
-                  ", max_span=" + std::to_string(max_batch_span) + ", hist=[";
+                  ", max_span=" + std::to_string(max_batch_span) +
+                  ", skipping_lookups=" + std::to_string(skipping_lookups) +
+                  ", rows_skipped=" + std::to_string(rows_skipped) + ", hist=[";
   for (int i = 0; i < kHistBuckets; ++i) {
     if (i > 0) s += ",";
     s += std::to_string(chain_len_histogram[i]);
@@ -144,7 +148,7 @@ Status IndexedPartition::AppendToGen(PartitionGeneration& g, const Row& row) {
   uint32_t prev_size = 0;
   if (!key.is_null()) {
     h = key.Hash();
-    std::optional<uint64_t> head = g.index.PeekLookup(h);
+    std::optional<uint64_t> head = g.index.Lookup(h);
     if (head.has_value()) {
       back_pointer = PackedPointer(*head);
       prev_size = EncodedRowSize(g.store.PayloadAt(back_pointer), *schema_);
@@ -197,7 +201,7 @@ Status IndexedPartition::AppendBatch(const std::vector<EncodedRowRef>& rows,
       auto [it, inserted] = heads.try_emplace(row.hash);
       slot = &it->second;
       if (inserted) {
-        std::optional<uint64_t> head = g.index.PeekLookup(row.hash);
+        std::optional<uint64_t> head = g.index.Lookup(row.hash);
         if (head.has_value()) {
           slot->head = PackedPointer(*head);
           slot->head_size = EncodedRowSize(g.store.PayloadAt(slot->head), *schema_);
@@ -304,7 +308,7 @@ IndexedPartition::View IndexedPartition::Snapshot() const {
 
 size_t IndexedPartition::index_bytes() const {
   PartitionGenerationPtr g = gen();
-  return g->index.PeekLiveMemoryBytes() + g->store.directory_bytes();
+  return g->index.LiveMemoryBytes() + g->store.directory_bytes();
 }
 
 ChainStatsSnapshot IndexedPartition::ChainStats() const {
@@ -320,6 +324,8 @@ ChainStatsSnapshot IndexedPartition::ChainStats() const {
     out.max_batch_span = std::max(out.max_batch_span, span);
     out.chain_len_histogram[HistBucket(st.chain_len)] += 1;
   }
+  out.skipping_lookups = g.skipping_lookups.load(std::memory_order_relaxed);
+  out.rows_skipped = g.rows_skipped.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -336,7 +342,7 @@ Status IndexedPartition::CompactLocked(CompactionResult* result) {
     std::vector<PackedPointer> ptrs;  // newest first (walk order)
   };
   std::vector<Chain> chains;
-  old_gen->index.PeekForEach([&](uint64_t hash, uint64_t head) {
+  old_gen->index.ForEachLive([&](uint64_t hash, uint64_t head) {
     Chain c;
     c.hash = hash;
     for (PackedPointer p(head); !p.is_null(); p = old_gen->store.BackPointerAt(p)) {

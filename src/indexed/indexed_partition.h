@@ -158,8 +158,9 @@ struct PartitionGeneration {
   IDF_DISALLOW_COPY_AND_ASSIGN(PartitionGeneration);
 
   RowBatchStore store;
-  /// Written by the appender and the compactor only; readers use the
-  /// trie's Peek* reads, which never write it, and take no snapshots.
+  /// Written by the appender and the compactor only, never snapshotted and
+  /// never removed from: every node shares one generation, so a reader's
+  /// Lookup renews no path, meets no tomb and allocates nothing.
   CTrie index;
 
   /// Secondary indexes of this generation (null when the table has none).
@@ -176,6 +177,12 @@ struct PartitionGeneration {
     uint32_t last_batch = 0;   // batch of the newest row on the chain
   };
   std::unordered_map<uint64_t, KeyStat> key_stats;
+
+  /// View lookups whose live chain head lay past the view's watermark, and
+  /// the chain rows they stepped back over. Readers bump them only when
+  /// they skip, so a lookup that starts at its head writes nothing shared.
+  std::atomic<uint64_t> skipping_lookups{0};
+  std::atomic<uint64_t> rows_skipped{0};
 };
 using PartitionGenerationPtr = std::shared_ptr<PartitionGeneration>;
 
@@ -190,6 +197,10 @@ struct ChainStatsSnapshot {
   /// histogram[i] counts keys with chain length in [2^i, 2^(i+1)).
   static constexpr int kHistBuckets = 16;
   uint64_t chain_len_histogram[kHistBuckets] = {0};
+  /// View lookups that stepped back past rows appended after their pin,
+  /// and the rows stepped over (see View::ChainHead).
+  uint64_t skipping_lookups = 0;
+  uint64_t rows_skipped = 0;
 
   double MeanChainLen() const {
     return num_keys == 0 ? 0.0
@@ -394,14 +405,21 @@ class IndexedPartition {
     /// the live head, stepped back past the rows appended after the
     /// watermark. Positions decrease along every chain (appends and
     /// compaction both write a chain oldest first), so the rest of the
-    /// chain is covered too. `key` must not be null.
+    /// chain is covered too. The steps are bounded by the rows of `key`
+    /// appended since the pin; they are counted in the generation's
+    /// ChainStats. `key` must not be null.
     PackedPointer ChainHead(const Value& key) const {
-      std::optional<uint64_t> head = gen_->index.PeekLookup(key.Hash());
+      std::optional<uint64_t> head = gen_->index.Lookup(key.Hash());
       if (!head.has_value()) return PackedPointer::Null();
       PackedPointer ptr(*head);
-      while (!ptr.is_null() && !watermark_.Covers(ptr)) {
+      if (IDF_PREDICT_TRUE(watermark_.Covers(ptr))) return ptr;
+      uint64_t skipped = 0;
+      do {
         ptr = gen_->store.BackPointerAt(ptr);
-      }
+        ++skipped;
+      } while (!ptr.is_null() && !watermark_.Covers(ptr));
+      gen_->skipping_lookups.fetch_add(1, std::memory_order_relaxed);
+      gen_->rows_skipped.fetch_add(skipped, std::memory_order_relaxed);
       return ptr;
     }
 

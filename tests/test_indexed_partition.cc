@@ -541,6 +541,23 @@ TEST(IndexedPartitionPinTest, IndexEqualsScanForTheSameViewUnderALiveAppender) {
   EXPECT_GT(views.load(), 0u);
 }
 
+TEST(IndexedPartitionPinTest, LookupsPastTheWatermarkAreCounted) {
+  // A held view finds a key's live head past its watermark and steps back
+  // over the rows appended since the pin; ChainStats counts those steps.
+  IndexedPartition part(KvSchema(), 0, SmallConfig());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(part.Append(KvRow(5, "old")).ok());
+  IndexedPartition::View held = part.Snapshot();
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(part.Append(KvRow(5, "new")).ok());
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(part.Append(KvRow(6, "new")).ok());
+  EXPECT_EQ(held.GetRows(Value(int64_t{5})).size(), 3u);  // steps over 4
+  EXPECT_TRUE(held.GetRows(Value(int64_t{6})).empty());   // steps over 2
+  EXPECT_TRUE(held.GetRows(Value(int64_t{7})).empty());   // no chain
+  EXPECT_EQ(part.Snapshot().GetRows(Value(int64_t{5})).size(), 7u);
+  const ChainStatsSnapshot stats = part.ChainStats();
+  EXPECT_EQ(stats.skipping_lookups, 2u);
+  EXPECT_EQ(stats.rows_skipped, 6u);
+}
+
 TEST(IndexedPartitionPinTest, StatsReadWhileAppendsRun) {
   // index_bytes() counts the trie and the row directory, and is read
   // lock-free while the appender grows both.
