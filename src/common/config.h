@@ -41,12 +41,6 @@ struct EngineConfig {
   /// lazy decoding. 0 disables the fallback (always binary).
   size_t binary_shuffle_min_rows = 4096;
 
-  /// Append batches with at least this many rows encode their rows in
-  /// parallel morsels on the executor pool before taking any partition
-  /// write lock; smaller batches encode inline (the dispatch overhead
-  /// outweighs the win). Irrelevant on single-thread pools.
-  size_t append_parallel_min_rows = 256;
-
   /// Compiled filter and fused-aggregate evaluation runs batch-at-a-time
   /// over morsels (column gather + lane-parallel Kleene logic, selection
   /// vectors into decode; sql/vectorized_eval.h). False forces the PR-3

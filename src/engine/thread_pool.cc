@@ -49,97 +49,82 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
-                             const CancellationToken* cancel) {
-  if (n == 0) return;
-  if (n == 1 || is_worker_) {
-    // Nested parallelism runs inline: a worker blocking on sub-tasks could
-    // exhaust the pool and deadlock.
-    for (size_t i = 0; i < n; ++i) {
-      if (cancel != nullptr && cancel->stop_requested()) break;
-      fn(i);
-    }
-    return;
-  }
-  // Shared state outlives this call: trailing shard tasks may still touch
-  // it after the last iteration completes and the caller resumes.
-  struct SharedState {
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
-    std::mutex mu;
-    std::condition_variable cv;
-    std::function<void(size_t)> body;
-  };
-  auto state = std::make_shared<SharedState>();
-  state->body = fn;
-  size_t shards = std::min(n, static_cast<size_t>(num_threads()));
-  for (size_t s = 0; s < shards; ++s) {
-    Submit([state, n, cancel] {
-      for (;;) {
-        size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) break;
-        // A stopped job drains its remaining iterations without running
-        // the body, so the completion count still reaches n.
-        if (cancel == nullptr || !cancel->stop_requested()) state->body(i);
-        if (state->done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-          std::lock_guard<std::mutex> lock(state->mu);
-          state->cv.notify_all();
-        }
+// One fan-out. Helpers hold it by shared_ptr because a helper may be
+// dequeued after the caller returned; such a helper only touches the
+// cursor. `body` and `cancel` belong to the caller and are dereferenced
+// only for a claimed chunk, which the caller waits for.
+struct ThreadPool::Job {
+  const size_t n;
+  const size_t grain;
+  const size_t num_chunks;
+  const CancellationToken* const cancel;
+  void* const body;
+  const ChunkFn call;
+  std::atomic<size_t> cursor{0};  // next chunk to claim
+  std::atomic<size_t> done{0};    // chunks finished (run or drained)
+  std::mutex mu{};
+  std::condition_variable cv{};
+
+  // Claims and runs chunks until the cursor runs out. Returns true when
+  // this thread finished the job's last chunk.
+  bool Work() {
+    bool finished_last = false;
+    for (;;) {
+      const size_t chunk = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (chunk >= num_chunks) return finished_last;
+      // A stopped job drains its remaining chunks (counting them done)
+      // without running the body, freeing every thread within one morsel.
+      if (cancel == nullptr || !cancel->stop_requested()) {
+        const size_t begin = chunk * grain;
+        call(body, begin, std::min(n, begin + grain));
       }
-    });
+      finished_last =
+          done.fetch_add(1, std::memory_order_acq_rel) + 1 == num_chunks;
+    }
   }
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock,
-                 [&] { return state->done.load(std::memory_order_acquire) == n; });
+};
+
+// Waking a sleeping worker costs the waker several microseconds, so the
+// caller wakes one helper and each helper wakes the next before it starts
+// work, while chunks remain.
+void ThreadPool::AddHelper(std::shared_ptr<Job> job, size_t more) {
+  Submit([this, job = std::move(job), more] {
+    if (more > 0 &&
+        job->cursor.load(std::memory_order_relaxed) < job->num_chunks) {
+      AddHelper(job, more - 1);
+    }
+    if (job->Work()) {
+      std::lock_guard<std::mutex> lock(job->mu);
+      job->cv.notify_one();
+    }
+  });
 }
 
-size_t ThreadPool::ParallelForRange(size_t n, size_t grain,
-                                    const std::function<void(size_t, size_t)>& fn,
-                                    const CancellationToken* cancel) {
+size_t ThreadPool::RunChunks(size_t n, size_t grain,
+                             const CancellationToken* cancel, void* body,
+                             ChunkFn call) {
   if (n == 0) return 0;
   if (grain == 0) grain = 1;
   const size_t num_chunks = (n + grain - 1) / grain;
+  // One chunk needs no helper, and a fan-out from inside a chunk runs
+  // inline: the pool's threads are already busy with the outer job.
   if (num_chunks == 1 || is_worker_) {
-    // Single chunk (no dispatch overhead for small jobs) or nested call
-    // from a worker, which must run inline to avoid pool exhaustion.
-    for (size_t begin = 0; begin < n; begin += grain) {
-      if (cancel != nullptr && cancel->stop_requested()) break;
-      fn(begin, std::min(n, begin + grain));
-    }
+    Job(n, grain, num_chunks, cancel, body, call).Work();
     return num_chunks;
   }
-  struct SharedState {
-    std::atomic<size_t> cursor{0};
-    std::atomic<size_t> done{0};
-    std::mutex mu;
-    std::condition_variable cv;
-    std::function<void(size_t, size_t)> body;
-  };
-  auto state = std::make_shared<SharedState>();
-  state->body = fn;
-  size_t shards = std::min(num_chunks, static_cast<size_t>(num_threads()));
-  for (size_t s = 0; s < shards; ++s) {
-    Submit([state, n, grain, num_chunks, cancel] {
-      for (;;) {
-        size_t begin = state->cursor.fetch_add(grain, std::memory_order_relaxed);
-        if (begin >= n) break;
-        // Cancellation check at the morsel boundary: a stopped job drains
-        // its remaining chunks (counting them done) without running the
-        // body, freeing the workers within one morsel.
-        if (cancel == nullptr || !cancel->stop_requested()) {
-          state->body(begin, std::min(n, begin + grain));
-        }
-        if (state->done.fetch_add(1, std::memory_order_acq_rel) + 1 == num_chunks) {
-          std::lock_guard<std::mutex> lock(state->mu);
-          state->cv.notify_all();
-        }
-      }
+  auto job = std::make_shared<Job>(n, grain, num_chunks, cancel, body, call);
+  const size_t helpers =
+      std::min(num_chunks - 1, static_cast<size_t>(num_threads()));
+  AddHelper(job, helpers - 1);
+  is_worker_ = true;
+  job->Work();
+  is_worker_ = false;
+  if (job->done.load(std::memory_order_acquire) != num_chunks) {
+    std::unique_lock<std::mutex> lock(job->mu);
+    job->cv.wait(lock, [&] {
+      return job->done.load(std::memory_order_acquire) == num_chunks;
     });
   }
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] {
-    return state->done.load(std::memory_order_acquire) == num_chunks;
-  });
   return num_chunks;
 }
 

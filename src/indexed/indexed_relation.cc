@@ -17,10 +17,9 @@ Result<EncodedRowBatch> EncodeRowBatch(ExecutorContext& ctx, const Schema& schem
   out.spans.resize(rows.size());
   if (rows.empty()) return out;
 
-  const bool parallel =
-      ctx.pool().num_threads() > 1 &&
-      rows.size() >= ctx.config().append_parallel_min_rows;
-  const size_t grain = parallel ? ctx.MorselGrain(rows.size()) : rows.size();
+  // MorselGrain's floor keeps a small batch one chunk, which the caller
+  // encodes inline without touching the pool.
+  const size_t grain = ctx.MorselGrain(rows.size());
   const size_t num_chunks = (rows.size() + grain - 1) / grain;
   out.buffers.resize(num_chunks);
   std::vector<Status> statuses(num_chunks);
@@ -44,14 +43,10 @@ Result<EncodedRowBatch> EncodeRowBatch(ExecutorContext& ctx, const Schema& schem
     }
   };
 
-  if (parallel) {
-    ctx.pool().ParallelForRange(rows.size(), grain, encode_chunk,
-                                ctx.cancellation());
-    IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-    ctx.metrics().AddRowsAppendedParallel(rows.size());
-  } else {
-    encode_chunk(0, rows.size());
-  }
+  ctx.pool().ParallelForRange(rows.size(), grain, encode_chunk,
+                              ctx.cancellation());
+  IDF_RETURN_NOT_OK(ctx.CheckCancelled());
+  if (num_chunks > 1) ctx.metrics().AddRowsAppendedParallel(rows.size());
   for (Status& st : statuses) {
     IDF_RETURN_NOT_OK(st);
   }

@@ -51,10 +51,10 @@ struct EncodedRowBatch {
   size_t total_bytes() const;
 };
 
-/// Validates and encodes `rows` against `schema`. Batches past
-/// `EngineConfig` thresholds encode in parallel morsels on the context's
-/// pool (counted in metrics as rows_appended_parallel); small batches and
-/// single-thread pools encode inline.
+/// Validates and encodes `rows` against `schema` in morsels of
+/// `ExecutorContext::MorselGrain` rows on the context's pool. A batch of
+/// more than one morsel is counted in metrics as rows_appended_parallel;
+/// a smaller one is a single chunk that encodes inline on the caller.
 Result<EncodedRowBatch> EncodeRowBatch(ExecutorContext& ctx, const Schema& schema,
                                        const RowVec& rows);
 
@@ -194,7 +194,7 @@ class IndexedRelation : public IndexedRelationBase {
 
   /// Appends rows (fine-grained or batch — the paper supports both modes by
   /// batching rows in a DataFrame). Encodes the batch off the partition
-  /// locks (parallel past EngineConfig::append_parallel_min_rows), then
+  /// locks (in parallel when it spans several morsels), then
   /// applies each partition's group under one write-lock acquisition.
   /// Thread-safe; concurrent readers keep their snapshots.
   Status AppendRows(ExecutorContext& ctx, const RowVec& rows);

@@ -342,10 +342,10 @@ TEST(CompactionTest, ConcurrentReadersAppendersAndCompactorAreRaceFree) {
           seen += rows.size();
           for (const Row& row : rows) IDF_CHECK(row[0] == Value(k));
         }
-        // The trie snapshot is captured before the watermark, so every
-        // chain row is covered by the watermark; rows of a batch whose
-        // head was not yet published may pad the count on the right.
-        IDF_CHECK(seen <= pinned_rows)
+        // An append publishes its key heads before its row count, so
+        // every row under the pinned watermark is on its key's chain:
+        // with every key indexed, the chains cover the pin exactly.
+        IDF_CHECK(seen == pinned_rows)
             << seen << " chain rows vs " << pinned_rows << " pinned";
         reads.fetch_add(1, std::memory_order_relaxed);
       }

@@ -3,13 +3,51 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 namespace idf {
 namespace {
+
+// A one-shot gate that waiters can give up on after a deadline.
+class Latch {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  bool WaitFor(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// Occupies every worker of `pool` until `release` opens, and returns once
+// all of them are inside their task.
+void BlockEveryWorker(ThreadPool& pool, Latch& release) {
+  const int n = pool.num_threads();
+  auto entered = std::make_shared<std::atomic<int>>(0);
+  for (int i = 0; i < n; ++i) {
+    pool.Submit([entered, &release] {
+      entered->fetch_add(1);
+      release.WaitFor(std::chrono::seconds(60));
+    });
+  }
+  while (entered->load() < n) std::this_thread::yield();
+}
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
   ThreadPool pool(2);
@@ -231,6 +269,109 @@ TEST(ParallelForRangeTest, SkewedPerChunkWorkCompletes) {
     sum.fetch_add(local >= (end - begin) ? end - begin : 0);
   });
   EXPECT_EQ(sum.load(), 4096u);
+}
+
+TEST(ParallelForRangeTest, CallerFinishesAJobWhileEveryWorkerIsBlocked) {
+  Latch release;  // outlives the pool, whose workers wait on it
+  ThreadPool pool(2);
+  BlockEveryWorker(pool, release);
+  // A watchdog opens the latch if the call has not returned in time, so a
+  // caller that waits for the workers fails the test instead of hanging.
+  Latch call_returned;
+  std::atomic<bool> timed_out{false};
+  std::thread watchdog([&] {
+    if (!call_returned.WaitFor(std::chrono::seconds(10))) {
+      timed_out.store(true);
+      release.Open();
+    }
+  });
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> off_caller{0};
+  std::atomic<int> chunks_run{0};
+  const size_t chunks = pool.ParallelForRange(64 * 16, 16, [&](size_t, size_t) {
+    if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+    chunks_run.fetch_add(1);
+  });
+  call_returned.Open();
+  release.Open();
+  watchdog.join();
+  EXPECT_EQ(chunks, 64u);
+  EXPECT_EQ(chunks_run.load(), 64);
+  EXPECT_FALSE(timed_out.load()) << "the call waited for blocked workers";
+  EXPECT_EQ(off_caller.load(), 0);
+}
+
+TEST(ParallelForRangeTest, CallerRunsNestedCallsInline) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  // Helpers hold their chunks until the caller has run one of its own, so
+  // the caller always does; the deadline bounds the wait for a caller
+  // that never works.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::atomic<int> caller_chunks{0};
+  std::atomic<int> nested_chunks{0};
+  std::atomic<int> nested_off_caller{0};
+  pool.ParallelForRange(16, 1, [&](size_t, size_t) {
+    if (std::this_thread::get_id() != caller) {
+      while (caller_chunks.load() == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      return;
+    }
+    caller_chunks.fetch_add(1);
+    // Slow enough chunks that idle workers would take some of them if the
+    // nested call fanned out.
+    pool.ParallelForRange(32, 1, [&](size_t, size_t) {
+      if (std::this_thread::get_id() != caller) nested_off_caller.fetch_add(1);
+      nested_chunks.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    });
+  });
+  EXPECT_GT(caller_chunks.load(), 0);
+  EXPECT_EQ(nested_chunks.load(), caller_chunks.load() * 32);
+  EXPECT_EQ(nested_off_caller.load(), 0);
+}
+
+// Counts copies of the lambda that captures it.
+struct CopyCounter {
+  explicit CopyCounter(std::atomic<int>* copies) : copies(copies) {}
+  CopyCounter(const CopyCounter& other) : copies(other.copies) {
+    copies->fetch_add(1);
+  }
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  std::atomic<int>* copies;
+};
+
+TEST(ParallelForRangeTest, LateHelpersNeverRunTheBody) {
+  std::atomic<int> late_calls{0};
+  std::atomic<int> body_copies{0};
+  {
+    ThreadPool pool(2);
+    for (int job = 0; job < 2000; ++job) {
+      // `returned` lives on the heap so a late call can still read it; the
+      // chunk counter is a stack local that dies with this iteration.
+      auto returned = std::make_shared<std::atomic<bool>>(false);
+      std::atomic<int> chunks_run{0};
+      // Chunks of a few microseconds let a waking helper claim some, which
+      // the caller must then wait for; most helpers still arrive late.
+      auto body = [&chunks_run, &late_calls, returned,
+                   counter = CopyCounter(&body_copies)](size_t, size_t) {
+        if (returned->load()) late_calls.fetch_add(1);
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::microseconds(2);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        chunks_run.fetch_add(1);
+      };
+      const int chunks = 2 + job % 3;
+      pool.ParallelForRange(static_cast<size_t>(chunks), 1, body);
+      returned->store(true);
+      ASSERT_EQ(chunks_run.load(), chunks) << "job " << job;
+    }
+  }  // Joining the pool runs every helper still queued.
+  EXPECT_EQ(late_calls.load(), 0);
+  EXPECT_EQ(body_copies.load(), 0) << "the body was copied per call";
 }
 
 }  // namespace
