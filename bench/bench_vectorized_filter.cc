@@ -6,9 +6,10 @@
 //    EvalEncoded called row by row on identical payload pointers. This
 //    isolates the vectorization win from scan plumbing; its
 //    speedup_vs_scalar counter is the headline number.
-//  - SelectiveScan / FusedGroupBy: the full operators with
-//    EngineConfig::vectorized_execution on vs off — what a query actually
-//    sees, including flatten, morsel dispatch, and survivor decode.
+//  - SelectiveScan / FusedGroupBy / FusedGlobalAgg: the full operators —
+//    what a query actually sees, including flatten, morsel dispatch, and
+//    survivor decode. Compiled filters always run batch-at-a-time, so these
+//    cases report their own time only.
 //
 // Sweeps selectivity via the `v < threshold` arg: 10 keeps ~1% (filter
 // cost dominates), 500 keeps ~50% (decode amortizes the eval win).
@@ -39,9 +40,8 @@ namespace {
 constexpr int64_t kRows = 200000;
 
 struct Fixture {
-  SessionPtr vec_session;     // vectorized_execution = true (the default)
-  SessionPtr scalar_session;  // vectorized_execution = false
-  IndexedRelationPtr rel;     // {k, v, d, s, a, b}
+  SessionPtr vec_session;
+  IndexedRelationPtr rel;  // {k, v, d, s, a, b}
   SchemaPtr schema;
 };
 
@@ -51,8 +51,6 @@ Fixture& SharedFixture() {
     EngineConfig cfg;
     cfg.num_partitions = 8;
     fx->vec_session = Session::Make(cfg).ValueOrDie();
-    cfg.vectorized_execution = false;
-    fx->scalar_session = Session::Make(cfg).ValueOrDie();
 
     fx->schema = Schema::Make({{"k", TypeId::kInt64, false},
                                {"v", TypeId::kInt64, true},
@@ -212,28 +210,11 @@ BENCHMARK(BM_SelectiveScanKernel_RowAtATime)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Full operators: vectorized_execution on vs off
+// Full operators
 // ---------------------------------------------------------------------------
 
-double TimeOp(const PhysicalOpPtr& op, ExecutorContext& ctx, int iters) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) {
-    auto parts = op->Execute(ctx);
-    IDF_CHECK(parts.ok()) << parts.status().ToString();
-    benchmark::DoNotOptimize(TotalRows(*parts));
-  }
-  const std::chrono::duration<double, std::milli> dt =
-      std::chrono::steady_clock::now() - t0;
-  return dt.count() / iters;
-}
-
-void RunOperatorPair(benchmark::State& state, const PhysicalOpPtr& op) {
+void RunOperator(benchmark::State& state, const PhysicalOpPtr& op) {
   auto& fx = SharedFixture();
-  // Scalar baseline measured once per benchmark (same op object — the
-  // session's vectorized_execution flag selects the path inside Execute).
-  const double scalar_ms = TimeOp(op, fx.scalar_session->exec(), 5);
-  size_t iters = 0;
-  const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
     auto parts = op->Execute(fx.vec_session->exec());
     if (!parts.ok()) {
@@ -241,15 +222,8 @@ void RunOperatorPair(benchmark::State& state, const PhysicalOpPtr& op) {
       return;
     }
     benchmark::DoNotOptimize(TotalRows(*parts));
-    ++iters;
   }
-  const std::chrono::duration<double, std::milli> dt =
-      std::chrono::steady_clock::now() - t0;
   state.counters["rows"] = static_cast<double>(kRows);
-  state.counters["scalar_ms"] = scalar_ms;
-  if (iters > 0 && dt.count() > 0) {
-    state.counters["speedup_vs_scalar"] = scalar_ms / (dt.count() / iters);
-  }
 }
 
 void BM_SelectiveScan_Vectorized(benchmark::State& state) {
@@ -259,7 +233,7 @@ void BM_SelectiveScan_Vectorized(benchmark::State& state) {
       fx.rel, pred,
       PushedFilter::FromSplit(SplitForCompilation(pred, *fx.schema)));
   fx.vec_session->metrics().Reset();
-  RunOperatorPair(state, op);
+  RunOperator(state, op);
   state.counters["rows_filtered_vectorized"] = static_cast<double>(
       fx.vec_session->metrics().rows_filtered_vectorized());
 }
@@ -284,7 +258,7 @@ void BM_FusedGroupBy_Vectorized(benchmark::State& state) {
   auto op = std::make_shared<IndexedScanAggregateOp>(
       fx.rel, pred, PushedFilter::FromSplit(SplitForCompilation(pred, *fx.schema)),
       groups, aggs, out);
-  RunOperatorPair(state, op);
+  RunOperator(state, op);
 }
 BENCHMARK(BM_FusedGroupBy_Vectorized)
     ->Arg(10)
@@ -304,7 +278,7 @@ void BM_FusedGlobalAgg_Vectorized(benchmark::State& state) {
   auto op = std::make_shared<IndexedScanAggregateOp>(
       fx.rel, pred, PushedFilter::FromSplit(SplitForCompilation(pred, *fx.schema)),
       std::vector<ExprPtr>{}, aggs, out);
-  RunOperatorPair(state, op);
+  RunOperator(state, op);
 }
 BENCHMARK(BM_FusedGlobalAgg_Vectorized)
     ->Arg(10)

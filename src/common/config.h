@@ -34,20 +34,6 @@ struct EngineConfig {
   /// ExecutorContext::MorselGrain.
   size_t morsel_rows = 64 * 1024;
 
-  /// Indexed joins with fewer probe rows than this use the legacy row
-  /// exchange instead of the binary one: on tiny all-hit probes (e.g. the
-  /// fig2 2k-row join) every row is encoded and then decoded anyway, so
-  /// the encode pass is pure overhead. Larger probes amortize it through
-  /// lazy decoding. 0 disables the fallback (always binary).
-  size_t binary_shuffle_min_rows = 4096;
-
-  /// Compiled filter and fused-aggregate evaluation runs batch-at-a-time
-  /// over morsels (column gather + lane-parallel Kleene logic, selection
-  /// vectors into decode; sql/vectorized_eval.h). False forces the PR-3
-  /// row-at-a-time EvalEncoded path — the two are bit-identical; the flag
-  /// exists for benchmarking and as an escape hatch.
-  bool vectorized_execution = true;
-
   /// Probe relations at most this many bytes are broadcast instead of
   /// shuffled in indexed joins (paper §2 "Scheduling Physical Operators").
   /// The same threshold selects broadcast joins on the vanilla path

@@ -1,7 +1,6 @@
 #include "engine/shuffle.h"
 
 #include <cstring>
-#include <mutex>
 
 namespace idf {
 
@@ -42,63 +41,6 @@ Status BinaryRows::AppendRow(const Schema& schema, const Row& row,
   return Status::OK();
 }
 
-Result<BinaryPartitions> ShuffleByKeyBinary(ExecutorContext& ctx,
-                                            const PartitionedRows& input,
-                                            const Schema& schema, int key_col,
-                                            const HashPartitioner& partitioner) {
-  const int num_out = partitioner.num_partitions();
-  // Map side: each input partition encodes its rows once into
-  // per-destination byte buffers.
-  std::vector<BinaryPartitions> buckets(input.size());
-  uint64_t total_rows = 0;
-  uint64_t total_bytes = 0;
-  Status first_error;
-  std::mutex mu;
-  ctx.pool().ParallelFor(input.size(), [&](size_t p) {
-    ctx.metrics().AddTask();
-    BinaryPartitions local(static_cast<size_t>(num_out));
-    std::vector<uint8_t> scratch;
-    uint64_t rows = 0;
-    uint64_t bytes = 0;
-    for (const Row& row : input[p]) {
-      const Value& key = row[static_cast<size_t>(key_col)];
-      int target = key.is_null() ? 0 : partitioner.PartitionOf(key);
-      Status st = local[static_cast<size_t>(target)].AppendRow(schema, row, &scratch);
-      if (!st.ok()) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (first_error.ok()) first_error = st;
-        return;
-      }
-      bytes += scratch.size();
-      ++rows;
-    }
-    buckets[p] = std::move(local);
-    std::lock_guard<std::mutex> lock(mu);
-    total_rows += rows;
-    total_bytes += bytes;
-  });
-  IDF_RETURN_NOT_OK(first_error);
-  ctx.metrics().AddShuffledRows(total_rows);
-  ctx.metrics().AddShuffledBytes(total_bytes);
-  ctx.metrics().AddShuffleEncodedBytes(total_bytes);
-
-  // Reduce side: concatenate the buffers destined for each output
-  // partition (whole-buffer memcpy, no per-row work).
-  BinaryPartitions output(static_cast<size_t>(num_out));
-  ctx.pool().ParallelFor(static_cast<size_t>(num_out), [&](size_t out) {
-    ctx.metrics().AddTask();
-    size_t rows = 0;
-    size_t bytes = 0;
-    for (const BinaryPartitions& b : buckets) {
-      rows += b[out].num_rows();
-      bytes += b[out].byte_size();
-    }
-    output[out].Reserve(rows, bytes);
-    for (const BinaryPartitions& b : buckets) output[out].Append(b[out]);
-  });
-  return output;
-}
-
 size_t EstimateRowBytes(const Row& row) {
   size_t bytes = sizeof(Row);
   for (const Value& v : row) {
@@ -106,56 +48,6 @@ size_t EstimateRowBytes(const Row& row) {
     if (v.is_string()) bytes += v.string_value().size();
   }
   return bytes;
-}
-
-size_t EstimatePartitionedBytes(const PartitionedRows& parts) {
-  size_t bytes = 0;
-  for (const RowVec& p : parts) {
-    for (const Row& r : p) bytes += EstimateRowBytes(r);
-  }
-  return bytes;
-}
-
-PartitionedRows ShuffleByKey(ExecutorContext& ctx, const PartitionedRows& input,
-                             int key_col, const HashPartitioner& partitioner) {
-  const int num_out = partitioner.num_partitions();
-  // Map side: each input partition hashes its rows into `num_out` buckets.
-  std::vector<std::vector<RowVec>> buckets(input.size());
-  uint64_t total_rows = 0;
-  uint64_t total_bytes = 0;
-  std::mutex stats_mu;
-  ctx.pool().ParallelFor(input.size(), [&](size_t p) {
-    ctx.metrics().AddTask();
-    std::vector<RowVec> local(static_cast<size_t>(num_out));
-    uint64_t rows = 0;
-    uint64_t bytes = 0;
-    for (const Row& row : input[p]) {
-      const Value& key = row[static_cast<size_t>(key_col)];
-      int target = key.is_null() ? 0 : partitioner.PartitionOf(key);
-      bytes += EstimateRowBytes(row);
-      ++rows;
-      local[static_cast<size_t>(target)].push_back(row);
-    }
-    buckets[p] = std::move(local);
-    std::lock_guard<std::mutex> lock(stats_mu);
-    total_rows += rows;
-    total_bytes += bytes;
-  });
-  ctx.metrics().AddShuffledRows(total_rows);
-  ctx.metrics().AddShuffledBytes(total_bytes);
-
-  // Reduce side: concatenate the buckets destined for each output partition.
-  PartitionedRows output(static_cast<size_t>(num_out));
-  ctx.pool().ParallelFor(static_cast<size_t>(num_out), [&](size_t out) {
-    ctx.metrics().AddTask();
-    size_t total = 0;
-    for (const auto& b : buckets) total += b[out].size();
-    output[out].reserve(total);
-    for (auto& b : buckets) {
-      for (Row& row : b[out]) output[out].push_back(std::move(row));
-    }
-  });
-  return output;
 }
 
 PartitionedRows SplitRoundRobin(const RowVec& rows, int num_partitions) {

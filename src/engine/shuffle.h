@@ -2,10 +2,13 @@
 // modelling Spark's exchange. The data movement (hash, route, copy) is real
 // work and is what the indexed join avoids on its build side.
 //
-// Two exchanges exist: the legacy row exchange (materialized `Row` cells,
-// two deep copies) and the binary exchange, where map tasks encode each row
-// once into per-destination byte buffers, reduce tasks concatenate whole
-// buffers, and operators decode lazily (per column) on the far side.
+// The exchanges themselves route by a key expression and live with the
+// operators that use them (sql/physical_operators.h): vanilla joins move
+// rows (ShuffleRowsByKeyExpr), and the indexed join moves its probe side
+// as binary buffers (ShuffleEncodedByKeyExpr), where map tasks encode each
+// row once into per-destination byte buffers, reduce tasks concatenate
+// whole buffers, and the probe loop decodes lazily (per column). This
+// header holds the row containers and size estimates they share.
 #pragma once
 
 #include <cstdint>
@@ -25,13 +28,6 @@ using PartitionedRows = std::vector<RowVec>;
 
 /// Approximate in-memory size of a row (metrics and broadcast decisions).
 size_t EstimateRowBytes(const Row& row);
-
-size_t EstimatePartitionedBytes(const PartitionedRows& parts);
-
-/// Redistributes `input` so that every row lands in partition
-/// `partitioner.PartitionOf(row[key_col])`. Null keys go to partition 0.
-PartitionedRows ShuffleByKey(ExecutorContext& ctx, const PartitionedRows& input,
-                             int key_col, const HashPartitioner& partitioner);
 
 /// \brief Encoded rows of one shuffle destination: UnsafeRow payloads
 /// packed back-to-back into a single buffer, each preceded by a 4-byte
@@ -68,16 +64,6 @@ class BinaryRows {
 
 /// One BinaryRows buffer per shuffle destination.
 using BinaryPartitions = std::vector<BinaryRows>;
-
-/// Binary exchange with ShuffleByKey's routing (hash of `key_col`, null
-/// keys to partition 0): map tasks encode rows into per-task,
-/// per-destination buffers; reduce tasks concatenate. Produces row-for-row
-/// the same partition contents and order as ShuffleByKey, without the two
-/// deep Row copies and per-cell Value allocations.
-Result<BinaryPartitions> ShuffleByKeyBinary(ExecutorContext& ctx,
-                                            const PartitionedRows& input,
-                                            const Schema& schema, int key_col,
-                                            const HashPartitioner& partitioner);
 
 /// Splits a flat row vector into `num_partitions` round-robin chunks
 /// (initial placement of un-partitioned data).

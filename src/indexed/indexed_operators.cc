@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <numeric>
 
 #include "sql/aggregate_common.h"
 #include "sql/compiled_accessor.h"
@@ -176,6 +177,23 @@ void FlushChunkStats(ExecutorContext& ctx, const ChunkStats& stats) {
   }
 }
 
+/// Selects the payloads of a span that pass the compiled filter into
+/// `sel` and returns how many were kept. Without a compiled filter every
+/// payload is kept for the residual.
+size_t SelectPayloads(const std::optional<VectorizedPredicate>& vec,
+                      const uint8_t* const* payloads, size_t n, uint32_t* sel,
+                      VectorScratch* vs, ChunkStats* stats) {
+  if (!vec) {
+    std::iota(sel, sel + n, 0u);
+    return n;
+  }
+  const size_t kept = vec->FilterBatch(payloads, n, sel, vs);
+  stats->vector_batches += VectorizedPredicate::NumBatches(n);
+  stats->filtered_vectorized += n - kept;
+  stats->filtered_encoded += n - kept;
+  return kept;
+}
+
 /// Residual check on a decoded row: TRUE passes, NULL/false rejects, the
 /// first Eval error lands in `*error` and rejects.
 bool ResidualPasses(const Expr* residual, const Row& row, Status* error) {
@@ -265,56 +283,6 @@ Result<PartitionVec> MorselScanDense(ExecutorContext& ctx,
   return out;
 }
 
-/// Morsel-driven scan driver for filtering transforms: runs
-/// `per_row(payload, &out_rows, &chunk_stats)` over every row, collecting
-/// per-chunk (partition, rows) pieces that are reassembled in chunk order.
-/// Chunk stats flush to the metrics once per chunk; the first residual
-/// error aborts the scan.
-template <typename PerRow>
-Result<PartitionVec> MorselScan(ExecutorContext& ctx,
-                                const IndexedRelationSnapshot& snap,
-                                const PerRow& per_row) {
-  IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-  const FlatRaw flat = FlatIndex(snap);
-  const size_t num_parts = static_cast<size_t>(snap.num_partitions());
-  const size_t n = flat.total;
-  ctx.metrics().AddRowsScanned(n);
-  const size_t grain = ctx.MorselGrain(n);
-  std::vector<std::vector<MorselPiece>> chunks(n == 0 ? 0 : (n + grain - 1) / grain);
-  Status first_error;
-  std::mutex error_mu;
-  size_t dispatched = ctx.pool().ParallelForRange(
-      n, grain,
-      [&](size_t begin, size_t end) {
-        ctx.metrics().AddTask();
-        std::vector<MorselPiece> pieces;
-        ChunkStats stats;
-        ForEachSegment(flat, begin, end, [&](size_t p, size_t first, size_t last) {
-          MorselPiece piece{p, {}};
-          piece.rows.reserve(last - first);  // exact for scans, upper bound for filters
-          snap.view(static_cast<int>(p))
-              .ForEachPayloadRun(first, last,
-                                 [&](const uint8_t* const* payloads, size_t cnt) {
-                                   for (size_t j = 0; j < cnt; ++j) {
-                                     per_row(payloads[j], &piece.rows, &stats);
-                                   }
-                                 });
-          if (!piece.rows.empty()) pieces.push_back(std::move(piece));
-        });
-        FlushChunkStats(ctx, stats);
-        if (!stats.error.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = stats.error;
-        }
-        chunks[begin / grain] = std::move(pieces);
-      },
-      ctx.cancellation());
-  IDF_RETURN_NOT_OK(first_error);
-  IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-  ctx.metrics().AddMorsels(dispatched);
-  return AssemblePieces(ctx, num_parts, chunks);
-}
-
 /// One aggregate's input in the fused scan-aggregate: a compiled accessor
 /// reading the argument column straight from the payload, or an expression
 /// needing the decoded row. Both empty for COUNT(*).
@@ -363,7 +331,7 @@ void UpdateStateFromPayload(AggState* s, AggFn fn, const CompiledAccessor& acc,
 
 /// Materializes one payload that passed the compiled filter: residual check
 /// on the decoded row, then the full row or just the projected columns.
-/// Shared by the row-at-a-time and vectorized scan-filter paths.
+/// Shared by the scan-filter driver and the secondary-index probe.
 void EmitFilteredRow(const uint8_t* payload, const Schema& schema,
                      const Expr* residual, const std::vector<int>& project_cols,
                      RowVec* out, ChunkStats* stats) {
@@ -393,12 +361,11 @@ void EmitFilteredRow(const uint8_t* payload, const Schema& schema,
 /// Batch-at-a-time scan-filter driver: per partition segment of a morsel
 /// the compiled program evaluates the whole payload span at once
 /// (sql/vectorized_eval.h) and only the selection-vector survivors
-/// materialize. Output and metrics are identical to MorselScan running
-/// Matches row-at-a-time.
+/// materialize. A null `compiled` sends every row to the residual.
 Result<PartitionVec> VectorizedScanFilter(ExecutorContext& ctx,
                                           const IndexedRelationSnapshot& snap,
                                           const Schema& schema,
-                                          const CompiledPredicate& compiled,
+                                          const CompiledPredicate* compiled,
                                           const Expr* residual,
                                           const std::vector<int>& project_cols) {
   IDF_RETURN_NOT_OK(ctx.CheckCancelled());
@@ -411,7 +378,8 @@ Result<PartitionVec> VectorizedScanFilter(ExecutorContext& ctx,
                                                       : (n + grain - 1) / grain);
   Status first_error;
   std::mutex error_mu;
-  const VectorizedPredicate vec(compiled);
+  std::optional<VectorizedPredicate> vec;
+  if (compiled != nullptr) vec.emplace(*compiled);
   size_t dispatched = ctx.pool().ParallelForRange(
       n, grain,
       [&](size_t begin, size_t end) {
@@ -428,10 +396,8 @@ Result<PartitionVec> VectorizedScanFilter(ExecutorContext& ctx,
           snap.view(static_cast<int>(p))
               .ForEachPayloadRun(first, last,
                                  [&](const uint8_t* const* payloads, size_t cnt) {
-            const size_t kept = vec.FilterBatch(payloads, cnt, sel.data(), &vs);
-            stats.vector_batches += VectorizedPredicate::NumBatches(cnt);
-            stats.filtered_vectorized += cnt - kept;
-            stats.filtered_encoded += cnt - kept;
+            const size_t kept = SelectPayloads(vec, payloads, cnt, sel.data(),
+                                               &vs, &stats);
             for (size_t j = 0; j < kept; ++j) {
               EmitFilteredRow(payloads[sel[j]], schema, residual, project_cols,
                               &piece.rows, &stats);
@@ -525,55 +491,104 @@ void AccumulateSelectedLanes(AggState* s, AggFn fn,
   }
 }
 
-/// Build-side candidates of one join probe segment: chain walks append
-/// (encoded build row, probe id) pairs and the compiled build filter then
-/// evaluates the whole span batch-at-a-time. A probe's candidates are
-/// contiguous (appended during its chain walk), which the binary path's
-/// memoized probe decode relies on.
-struct BuildCandidates {
-  std::vector<const uint8_t*> payloads;
-  std::vector<size_t> probe;
-  void Add(const uint8_t* payload, size_t probe_id) {
-    payloads.push_back(payload);
-    probe.push_back(probe_id);
-  }
-  void Clear() {
-    payloads.clear();
-    probe.clear();
-  }
+/// Probe side of an indexed join, routed to the index's hash partitioning:
+/// item `i` of partition `p` is a probe row whose key partition `p` owns.
+/// Null keys never route (inner join: they match nothing).
+class JoinProbeSource {
+ public:
+  virtual ~JoinProbeSource() = default;
+  /// Probe rows routed to index partition `p`.
+  virtual size_t size(size_t p) const = 0;
+  /// The join key of item `i` of partition `p`.
+  virtual Status Key(size_t p, size_t i, Value* key) const = 0;
+  /// The full probe row of item `i`; a source that must decode it does so
+  /// into `*scratch`.
+  virtual const Row& ProbeRow(size_t p, size_t i, Row* scratch) const = 0;
+  /// True when only ProbeRow decodes a row past its key column, so an item
+  /// it never reaches is a decode avoided.
+  virtual bool lazy() const { return false; }
 };
 
-/// Filters a segment's candidates through the vectorized build predicate
-/// and emits the surviving concatenated rows in the original probe-major
-/// chain order. `probe_row_of(probe_id)` supplies the probe row (possibly
-/// decoding it lazily); it runs before the build residual so probe
-/// materialization matches the row-at-a-time path.
-template <typename ProbeRowFn>
-void FlushBuildCandidates(const VectorizedPredicate& vec, BuildCandidates* cand,
-                          std::vector<uint32_t>* sel, VectorScratch* vs,
-                          const Schema& build_schema, const Expr* build_residual,
-                          bool indexed_on_left, RowVec* out, ChunkStats* stats,
-                          ProbeRowFn&& probe_row_of) {
-  const size_t n = cand->payloads.size();
-  if (n == 0) return;
-  if (sel->size() < n) sel->resize(n);
-  const size_t kept = vec.FilterBatch(cand->payloads.data(), n, sel->data(), vs);
-  stats->vector_batches += VectorizedPredicate::NumBatches(n);
-  stats->filtered_vectorized += n - kept;
-  stats->filtered_encoded += n - kept;
-  for (size_t j = 0; j < kept; ++j) {
-    const size_t c = (*sel)[j];
-    const Row& probe_row = probe_row_of(cand->probe[c]);
-    Row build_row = DecodeRow(cand->payloads[c], build_schema);
-    if (build_residual &&
-        !ResidualPasses(build_residual, build_row, &stats->error)) {
-      continue;
+/// Broadcast probe: the rows are materialized and every key evaluated
+/// once, then routed by reference to the partition that owns it.
+class BroadcastProbe final : public JoinProbeSource {
+ public:
+  static Result<std::unique_ptr<JoinProbeSource>> Make(
+      ExecutorContext& ctx, const PartitionVec& parts, const Expr& key,
+      const HashPartitioner& partitioner) {
+    auto src = std::make_unique<BroadcastProbe>();
+    src->rows_ = MakeBroadcast(ctx, CollectRows(parts)).rows;
+    src->owned_.resize(static_cast<size_t>(partitioner.num_partitions()));
+    const RowVec& rows = *src->rows_;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      IDF_ASSIGN_OR_RETURN(Value k, key.Eval(rows[r]));
+      if (k.is_null()) continue;
+      const auto p = static_cast<size_t>(partitioner.PartitionOf(k));
+      src->owned_[p].push_back({r, std::move(k)});
     }
-    out->push_back(indexed_on_left ? ConcatRows(build_row, probe_row)
-                                   : ConcatRows(probe_row, build_row));
+    return std::unique_ptr<JoinProbeSource>(std::move(src));
   }
-  cand->Clear();
-}
+  size_t size(size_t p) const override { return owned_[p].size(); }
+  Status Key(size_t p, size_t i, Value* key) const override {
+    *key = owned_[p][i].key;
+    return Status::OK();
+  }
+  const Row& ProbeRow(size_t p, size_t i, Row*) const override {
+    return (*rows_)[owned_[p][i].row];
+  }
+
+ private:
+  struct Item {
+    size_t row;
+    Value key;
+  };
+  std::shared_ptr<const RowVec> rows_;
+  std::vector<std::vector<Item>> owned_;
+};
+
+/// Shuffled probe: the rows cross the exchange as encoded buffers, so no
+/// Row is materialized on the way. A bound column-ref key decodes only
+/// its column; the full row decodes on the probe's first surviving match.
+class ShuffledProbe final : public JoinProbeSource {
+ public:
+  static Result<std::unique_ptr<JoinProbeSource>> Make(
+      ExecutorContext& ctx, const PartitionVec& parts, SchemaPtr schema,
+      ExprPtr key, const HashPartitioner& partitioner) {
+    IDF_ASSIGN_OR_RETURN(
+        BinaryPartitions rows,
+        ShuffleEncodedByKeyExpr(ctx, parts, *schema, key, partitioner));
+    auto src = std::make_unique<ShuffledProbe>();
+    src->rows_ = std::move(rows);
+    src->schema_ = std::move(schema);
+    if (key->kind() == ExprKind::kColumnRef) {
+      const auto* ref = static_cast<const ColumnRefExpr*>(key.get());
+      if (ref->bound()) src->key_col_ = ref->index();
+    }
+    src->key_ = std::move(key);
+    return std::unique_ptr<JoinProbeSource>(std::move(src));
+  }
+  size_t size(size_t p) const override { return rows_[p].num_rows(); }
+  Status Key(size_t p, size_t i, Value* key) const override {
+    const uint8_t* payload = rows_[p].payload(i);
+    if (key_col_ >= 0) {
+      *key = DecodeColumn(payload, *schema_, key_col_);
+      return Status::OK();
+    }
+    IDF_ASSIGN_OR_RETURN(*key, key_->Eval(DecodeRow(payload, *schema_)));
+    return Status::OK();
+  }
+  const Row& ProbeRow(size_t p, size_t i, Row* scratch) const override {
+    *scratch = rows_[p].Decode(i, *schema_);
+    return *scratch;
+  }
+  bool lazy() const override { return key_col_ >= 0; }
+
+ private:
+  BinaryPartitions rows_;
+  SchemaPtr schema_;
+  ExprPtr key_;
+  int key_col_ = -1;
+};
 
 /// Driver for point lookups: each key routes to its home partition and
 /// the backward-pointer chain is walked, applying a pushed filter while
@@ -669,23 +684,10 @@ Result<PartitionVec> IndexedScanFilterOp::Execute(ExecutorContext& ctx) {
   const CompiledPredicate* compiled =
       filter.compiled ? &*filter.compiled : nullptr;
   const Expr* residual = filter.residual.get();
-  // Encoded-first either way: the compiled program reads the payload
-  // directly, so rows it rejects are never decoded. The vectorized driver
-  // evaluates it batch-at-a-time per partition segment; the fallback runs
-  // Matches row-at-a-time. Survivors materialize identically in both.
-  if (compiled != nullptr && ctx.config().vectorized_execution) {
-    return VectorizedScanFilter(ctx, snap, schema, *compiled, residual,
-                                project_cols_);
-  }
-  return MorselScan(ctx, snap,
-                    [this, &schema, compiled, residual](
-                        const uint8_t* payload, RowVec* out, ChunkStats* stats) {
-    if (compiled && !compiled->Matches(payload)) {
-      ++stats->filtered_encoded;
-      return;
-    }
-    EmitFilteredRow(payload, schema, residual, project_cols_, out, stats);
-  });
+  // Encoded-first: the compiled program reads the payload directly, so
+  // rows it rejects are never decoded.
+  return VectorizedScanFilter(ctx, snap, schema, compiled, residual,
+                              project_cols_);
 }
 
 std::string SecondaryIndexProbeOp::name() const {
@@ -834,13 +836,12 @@ Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
     }
   }
 
-  const bool use_vec = compiled != nullptr && ctx.config().vectorized_execution;
   std::optional<VectorizedPredicate> vec;
-  if (use_vec) vec.emplace(*compiled);
+  if (compiled != nullptr) vec.emplace(*compiled);
   // Ungrouped aggregates whose every input reads straight off the payload
   // (or is COUNT(*)), with no residual, accumulate over the selection
   // vector without building a key or touching a Row at all.
-  bool ungrouped_fast = use_vec && num_groups == 0 && residual == nullptr;
+  bool ungrouped_fast = num_groups == 0 && residual == nullptr;
   for (size_t a = 0; a < num_aggs && ungrouped_fast; ++a) {
     if (aggs_[a].fn != AggFn::kCountStar && !inputs[a].acc) {
       ungrouped_fast = false;
@@ -864,12 +865,10 @@ Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
         ChunkStats stats;
         uint64_t encoded_rows = 0;
         VectorScratch vs;
-        std::vector<uint32_t> sel;
-        if (use_vec) {
-          sel.resize(std::min(end - begin, RowBatchStore::kDirectoryChunkRows));
-        }
-        // Accumulates one row that passed the compiled filter. Shared by
-        // the scalar path and the vector path's grouped tail.
+        std::vector<uint32_t> sel(
+            std::min(end - begin, RowBatchStore::kDirectoryChunkRows));
+        // Accumulates one row that passed the compiled filter (every
+        // selected row unless the ungrouped fast path applies).
         auto accumulate_row = [&](const uint8_t* payload) {
           Row decoded;
           bool has_decoded = false;
@@ -908,20 +907,8 @@ Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
           if (!has_decoded) ++encoded_rows;
         };
         auto accumulate_run = [&](const uint8_t* const* payloads, size_t cnt) {
-          if (!use_vec) {
-            for (size_t j = 0; j < cnt; ++j) {
-              if (compiled && !compiled->Matches(payloads[j])) {
-                ++stats.filtered_encoded;
-                continue;
-              }
-              accumulate_row(payloads[j]);
-            }
-            return;
-          }
-          const size_t kept = vec->FilterBatch(payloads, cnt, sel.data(), &vs);
-          stats.vector_batches += VectorizedPredicate::NumBatches(cnt);
-          stats.filtered_vectorized += cnt - kept;
-          stats.filtered_encoded += cnt - kept;
+          const size_t kept =
+              SelectPayloads(vec, payloads, cnt, sel.data(), &vs, &stats);
           if (!ungrouped_fast) {
             for (size_t j = 0; j < kept; ++j) accumulate_row(payloads[sel[j]]);
             return;
@@ -976,374 +963,136 @@ Result<PartitionVec> IndexedJoinOp::Execute(ExecutorContext& ctx) {
                        ReadVersion(ctx, *rel_, &scratch));
   const IndexedRelationSnapshot& snap = *version;
   const Schema& build_schema = *rel_->schema();
-  const Schema& probe_schema = *children()[0]->schema();
-  const size_t num_parts = static_cast<size_t>(snap.num_partitions());
 
   // Build-side filter from a pushed-down predicate on the indexed
-  // relation: the compiled part runs on the encoded build row during the
-  // chain walk (rejects are never decoded or concatenated), the residual
-  // on the decoded build row.
+  // relation. Chain walks only collect (build payload, probe item)
+  // candidates; the compiled part then runs over them batch-at-a-time
+  // (rejects are never decoded or concatenated) and the residual on the
+  // decoded survivors.
   IDF_ASSIGN_OR_RETURN(PushedFilter build_filter,
                        BindPushedFilter(build_filter_, ctx));
-  if (build_filter.compiled) ctx.metrics().AddPredicatesCompiled(1);
-  const CompiledPredicate* build_compiled =
-      build_filter.compiled ? &*build_filter.compiled : nullptr;
-  const Expr* build_residual = build_filter.residual.get();
-  // With a compiled build filter and vectorized execution, the chain walks
-  // only collect (build payload, probe id) candidates; each probe segment
-  // then runs the filter batch-at-a-time and decodes the survivors.
-  const bool vec_build =
-      build_compiled != nullptr && ctx.config().vectorized_execution;
   std::optional<VectorizedPredicate> build_vec;
-  if (vec_build) build_vec.emplace(*build_compiled);
-
-  // Bound column-ref probe keys decode only the key column from the binary
-  // exchange; other key expressions fall back to full-row decode + Eval.
-  int probe_key_col = -1;
-  if (probe_key_->kind() == ExprKind::kColumnRef) {
-    const auto* ref = static_cast<const ColumnRefExpr*>(probe_key_.get());
-    if (ref->bound()) probe_key_col = ref->index();
+  if (build_filter.compiled) {
+    ctx.metrics().AddPredicatesCompiled(1);
+    build_vec.emplace(*build_filter.compiled);
   }
+  const Expr* build_residual = build_filter.residual.get();
 
+  // The probe side moves, routed to the partition that owns each key; the
+  // build side moves nothing (it is the index). The planner picks the
+  // source from the probe's estimated size (paper §2, "Scheduling
+  // Physical Operators").
+  std::unique_ptr<JoinProbeSource> source;
   if (broadcast_probe_) {
-    // Broadcast the probe rows; each key is evaluated once and routed to
-    // the partition that owns it (hash partitioning makes ownership
-    // exact), then probing is split into morsels across partitions.
-    BroadcastRows bc = MakeBroadcast(ctx, CollectRows(probe_parts));
-    const RowVec& rows = *bc.rows;
-    std::vector<Value> keys(rows.size());
-    std::vector<std::vector<size_t>> owned(num_parts);
-    for (size_t r = 0; r < rows.size(); ++r) {
-      IDF_ASSIGN_OR_RETURN(Value key, probe_key_->Eval(rows[r]));
-      if (key.is_null()) continue;
-      owned[static_cast<size_t>(snap.partitioner().PartitionOf(key))].push_back(r);
-      keys[r] = std::move(key);
-    }
-    std::vector<size_t> part_end(num_parts);
-    size_t total = 0;
-    for (size_t p = 0; p < num_parts; ++p) {
-      total += owned[p].size();
-      part_end[p] = total;
-    }
-    const size_t grain = ctx.MorselGrain(total);
-    std::vector<std::vector<MorselPiece>> chunks(
-        total == 0 ? 0 : (total + grain - 1) / grain);
-    Status first_error;
-    std::mutex error_mu;
-    size_t dispatched = ctx.pool().ParallelForRange(
-        total, grain,
-        [&](size_t begin, size_t end) {
-          ctx.metrics().AddTask();
-          std::vector<MorselPiece> pieces;
-          uint64_t probes = 0;
-          uint64_t hits = 0;
-          ChunkStats stats;
-          VectorScratch vs;
-          std::vector<uint32_t> sel;
-          BuildCandidates cand;
-          size_t i = begin;
-          size_t p = PartitionOfIndex(part_end, begin);
-          while (i < end) {
-            const size_t pstart = p == 0 ? 0 : part_end[p - 1];
-            const size_t pend = std::min(end, part_end[p]);
-            const IndexedPartition::View& view = snap.view(static_cast<int>(p));
-            MorselPiece piece{p, {}};
-            if (vec_build) {
-              for (; i < pend; ++i) {
-                const size_t r = owned[p][i - pstart];
-                ++probes;
-                size_t matched =
-                    view.ForEachRawRow(keys[r], [&](const uint8_t* payload) {
-                      cand.Add(payload, r);
-                    });
-                if (matched > 0) ++hits;
-              }
-              FlushBuildCandidates(
-                  *build_vec, &cand, &sel, &vs, build_schema, build_residual,
-                  indexed_on_left_, &piece.rows, &stats,
-                  [&](size_t r) -> const Row& { return rows[r]; });
-            } else {
-              for (; i < pend; ++i) {
-                const size_t r = owned[p][i - pstart];
-                ++probes;
-                size_t matched =
-                    view.ForEachRawRow(keys[r], [&](const uint8_t* payload) {
-                      if (build_compiled && !build_compiled->Matches(payload)) {
-                        ++stats.filtered_encoded;
-                        return;
-                      }
-                      Row build_row = DecodeRow(payload, build_schema);
-                      if (build_residual &&
-                          !ResidualPasses(build_residual, build_row,
-                                          &stats.error)) {
-                        return;
-                      }
-                      piece.rows.push_back(indexed_on_left_
-                                               ? ConcatRows(build_row, rows[r])
-                                               : ConcatRows(rows[r], build_row));
-                    });
-                if (matched > 0) ++hits;
-              }
-            }
-            if (!piece.rows.empty()) pieces.push_back(std::move(piece));
-            ++p;
-          }
-          ctx.metrics().AddIndexProbes(probes);
-          ctx.metrics().AddIndexHits(hits);
-          FlushChunkStats(ctx, stats);
-          if (!stats.error.ok()) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (first_error.ok()) first_error = stats.error;
-          }
-          chunks[begin / grain] = std::move(pieces);
-        },
-        ctx.cancellation());
-    IDF_RETURN_NOT_OK(first_error);
-    IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-    ctx.metrics().AddMorsels(dispatched);
-    return AssemblePieces(ctx, num_parts, chunks);
+    IDF_ASSIGN_OR_RETURN(source, BroadcastProbe::Make(ctx, probe_parts, *probe_key_,
+                                                      snap.partitioner()));
+  } else {
+    IDF_ASSIGN_OR_RETURN(source,
+                         ShuffledProbe::Make(ctx, probe_parts, children()[0]->schema(),
+                                             probe_key_, snap.partitioner()));
   }
-
-  // Small shuffled probes take the legacy row exchange: when every probe
-  // row is decoded anyway (the all-hit case, e.g. the 2k-row fig2 join)
-  // the encode pass of the binary exchange is pure overhead, and at this
-  // scale it dominates. Large probes amortize encoding via lazy decode.
-  if (TotalRows(probe_parts) < ctx.config().binary_shuffle_min_rows) {
-    IDF_ASSIGN_OR_RETURN(
-        std::vector<RowVec> shuffled,
-        ShuffleRowsByKeyExpr(ctx, probe_parts, probe_key_, snap.partitioner()));
-    std::vector<size_t> part_end(num_parts);
-    size_t total = 0;
-    for (size_t p = 0; p < num_parts; ++p) {
-      total += shuffled[p].size();
-      part_end[p] = total;
-    }
-    const size_t grain = ctx.MorselGrain(total);
-    std::vector<std::vector<MorselPiece>> chunks(
-        total == 0 ? 0 : (total + grain - 1) / grain);
-    Status first_error;
-    std::mutex error_mu;
-    size_t dispatched = ctx.pool().ParallelForRange(
-        total, grain,
-        [&](size_t begin, size_t end) {
-          ctx.metrics().AddTask();
-          std::vector<MorselPiece> pieces;
-          uint64_t probes = 0;
-          uint64_t hits = 0;
-          ChunkStats stats;
-          VectorScratch vs;
-          std::vector<uint32_t> sel;
-          BuildCandidates cand;
-          size_t i = begin;
-          size_t p = PartitionOfIndex(part_end, begin);
-          while (i < end) {
-            const size_t pstart = p == 0 ? 0 : part_end[p - 1];
-            const size_t pend = std::min(end, part_end[p]);
-            const RowVec& rows = shuffled[p];
-            const IndexedPartition::View& view = snap.view(static_cast<int>(p));
-            MorselPiece piece{p, {}};
-            for (; i < pend; ++i) {
-              const Row& probe_row = rows[i - pstart];
-              Value key;
-              if (probe_key_col >= 0) {
-                key = probe_row[static_cast<size_t>(probe_key_col)];
-              } else {
-                auto v = probe_key_->Eval(probe_row);
-                if (!v.ok()) {
-                  std::lock_guard<std::mutex> lock(error_mu);
-                  if (first_error.ok()) first_error = v.status();
-                  return;
-                }
-                key = std::move(v).ValueUnsafe();
-              }
-              ++probes;
-              size_t matched =
-                  view.ForEachRawRow(key, [&](const uint8_t* build_payload) {
-                    if (vec_build) {
-                      cand.Add(build_payload, i - pstart);
-                      return;
-                    }
-                    if (build_compiled && !build_compiled->Matches(build_payload)) {
-                      ++stats.filtered_encoded;
-                      return;
-                    }
-                    Row build_row = DecodeRow(build_payload, build_schema);
-                    if (build_residual &&
-                        !ResidualPasses(build_residual, build_row, &stats.error)) {
-                      return;
-                    }
-                    piece.rows.push_back(indexed_on_left_
-                                             ? ConcatRows(build_row, probe_row)
-                                             : ConcatRows(probe_row, build_row));
-                  });
-              if (matched > 0) ++hits;
-            }
-            if (vec_build) {
-              FlushBuildCandidates(
-                  *build_vec, &cand, &sel, &vs, build_schema, build_residual,
-                  indexed_on_left_, &piece.rows, &stats,
-                  [&](size_t idx) -> const Row& { return rows[idx]; });
-            }
-            if (!piece.rows.empty()) pieces.push_back(std::move(piece));
-            ++p;
-          }
-          ctx.metrics().AddIndexProbes(probes);
-          ctx.metrics().AddIndexHits(hits);
-          FlushChunkStats(ctx, stats);
-          if (!stats.error.ok()) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (first_error.ok()) first_error = stats.error;
-          }
-          chunks[begin / grain] = std::move(pieces);
-        },
-        ctx.cancellation());
-    IDF_RETURN_NOT_OK(first_error);
-    IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-    ctx.metrics().AddMorsels(dispatched);
-    return AssemblePieces(ctx, num_parts, chunks);
-  }
-
-  // Shuffled probe: the probe side crosses the exchange as encoded binary
-  // buffers (no materialized Rows); the build side moves nothing (it is
-  // the index). Probe rows decode lazily — only the key column until a
-  // match requires the full row.
-  IDF_ASSIGN_OR_RETURN(BinaryPartitions shuffled,
-                       ShuffleEncodedByKeyExpr(ctx, probe_parts, probe_schema,
-                                               probe_key_, snap.partitioner()));
-  std::vector<size_t> part_end(num_parts);
-  size_t total = 0;
+  const size_t num_parts = static_cast<size_t>(snap.num_partitions());
+  const size_t out_width = static_cast<size_t>(schema()->num_fields());
+  FlatRaw flat;
+  flat.part_end.resize(num_parts);
   for (size_t p = 0; p < num_parts; ++p) {
-    total += shuffled[p].num_rows();
-    part_end[p] = total;
+    flat.total += source->size(p);
+    flat.part_end[p] = flat.total;
   }
-  const size_t grain = ctx.MorselGrain(total);
+
+  // Morsels of probe items, split across partitions.
+  const size_t grain = ctx.MorselGrain(flat.total);
   std::vector<std::vector<MorselPiece>> chunks(
-      total == 0 ? 0 : (total + grain - 1) / grain);
+      flat.total == 0 ? 0 : (flat.total + grain - 1) / grain);
   Status first_error;
   std::mutex error_mu;
   size_t dispatched = ctx.pool().ParallelForRange(
-      total, grain,
+      flat.total, grain,
       [&](size_t begin, size_t end) {
         ctx.metrics().AddTask();
         std::vector<MorselPiece> pieces;
-        uint64_t probes = 0;
         uint64_t hits = 0;
         uint64_t avoided = 0;
         ChunkStats stats;
         VectorScratch vs;
+        std::vector<const uint8_t*> cand;  // build payloads found by the walks
+        std::vector<size_t> cand_item;     // the probe item of each
         std::vector<uint32_t> sel;
-        BuildCandidates cand;
-        size_t i = begin;
-        size_t p = PartitionOfIndex(part_end, begin);
-        while (i < end) {
-          const size_t pstart = p == 0 ? 0 : part_end[p - 1];
-          const size_t pend = std::min(end, part_end[p]);
-          const BinaryRows& buf = shuffled[p];
+        Value key;
+        Row decoded;
+        ForEachSegment(flat, begin, end, [&](size_t p, size_t first, size_t last) {
+          if (!stats.error.ok()) return;
           const IndexedPartition::View& view = snap.view(static_cast<int>(p));
           MorselPiece piece{p, {}};
-          if (vec_build) {
-            const size_t seg_begin = i;
-            for (; i < pend; ++i) {
-              const size_t local = i - pstart;
-              const uint8_t* payload = buf.payload(local);
-              Value key;
-              if (probe_key_col >= 0) {
-                key = DecodeColumn(payload, probe_schema, probe_key_col);
-              } else {
-                Row full = DecodeRow(payload, probe_schema);
-                auto v = probe_key_->Eval(full);
-                if (!v.ok()) {
-                  std::lock_guard<std::mutex> lock(error_mu);
-                  if (first_error.ok()) first_error = v.status();
-                  return;
+          uint64_t materialized = 0;
+          // Filters the collected candidates and emits the survivors in
+          // probe-major chain order. Flushes fall between probes, so a
+          // probe's candidates are contiguous in one flush and its row is
+          // materialized once, on its first surviving match, before the
+          // build residual.
+          auto flush = [&] {
+            if (sel.size() < cand.size()) sel.resize(cand.size());
+            const size_t kept =
+                SelectPayloads(build_vec, cand.data(), cand.size(), sel.data(),
+                               &vs, &stats);
+            const Row* probe_row = nullptr;
+            size_t probe_item = last;
+            for (size_t j = 0; j < kept; ++j) {
+              const size_t c = sel[j];
+              if (cand_item[c] != probe_item) {
+                probe_item = cand_item[c];
+                probe_row = &source->ProbeRow(p, probe_item, &decoded);
+                ++materialized;
+              }
+              // Without a residual the build columns decode straight into
+              // the output row.
+              Row build_row;
+              if (build_residual) {
+                build_row = DecodeRow(cand[c], build_schema);
+                if (!ResidualPasses(build_residual, build_row, &stats.error)) {
+                  continue;
                 }
-                key = std::move(v).ValueUnsafe();
               }
-              // Null keys were dropped on the map side of the exchange.
-              ++probes;
-              size_t matched =
-                  view.ForEachRawRow(key, [&](const uint8_t* build_payload) {
-                    cand.Add(build_payload, local);
-                  });
-              if (matched > 0) ++hits;
-            }
-            // Lazy memoized probe decode at flush: a probe's candidates
-            // are contiguous, so one decoded row serves all of them.
-            // Probes whose candidates were all rejected (or that missed
-            // the index) never materialize past the key column, matching
-            // the row-at-a-time accounting.
-            size_t last = static_cast<size_t>(-1);
-            Row probe_row;
-            uint64_t materialized = 0;
-            FlushBuildCandidates(
-                *build_vec, &cand, &sel, &vs, build_schema, build_residual,
-                indexed_on_left_, &piece.rows, &stats,
-                [&](size_t idx) -> const Row& {
-                  if (idx != last) {
-                    probe_row = DecodeRow(buf.payload(idx), probe_schema);
-                    last = idx;
-                    ++materialized;
-                  }
-                  return probe_row;
-                });
-            if (probe_key_col >= 0) {
-              avoided += (pend - seg_begin) - materialized;
-            }
-          } else {
-            for (; i < pend; ++i) {
-              const uint8_t* payload = buf.payload(i - pstart);
-              Row probe_row;
-              bool decoded = false;
-              Value key;
-              if (probe_key_col >= 0) {
-                key = DecodeColumn(payload, probe_schema, probe_key_col);
+              Row row;
+              row.reserve(out_width);
+              if (!indexed_on_left_) {
+                row.insert(row.end(), probe_row->begin(), probe_row->end());
+              }
+              if (build_residual) {
+                row.insert(row.end(), std::make_move_iterator(build_row.begin()),
+                           std::make_move_iterator(build_row.end()));
               } else {
-                probe_row = DecodeRow(payload, probe_schema);
-                decoded = true;
-                auto v = probe_key_->Eval(probe_row);
-                if (!v.ok()) {
-                  std::lock_guard<std::mutex> lock(error_mu);
-                  if (first_error.ok()) first_error = v.status();
-                  return;
+                for (int col = 0; col < build_schema.num_fields(); ++col) {
+                  row.push_back(DecodeColumn(cand[c], build_schema, col));
                 }
-                key = std::move(v).ValueUnsafe();
               }
-              // Null keys were dropped on the map side of the exchange.
-              ++probes;
-              size_t matched =
-                  view.ForEachRawRow(key, [&](const uint8_t* build_payload) {
-                    // The build filter runs on the encoded build row first:
-                    // a reject decodes neither side.
-                    if (build_compiled && !build_compiled->Matches(build_payload)) {
-                      ++stats.filtered_encoded;
-                      return;
-                    }
-                    // The probe row materializes on the first surviving match.
-                    if (!decoded) {
-                      probe_row = DecodeRow(payload, probe_schema);
-                      decoded = true;
-                    }
-                    Row build_row = DecodeRow(build_payload, build_schema);
-                    if (build_residual &&
-                        !ResidualPasses(build_residual, build_row, &stats.error)) {
-                      return;
-                    }
-                    piece.rows.push_back(indexed_on_left_
-                                             ? ConcatRows(build_row, probe_row)
-                                             : ConcatRows(probe_row, build_row));
-                  });
-              if (matched > 0) {
-                ++hits;
+              if (indexed_on_left_) {
+                row.insert(row.end(), probe_row->begin(), probe_row->end());
               }
-              if (!decoded) {
-                ++avoided;  // never materialized past the key column
-              }
+              piece.rows.push_back(std::move(row));
             }
+            cand.clear();
+            cand_item.clear();
+          };
+          for (size_t i = first; i < last; ++i) {
+            Status st = source->Key(p, i, &key);
+            if (!st.ok()) {
+              stats.error = std::move(st);
+              return;
+            }
+            size_t matched = view.ForEachRawRow(key, [&](const uint8_t* payload) {
+              cand.push_back(payload);
+              cand_item.push_back(i);
+            });
+            if (matched > 0) ++hits;
+            // One filter batch at a time keeps the candidates cache-hot.
+            if (cand.size() >= VectorizedPredicate::kBatchRows) flush();
           }
+          flush();
+          if (source->lazy()) avoided += (last - first) - materialized;
           if (!piece.rows.empty()) pieces.push_back(std::move(piece));
-          ++p;
-        }
-        ctx.metrics().AddIndexProbes(probes);
+        });
+        ctx.metrics().AddIndexProbes(end - begin);
         ctx.metrics().AddIndexHits(hits);
         ctx.metrics().AddDecodesAvoided(avoided);
         FlushChunkStats(ctx, stats);

@@ -20,7 +20,6 @@ class MorselExecutionTest : public ::testing::Test {
     cfg.num_partitions = 4;
     cfg.num_threads = 2;
     cfg.morsel_rows = 512;  // small grain so modest inputs split
-    cfg.binary_shuffle_min_rows = 0;  // always binary: these tests target it
     session_ = Session::Make(cfg).ValueOrDie();
     build_schema_ = Schema::Make({{"k", TypeId::kInt64, false},
                                   {"name", TypeId::kString, false}});
@@ -102,7 +101,8 @@ TEST_F(MorselExecutionTest, BroadcastJoinMatchesShuffledJoinRowSet) {
 
 TEST_F(MorselExecutionTest, ShuffledJoinAvoidsDecodingMissedProbeRows) {
   // Probe keys outside the build domain: every probe misses, and with a
-  // bound column-ref key the full probe row is never materialized.
+  // bound column-ref key the full probe row is never materialized. Any
+  // shuffled probe, however small, crosses the exchange encoded.
   RowVec rows;
   for (int64_t i = 0; i < 4000; ++i) {
     rows.push_back({Value(i + 1000), Value(i)});
@@ -113,6 +113,7 @@ TEST_F(MorselExecutionTest, ShuffledJoinAvoidsDecodingMissedProbeRows) {
   PartitionVec parts = RunJoin(probe, /*broadcast_probe=*/false).ValueOrDie();
   EXPECT_EQ(TotalRows(parts), 0u);
   EXPECT_EQ(session_->metrics().decodes_avoided(), 4000u);
+  EXPECT_GT(session_->metrics().shuffle_encoded_bytes(), 0u);
 }
 
 TEST_F(MorselExecutionTest, FusedFilterScanDispatchesMorsels) {
@@ -148,81 +149,6 @@ TEST_F(MorselExecutionTest, MultiKeyLookupSplitsAcrossTasks) {
   EXPECT_EQ(session_->metrics().index_hits(), 80u);
   EXPECT_GT(session_->metrics().morsels_dispatched(), 1u);
   EXPECT_EQ(TotalRows(parts), 80u);
-}
-
-// ---------------------------------------------------------------------------
-// Binary-shuffle threshold: joins with small probe sides fall back to the
-// legacy row exchange (encode-once is pure overhead when every probe row
-// gets decoded anyway, which dominates at the fig2 ~2k-row scale).
-// ---------------------------------------------------------------------------
-
-class ShuffleFallbackTest : public ::testing::Test {
- protected:
-  /// Runs a shuffled all-hit indexed join with an n-row probe under the
-  /// given threshold and returns the session (for metrics).
-  SessionPtr RunAllHitJoin(size_t probe_rows, size_t binary_min_rows,
-                           size_t* result_rows) {
-    EngineConfig cfg;
-    cfg.num_partitions = 4;
-    cfg.num_threads = 2;
-    cfg.morsel_rows = 512;
-    cfg.binary_shuffle_min_rows = binary_min_rows;
-    SessionPtr session = Session::Make(cfg).ValueOrDie();
-    SchemaPtr build_schema = Schema::Make(
-        {{"k", TypeId::kInt64, false}, {"name", TypeId::kString, false}});
-    RowVec build;
-    for (int64_t i = 0; i < 100; ++i) {
-      build.push_back({Value(i), Value("b" + std::to_string(i))});
-    }
-    auto rel = IndexedDataFrame::CreateIndex(
-                   session->CreateDataFrame(build_schema, build, "b").ValueOrDie(),
-                   0, "b_by_k")
-                   .ValueOrDie()
-                   .relation();
-    SchemaPtr probe_schema = Schema::Make(
-        {{"fk", TypeId::kInt64, false}, {"seq", TypeId::kInt64, false}});
-    RowVec probe;
-    for (size_t i = 0; i < probe_rows; ++i) {
-      probe.push_back({Value(static_cast<int64_t>(i % 100)),
-                       Value(static_cast<int64_t>(i))});
-    }
-    DataFrame probe_df =
-        session->CreateDataFrame(probe_schema, probe, "p").ValueOrDie();
-    auto probe_op = session->PlanQuery(probe_df.plan()).ValueOrDie();
-    ExprPtr probe_key = BindExpr(Col("fk"), *probe_schema).ValueOrDie();
-    IndexedJoinOp join(rel, probe_op, probe_key, /*indexed_on_left=*/true,
-                       /*broadcast_probe=*/false,
-                       Schema::Concat(*build_schema, *probe_schema));
-    session->metrics().Reset();
-    PartitionVec parts = join.Execute(session->exec()).ValueOrDie();
-    *result_rows = TotalRows(parts);
-    return session;
-  }
-};
-
-TEST_F(ShuffleFallbackTest, SmallAllHitProbeUsesRowShuffle) {
-  size_t result_rows = 0;
-  // 2000-row probe (the fig2 scale) under the 4096 default: the probe
-  // must cross the exchange as rows, not encoded buffers.
-  SessionPtr session = RunAllHitJoin(2000, 4096, &result_rows);
-  EXPECT_EQ(result_rows, 2000u);
-  EXPECT_EQ(session->metrics().shuffle_encoded_bytes(), 0u);
-  EXPECT_GT(session->metrics().shuffled_rows(), 0u);
-  EXPECT_EQ(session->metrics().index_hits(), 2000u);
-}
-
-TEST_F(ShuffleFallbackTest, LargeProbeStaysOnBinaryShuffle) {
-  size_t result_rows = 0;
-  SessionPtr session = RunAllHitJoin(8000, 4096, &result_rows);
-  EXPECT_EQ(result_rows, 8000u);
-  EXPECT_GT(session->metrics().shuffle_encoded_bytes(), 0u);
-}
-
-TEST_F(ShuffleFallbackTest, ZeroThresholdDisablesTheFallback) {
-  size_t result_rows = 0;
-  SessionPtr session = RunAllHitJoin(50, 0, &result_rows);
-  EXPECT_EQ(result_rows, 50u);
-  EXPECT_GT(session->metrics().shuffle_encoded_bytes(), 0u);
 }
 
 }  // namespace

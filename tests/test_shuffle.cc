@@ -1,9 +1,10 @@
-// Unit tests for hash partitioning and shuffle invariants.
+// Unit tests for hash partitioning and the shuffle exchanges.
 #include "engine/shuffle.h"
 
 #include <gtest/gtest.h>
 
 #include "engine/broadcast.h"
+#include "sql/physical_operators.h"
 
 namespace idf {
 namespace {
@@ -58,13 +59,35 @@ TEST(SplitRoundRobinTest, BalancesAndPreservesRows) {
   EXPECT_EQ(flat, rows);
 }
 
+// The two exchanges in use: vanilla joins move rows
+// (ShuffleRowsByKeyExpr); the indexed join moves its probe side encoded
+// (ShuffleEncodedByKeyExpr), which must route row for row the same way.
+
+SchemaPtr KvSchema() {
+  return Schema::Make({{"k", TypeId::kInt64, true}, {"v", TypeId::kInt64, false}});
+}
+
+PartitionVec ToPartitions(const RowVec& rows, int partitions) {
+  PartitionVec parts;
+  for (RowVec& r : SplitRoundRobin(rows, partitions)) {
+    parts.push_back(PartitionData(std::move(r)));
+  }
+  return parts;
+}
+
+ExprPtr KeyOf(const Schema& schema) {
+  return BindExpr(Col("k"), schema).ValueOrDie();
+}
+
 TEST(ShuffleTest, EveryRowLandsInItsKeyPartition) {
   auto ctx = MakeCtx(5);
   RowVec rows;
   for (int64_t i = 0; i < 500; ++i) rows.push_back({Value(i % 37), Value(i)});
-  PartitionedRows input = SplitRoundRobin(rows, 3);
   HashPartitioner partitioner(5);
-  PartitionedRows output = ShuffleByKey(*ctx, input, 0, partitioner);
+  std::vector<RowVec> output =
+      ShuffleRowsByKeyExpr(*ctx, ToPartitions(rows, 3), KeyOf(*KvSchema()),
+                           partitioner)
+          .ValueOrDie();
   ASSERT_EQ(output.size(), 5u);
   EXPECT_EQ(CountRows(output), 500u);
   for (size_t p = 0; p < output.size(); ++p) {
@@ -78,8 +101,10 @@ TEST(ShuffleTest, SameKeySameOutputPartition) {
   auto ctx = MakeCtx(4);
   RowVec rows;
   for (int64_t i = 0; i < 100; ++i) rows.push_back({Value(int64_t{7}), Value(i)});
-  PartitionedRows output =
-      ShuffleByKey(*ctx, SplitRoundRobin(rows, 4), 0, HashPartitioner(4));
+  std::vector<RowVec> output =
+      ShuffleRowsByKeyExpr(*ctx, ToPartitions(rows, 4), KeyOf(*KvSchema()),
+                           HashPartitioner(4))
+          .ValueOrDie();
   int non_empty = 0;
   for (const RowVec& p : output) {
     if (!p.empty()) {
@@ -91,23 +116,51 @@ TEST(ShuffleTest, SameKeySameOutputPartition) {
 }
 
 TEST(ShuffleTest, NullKeysGoToPartitionZero) {
+  // Inner joins drop null keys; outer-join sides keep them in partition 0.
   auto ctx = MakeCtx(4);
   RowVec rows = {{Value::Null(), Value(int64_t{1})},
-                 {Value::Null(), Value(int64_t{2})}};
-  PartitionedRows output =
-      ShuffleByKey(*ctx, SplitRoundRobin(rows, 2), 0, HashPartitioner(4));
-  EXPECT_EQ(output[0].size(), 2u);
+                 {Value::Null(), Value(int64_t{2})},
+                 {Value(int64_t{3}), Value(int64_t{3})}};
+  const ExprPtr key = KeyOf(*KvSchema());
+  std::vector<RowVec> kept =
+      ShuffleRowsByKeyExpr(*ctx, ToPartitions(rows, 2), key, HashPartitioner(4),
+                           /*keep_null_keys=*/true)
+          .ValueOrDie();
+  size_t nulls_in_zero = 0;
+  for (const Row& row : kept[0]) nulls_in_zero += row[0].is_null() ? 1 : 0;
+  EXPECT_EQ(nulls_in_zero, 2u);
+  EXPECT_EQ(CountRows(kept), 3u);
+  std::vector<RowVec> dropped =
+      ShuffleRowsByKeyExpr(*ctx, ToPartitions(rows, 2), key, HashPartitioner(4))
+          .ValueOrDie();
+  EXPECT_EQ(CountRows(dropped), 1u);
 }
 
 TEST(ShuffleTest, MetricsAccountVolume) {
   auto ctx = MakeCtx(4);
   ctx->metrics().Reset();
   RowVec rows;
-  for (int64_t i = 0; i < 50; ++i) rows.push_back({Value(i)});
-  ShuffleByKey(*ctx, SplitRoundRobin(rows, 2), 0, HashPartitioner(4));
+  for (int64_t i = 0; i < 50; ++i) rows.push_back({Value(i), Value(i)});
+  ASSERT_TRUE(ShuffleRowsByKeyExpr(*ctx, ToPartitions(rows, 2), KeyOf(*KvSchema()),
+                                   HashPartitioner(4))
+                  .ok());
   EXPECT_EQ(ctx->metrics().shuffled_rows(), 50u);
   EXPECT_GT(ctx->metrics().shuffled_bytes(), 0u);
   EXPECT_GT(ctx->metrics().tasks_run(), 0u);
+}
+
+TEST(ShuffleTest, KeyEvalErrorFailsBothExchanges) {
+  auto ctx = MakeCtx(4);
+  SchemaPtr schema = KvSchema();
+  RowVec rows = {{Value(int64_t{1}), Value(int64_t{1})}};
+  const ExprPtr unbound = Col("k");  // Eval fails: never bound to a schema
+  auto as_rows = ShuffleRowsByKeyExpr(*ctx, ToPartitions(rows, 2), unbound,
+                                      HashPartitioner(4));
+  ASSERT_FALSE(as_rows.ok());
+  auto encoded = ShuffleEncodedByKeyExpr(*ctx, ToPartitions(rows, 2), *schema,
+                                         unbound, HashPartitioner(4));
+  ASSERT_FALSE(encoded.ok());
+  EXPECT_EQ(encoded.status().ToString(), as_rows.status().ToString());
 }
 
 SchemaPtr BinarySchema() {
@@ -130,17 +183,26 @@ RowVec BinaryRowsFixture() {
 TEST(BinaryShuffleTest, MatchesRowShuffleRowForRow) {
   auto ctx = MakeCtx(5, 3);
   SchemaPtr schema = BinarySchema();
-  PartitionedRows input = SplitRoundRobin(BinaryRowsFixture(), 3);
+  PartitionVec input = ToPartitions(BinaryRowsFixture(), 3);
   HashPartitioner partitioner(5);
-  PartitionedRows expected = ShuffleByKey(*ctx, input, 0, partitioner);
-  BinaryPartitions actual =
-      ShuffleByKeyBinary(*ctx, input, *schema, 0, partitioner).ValueOrDie();
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t p = 0; p < expected.size(); ++p) {
-    ASSERT_EQ(actual[p].num_rows(), expected[p].size()) << "partition " << p;
-    for (size_t i = 0; i < expected[p].size(); ++i) {
-      EXPECT_EQ(actual[p].Decode(i, *schema), expected[p][i])
-          << "partition " << p << " row " << i;
+  for (bool keep_null_keys : {false, true}) {
+    std::vector<RowVec> expected =
+        ShuffleRowsByKeyExpr(*ctx, input, KeyOf(*schema), partitioner,
+                             keep_null_keys)
+            .ValueOrDie();
+    BinaryPartitions actual =
+        ShuffleEncodedByKeyExpr(*ctx, input, *schema, KeyOf(*schema),
+                                partitioner, keep_null_keys)
+            .ValueOrDie();
+    EXPECT_EQ(CountRows(expected), keep_null_keys ? 302u : 301u);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t p = 0; p < expected.size(); ++p) {
+      ASSERT_EQ(actual[p].num_rows(), expected[p].size()) << "partition " << p;
+      for (size_t i = 0; i < expected[p].size(); ++i) {
+        EXPECT_EQ(actual[p].Decode(i, *schema), expected[p][i])
+            << "partition " << p << " row " << i << " keep_null_keys "
+            << keep_null_keys;
+      }
     }
   }
 }
@@ -150,21 +212,27 @@ TEST(BinaryShuffleTest, NullKeysGoToPartitionZero) {
   SchemaPtr schema = BinarySchema();
   RowVec rows = {{Value::Null(), Value("a"), Value(1.0)},
                  {Value::Null(), Value("b"), Value::Null()}};
-  BinaryPartitions out =
-      ShuffleByKeyBinary(*ctx, SplitRoundRobin(rows, 2), *schema, 0,
-                         HashPartitioner(4))
+  BinaryPartitions kept =
+      ShuffleEncodedByKeyExpr(*ctx, ToPartitions(rows, 2), *schema, KeyOf(*schema),
+                              HashPartitioner(4), /*keep_null_keys=*/true)
           .ValueOrDie();
-  EXPECT_EQ(out[0].num_rows(), 2u);
-  EXPECT_EQ(out[1].num_rows() + out[2].num_rows() + out[3].num_rows(), 0u);
+  EXPECT_EQ(kept[0].num_rows(), 2u);
+  EXPECT_EQ(kept[1].num_rows() + kept[2].num_rows() + kept[3].num_rows(), 0u);
+  BinaryPartitions dropped =
+      ShuffleEncodedByKeyExpr(*ctx, ToPartitions(rows, 2), *schema, KeyOf(*schema),
+                              HashPartitioner(4))
+          .ValueOrDie();
+  for (const BinaryRows& p : dropped) EXPECT_TRUE(p.empty());
 }
 
 TEST(BinaryShuffleTest, LazyColumnDecodeSeesShuffledValues) {
   auto ctx = MakeCtx(3);
   SchemaPtr schema = BinarySchema();
-  PartitionedRows input = SplitRoundRobin(BinaryRowsFixture(), 2);
   HashPartitioner partitioner(3);
   BinaryPartitions out =
-      ShuffleByKeyBinary(*ctx, input, *schema, 0, partitioner).ValueOrDie();
+      ShuffleEncodedByKeyExpr(*ctx, ToPartitions(BinaryRowsFixture(), 2), *schema,
+                              KeyOf(*schema), partitioner, /*keep_null_keys=*/true)
+          .ValueOrDie();
   size_t total = 0;
   for (size_t p = 0; p < out.size(); ++p) {
     for (size_t i = 0; i < out[p].num_rows(); ++i) {
@@ -183,9 +251,10 @@ TEST(BinaryShuffleTest, MetricsAccountEncodedVolume) {
   auto ctx = MakeCtx(4);
   ctx->metrics().Reset();
   SchemaPtr schema = BinarySchema();
-  ShuffleByKeyBinary(*ctx, SplitRoundRobin(BinaryRowsFixture(), 2), *schema, 0,
-                     HashPartitioner(4))
-      .ValueOrDie();
+  ASSERT_TRUE(ShuffleEncodedByKeyExpr(*ctx, ToPartitions(BinaryRowsFixture(), 2),
+                                      *schema, KeyOf(*schema), HashPartitioner(4),
+                                      /*keep_null_keys=*/true)
+                  .ok());
   EXPECT_EQ(ctx->metrics().shuffled_rows(), 302u);
   EXPECT_GT(ctx->metrics().shuffle_encoded_bytes(), 0u);
   EXPECT_GT(ctx->metrics().shuffled_bytes(), 0u);
