@@ -215,10 +215,11 @@ BENCHMARK(BM_AppendBatchedVsPerRow)
 // 32-row batches into a 4-partition, 18k-row relation shaped like the SNB
 // `comment` table (indexed on replyOfPostId, three string columns), with
 // pin=1 taking a relation snapshot before every batch and holding it until
-// the next one. A pin that froze the trie would make the next append renew
-// the frozen path; trie_nodes_per_batch counts the nodes each batch
-// allocates, so pin=1 must match pin=0. pin_us_per_batch times the pin
-// itself (4 partition views), outside append_us_per_batch.
+// the next one. Every key of these batches is already present, so each
+// head lands in place in its key's trie cell: trie_nodes_per_batch counts
+// the nodes each batch allocates and reads 0 at pin=0 and pin=1 alike.
+// pin_us_per_batch times the pin itself (4 partition views), outside
+// append_us_per_batch.
 
 constexpr int64_t kCommentPosts = 6000;
 

@@ -1,6 +1,6 @@
-// CTrie microbenchmarks: insert/lookup/snapshot costs, and a comparison
-// against std::unordered_map (the obvious non-concurrent alternative) to
-// quantify what the lock-free snapshots cost.
+// CTrie microbenchmarks: insert and lookup costs, against std::unordered_map
+// (the obvious non-concurrent alternative) to quantify what lock-free reads
+// cost.
 #include <benchmark/benchmark.h>
 
 #include <unordered_map>
@@ -71,53 +71,6 @@ void BM_CTrieLookupMiss(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CTrieLookupMiss);
-
-// The headline property: snapshots are O(1) regardless of trie size.
-void BM_CTrieSnapshot(benchmark::State& state) {
-  const uint64_t n = static_cast<uint64_t>(state.range(0));
-  CTrie t;
-  for (uint64_t i = 0; i < n; ++i) t.Insert(i, i);
-  for (auto _ : state) {
-    CTrie snap = t.ReadOnlySnapshot();
-    benchmark::DoNotOptimize(&snap);
-    // Touch the live trie so the next snapshot isn't trivially identical.
-    t.Insert(n + static_cast<uint64_t>(state.iterations()), 1);
-  }
-}
-BENCHMARK(BM_CTrieSnapshot)->Arg(1000)->Arg(100000)->Arg(1000000);
-
-// Write amplification after a snapshot: the first writes re-copy paths
-// (lazy copy-on-write), later writes run at full speed.
-void BM_CTrieInsertAfterSnapshot(benchmark::State& state) {
-  CTrie t;
-  for (uint64_t i = 0; i < 100000; ++i) t.Insert(i, i);
-  std::vector<CTrie> snaps;
-  uint64_t next = 100000;
-  for (auto _ : state) {
-    state.PauseTiming();
-    snaps.push_back(t.ReadOnlySnapshot());
-    state.ResumeTiming();
-    // 100 writes immediately after a snapshot (pay the path-renewal cost).
-    for (int i = 0; i < 100; ++i) t.Insert(next++, 1);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 100);
-}
-BENCHMARK(BM_CTrieInsertAfterSnapshot)->Unit(benchmark::kMicrosecond);
-
-void BM_CTrieRemove(benchmark::State& state) {
-  const uint64_t n = 100000;
-  CTrie t;
-  uint64_t next = 0;
-  for (uint64_t i = 0; i < n; ++i) t.Insert(i, i);
-  for (auto _ : state) {
-    t.Remove(next % n);
-    state.PauseTiming();
-    t.Insert(next % n, 1);  // keep the trie populated
-    state.ResumeTiming();
-    ++next;
-  }
-}
-BENCHMARK(BM_CTrieRemove);
 
 }  // namespace
 }  // namespace idf

@@ -1,27 +1,34 @@
-// CTrie: a lock-free concurrent hash trie with O(1) non-blocking snapshots,
-// after Prokopec, Bronson, Bagwell, Odersky, "Concurrent Tries with
-// Efficient Non-Blocking Snapshots" (PPoPP 2012) — reference [7] of the
-// reproduced paper.
+// CTrie: the index of the Indexed DataFrame, a lock-free hash-array-mapped
+// trie after the cTrie of Prokopec, Bronson, Bagwell, Odersky, "Concurrent
+// Tries with Efficient Non-Blocking Snapshots" (PPoPP 2012) — reference [7]
+// of the reproduced paper — kept to the operations the engine uses.
 //
-// This is the index of the Indexed DataFrame: it maps a 64-bit key (the
-// canonical hash of the indexed column value) to a packed 64-bit row
-// pointer (storage/packed_pointer.h). Snapshots provide the paper's
-// "updates with multi-version concurrency": queries read an O(1) snapshot
-// while the update stream keeps appending to the live trie.
+// It maps a 64-bit key (the canonical hash of the indexed column value) to
+// a packed 64-bit row pointer (storage/packed_pointer.h). Keys are only
+// ever added, never removed, and the trie is never snapshotted: the
+// paper's "updates with multi-version concurrency" come from the row
+// store's watermark (indexed/indexed_partition.h), which bounds the chain
+// a reader walks from a key's live head.
 //
 // Implementation notes:
-//  * 64-way branching (6 hash bits per level), 64-bit hashes.
-//  * GCAS (generation-compare-and-swap) on INode main pointers and RDCSS on
-//    the root make snapshot-vs-write races linearizable, exactly as in the
-//    PPoPP paper.
-//  * The hash function is pluggable so tests can force collisions deep
-//    enough to exercise LNode (collision list) paths; production use
-//    passes Mix64 (a bijection on uint64, so LNodes never form).
-//  * Memory reclamation: nodes are registered in a NodeArena shared by all
-//    snapshots of a trie family and freed when the last snapshot dies.
-//    This trades peak memory for simplicity instead of hazard pointers;
-//    the Indexed DataFrame's usage (append-mostly, bounded query lifetime)
-//    tolerates it, and it is documented in DESIGN.md.
+//  * 64-way branching over Mix64(key), 6 bits per level. Mix64 is a
+//    bijection on uint64, so two distinct keys diverge by level 60 and no
+//    collision list is needed.
+//  * Three node kinds. An INode's `main` is the only mutable pointer; it
+//    names an immutable CNode (bitmap plus dense branch array). A branch
+//    is an INode or an SNode, which holds a const key and an atomic value.
+//  * Adding a key copies one CNode and CASes the copy into its INode.
+//    SNodes move between CNodes by pointer and are never copied, so a key
+//    keeps one value cell for the trie's lifetime and a value stored into
+//    it concurrently is never lost.
+//  * Updating a present key exchanges its cell's value and allocates
+//    nothing.
+//  * Readers do acquire loads only: they never write, help or restart.
+//  * Memory reclamation: every node is registered in the trie's NodeArena
+//    and freed when the trie dies. Only adding a key leaves garbage (the
+//    CNode its copy replaced); the Indexed DataFrame drops a partition's
+//    trie whole when compaction retires its generation (DESIGN.md §6,
+//    decision 8).
 #pragma once
 
 #include <atomic>
@@ -37,16 +44,7 @@ namespace idf {
 
 namespace ctrie_internal {
 
-enum class NodeKind : uint8_t {
-  kINode,
-  kSNode,
-  kCNode,
-  kTNode,
-  kLNode,
-  kFailed,
-  kRdcssDescriptor,
-  kGen,
-};
+enum class NodeKind : uint8_t { kINode, kSNode, kCNode };
 
 /// Base of every heap node; intrusively linked into the owning NodeArena.
 struct ArenaNode {
@@ -56,7 +54,7 @@ struct ArenaNode {
   ArenaNode* arena_next = nullptr;
 };
 
-/// Owns all nodes ever allocated by a trie family (lock-free push).
+/// Owns all nodes ever allocated by one trie (lock-free push).
 class NodeArena {
  public:
   NodeArena() = default;
@@ -78,219 +76,109 @@ class NodeArena {
   std::atomic<size_t> count_{0};
 };
 
-/// Generation token; identity (address) is what matters.
-struct Gen : ArenaNode {
-  Gen() : ArenaNode(NodeKind::kGen) {}
-};
-
-struct MainNode;
-
 /// A branch of a CNode: either an INode or an SNode.
 struct Branch : ArenaNode {
   using ArenaNode::ArenaNode;
 };
 
-/// Main nodes hang off INodes and carry the GCAS `prev` field.
-struct MainNode : ArenaNode {
-  using ArenaNode::ArenaNode;
-  std::atomic<MainNode*> prev{nullptr};
-};
-
-/// Single key/value leaf.
+/// Leaf: one key and its value cell, updated in place.
 struct SNode : Branch {
-  SNode(uint64_t k, uint64_t h, uint64_t v)
-      : Branch(NodeKind::kSNode), key(k), hash(h), value(v) {}
+  SNode(uint64_t k, uint64_t v) : Branch(NodeKind::kSNode), key(k), value(v) {}
   const uint64_t key;
-  const uint64_t hash;
-  const uint64_t value;
+  std::atomic<uint64_t> value;
 };
 
-/// Tombed SNode (single-entry node pending contraction).
-struct TNode : MainNode {
-  explicit TNode(SNode* s) : MainNode(NodeKind::kTNode), sn(s) {}
-  SNode* const sn;
-};
-
-/// Collision list node (full 64-bit hash collision).
-struct LNode : MainNode {
-  LNode(SNode* s, LNode* n) : MainNode(NodeKind::kLNode), sn(s), next(n) {}
-  SNode* const sn;
-  LNode* const next;
-};
-
-/// GCAS failure marker: `prev` holds the node to roll back to.
-struct FailedNode : MainNode {
-  explicit FailedNode(MainNode* p) : MainNode(NodeKind::kFailed) {
-    prev.store(p, std::memory_order_relaxed);
-  }
-};
-
-/// Branching node: 64-bit bitmap plus a dense branch array.
-struct CNode : MainNode {
-  CNode(uint64_t b, std::vector<Branch*> a, Gen* g)
-      : MainNode(NodeKind::kCNode), bmp(b), array(std::move(a)), gen(g) {}
+/// Branching node: 64-bit bitmap plus a dense branch array. Immutable.
+struct CNode : ArenaNode {
+  CNode(uint64_t b, std::vector<Branch*> a)
+      : ArenaNode(NodeKind::kCNode), bmp(b), array(std::move(a)) {}
   const uint64_t bmp;
   const std::vector<Branch*> array;
-  Gen* const gen;
 };
 
-/// Indirection node: the only mutable cell in the trie (via GCAS).
+/// Indirection node: the CNode below it is replaced whole when a key is
+/// added there. Never removed, so it stays on the path of its keys.
 struct INode : Branch {
-  INode(MainNode* m, Gen* g) : Branch(NodeKind::kINode), gen(g) {
+  explicit INode(CNode* m) : Branch(NodeKind::kINode) {
     main.store(m, std::memory_order_relaxed);
   }
-  std::atomic<MainNode*> main;
-  Gen* const gen;
-};
-
-/// RDCSS descriptor temporarily installed at the root during snapshots.
-struct RdcssDescriptor : ArenaNode {
-  RdcssDescriptor(INode* o, MainNode* e, INode* n)
-      : ArenaNode(NodeKind::kRdcssDescriptor), ov(o), expmain(e), nv(n) {}
-  INode* const ov;
-  MainNode* const expmain;
-  INode* const nv;
-  std::atomic<bool> committed{false};
+  std::atomic<CNode*> main;
 };
 
 }  // namespace ctrie_internal
 
-/// \brief Lock-free map<uint64, uint64> with O(1) snapshots.
+/// \brief Lock-free insert-only map<uint64, uint64>.
 class CTrie {
  public:
-  using HashFn = uint64_t (*)(uint64_t);
-
-  /// `hash_fn` must be deterministic; nullptr selects Mix64.
-  explicit CTrie(HashFn hash_fn = nullptr);
-
+  CTrie();
   CTrie(CTrie&& other) noexcept
       : arena_(std::move(other.arena_)),
-        hash_fn_(other.hash_fn_),
-        root_(std::move(other.root_)),
-        read_only_(other.read_only_),
-        size_hint_(other.size_hint_.load(std::memory_order_relaxed)) {}
+        root_(other.root_),
+        size_hint_(other.size_hint()) {}
   CTrie& operator=(CTrie&& other) noexcept {
     arena_ = std::move(other.arena_);
-    hash_fn_ = other.hash_fn_;
-    root_ = std::move(other.root_);
-    read_only_ = other.read_only_;
-    size_hint_.store(other.size_hint_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
+    root_ = other.root_;
+    size_hint_.store(other.size_hint(), std::memory_order_relaxed);
     return *this;
   }
   IDF_DISALLOW_COPY_AND_ASSIGN(CTrie);
 
-  /// Inserts or updates; returns the previous value if the key was present.
-  /// Must not be called on a read-only snapshot.
+  /// Adds `key`, or updates its value in place; returns the previous value
+  /// if the key was present. Safe beside other writers and readers.
   std::optional<uint64_t> Insert(uint64_t key, uint64_t value);
 
-  /// Looks up `key`; returns the bound value or nullopt.
-  std::optional<uint64_t> Lookup(uint64_t key) const;
+  /// The value cell of `key`, or null when the key is absent. The cell is
+  /// the key's for the trie's lifetime, so a writer may read it now and
+  /// store (release) into it later instead of inserting again.
+  std::atomic<uint64_t>* Cell(uint64_t key) {
+    ctrie_internal::SNode* sn = Find(key);
+    return sn != nullptr ? &sn->value : nullptr;
+  }
 
-  /// Removes `key`; returns the removed value if it was present.
-  std::optional<uint64_t> Remove(uint64_t key);
+  /// Looks up `key`; returns the bound value or nullopt. Writes nothing.
+  std::optional<uint64_t> Lookup(uint64_t key) const {
+    const ctrie_internal::SNode* sn = Find(key);
+    if (sn == nullptr) return std::nullopt;
+    return sn->value.load(std::memory_order_acquire);
+  }
 
-  /// O(1) writable snapshot. Both `this` and the snapshot remain writable;
-  /// subsequent writes to either copy paths lazily (no data is copied up
-  /// front).
-  CTrie Snapshot();
-
-  /// O(1) read-only snapshot: cheaper reads (no renewal CASes) and no
-  /// writes allowed.
-  CTrie ReadOnlySnapshot();
-
-  bool read_only() const { return read_only_; }
-
-  /// Exact element count via full traversal of a consistent snapshot.
+  /// Exact element count via a full walk.
   size_t Size() const;
 
-  /// Cheap element-count estimate maintained by Insert/Remove on this
-  /// handle; exact in the single-writer usage of the Indexed DataFrame.
+  /// Element count maintained by Insert; exact once writers are done.
   size_t size_hint() const { return size_hint_.load(std::memory_order_relaxed); }
 
-  /// Visits every (key, value) pair of a consistent snapshot.
+  /// Visits every (key, value) pair. Exact when no writer runs
+  /// concurrently; beside a writer it sees every key present when the walk
+  /// began, each at some value at least as recent as that moment's.
   void ForEach(const std::function<void(uint64_t, uint64_t)>& fn) const;
 
-  /// Number of nodes ever allocated by this trie family (diagnostics).
+  /// Number of nodes ever allocated by this trie (diagnostics).
   size_t allocated_nodes() const { return arena_->allocated_count(); }
 
-  /// Approximate heap bytes held by the trie family arena. Includes
-  /// garbage from path-copying updates, which the arena retains until the
-  /// whole snapshot family dies (see the reclamation note above).
+  /// Approximate heap bytes held by the arena, including the CNodes that
+  /// adding keys replaced (see the reclamation note above).
   size_t MemoryBytesEstimate() const;
 
-  /// Bytes of the *live* trie structure (nodes reachable from the current
-  /// root): the real index size, comparable to the paper's memory-overhead
-  /// claim. O(n) walk of the live root; takes no snapshot.
+  /// Bytes of the live trie structure (nodes reachable from the root): the
+  /// real index size, comparable to the paper's memory-overhead claim.
   size_t LiveMemoryBytes() const;
-
-  /// Visits every (key, value) pair reachable from the live root, without
-  /// taking a snapshot. Exact when no writer runs concurrently; beside a
-  /// writer it sees each key at some recent version. On a trie that is
-  /// never snapshotted it allocates nothing (at most it helps a pending
-  /// write commit, as Lookup does).
-  void ForEachLive(const std::function<void(uint64_t, uint64_t)>& fn) const;
 
  private:
   using INode = ctrie_internal::INode;
-  using MainNode = ctrie_internal::MainNode;
   using CNode = ctrie_internal::CNode;
   using SNode = ctrie_internal::SNode;
-  using TNode = ctrie_internal::TNode;
-  using LNode = ctrie_internal::LNode;
   using Branch = ctrie_internal::Branch;
-  using Gen = ctrie_internal::Gen;
 
-  CTrie(std::shared_ptr<ctrie_internal::NodeArena> arena, HashFn hash_fn,
-        INode* root, bool read_only, size_t size_hint);
+  SNode* Find(uint64_t key) const;
+  CNode* DualBranchCNode(SNode* a, uint64_t ha, SNode* b, uint64_t hb, int lev);
+  void ForEachIn(const CNode* cn,
+                 const std::function<void(uint64_t, uint64_t)>& fn) const;
+  size_t LiveBytesOf(const CNode* cn) const;
 
-  enum class OpResult : uint8_t { kDone, kRestart, kNotFound };
-
-  // --- RDCSS root access ---
-  INode* RdcssReadRoot(bool abort = false) const;
-  INode* RdcssComplete(bool abort) const;
-  bool RdcssRoot(INode* ov, MainNode* expmain, INode* nv);
-
-  // --- GCAS ---
-  MainNode* GcasRead(INode* in) const;
-  MainNode* GcasCommit(INode* in, MainNode* m) const;
-  bool Gcas(INode* in, MainNode* old_main, MainNode* new_main);
-
-  // --- recursive ops ---
-  OpResult DoInsert(INode* in, uint64_t key, uint64_t hash, uint64_t value,
-                    int lev, INode* parent, Gen* startgen,
-                    std::optional<uint64_t>* previous);
-  OpResult DoLookup(INode* in, uint64_t key, uint64_t hash, int lev,
-                    INode* parent, Gen* startgen, uint64_t* out) const;
-  OpResult DoRemove(INode* in, uint64_t key, uint64_t hash, int lev,
-                    INode* parent, Gen* startgen,
-                    std::optional<uint64_t>* removed);
-
-  // --- helpers ---
-  CNode* RenewedCNode(const CNode* cn, Gen* gen);
-  INode* CopyINodeToGen(INode* in, Gen* gen);
-  Branch* Resurrect(Branch* b) const;
-  MainNode* ToContracted(CNode* cn, int lev);
-  MainNode* ToCompressed(const CNode* cn, int lev, Gen* gen);
-  void Clean(INode* in, int lev);
-  void CleanParent(INode* parent, INode* in, uint64_t hash, int lev,
-                   Gen* startgen);
-  CNode* DualBranchCNode(SNode* a, SNode* b, int lev, Gen* gen);
-  void ForEachNode(ctrie_internal::MainNode* m,
-                   const std::function<void(uint64_t, uint64_t)>& fn) const;
-  size_t LiveBytesOfMain(ctrie_internal::MainNode* m) const;
-
-  static constexpr int kBitsPerLevel = 6;
-  static constexpr int kBranchFactor = 64;
-  static constexpr uint64_t kLevelMask = kBranchFactor - 1;
-  static constexpr int kMaxLevel = 64;
-
-  std::shared_ptr<ctrie_internal::NodeArena> arena_;
-  HashFn hash_fn_;
-  /// Either an INode* or an RdcssDescriptor* (tagged by NodeKind).
-  std::unique_ptr<std::atomic<ctrie_internal::ArenaNode*>> root_;
-  bool read_only_ = false;
-  mutable std::atomic<size_t> size_hint_{0};
+  std::unique_ptr<ctrie_internal::NodeArena> arena_;
+  INode* root_;
+  std::atomic<size_t> size_hint_{0};
 };
 
 }  // namespace idf

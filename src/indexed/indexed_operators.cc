@@ -499,11 +499,12 @@ class JoinProbeSource {
   virtual ~JoinProbeSource() = default;
   /// Probe rows routed to index partition `p`.
   virtual size_t size(size_t p) const = 0;
-  /// The join key of item `i` of partition `p`.
-  virtual Status Key(size_t p, size_t i, Value* key) const = 0;
-  /// The full probe row of item `i`; a source that must decode it does so
-  /// into `*scratch`.
-  virtual const Row& ProbeRow(size_t p, size_t i, Row* scratch) const = 0;
+  /// The join key of item `i` of partition `p`. Morsels own disjoint
+  /// items, so a source may keep per-item state between Key and ProbeRow.
+  virtual Status Key(size_t p, size_t i, Value* key) = 0;
+  /// The full probe row of item `i`, asked for at most once, after its
+  /// Key; a source that must decode it does so into `*scratch`.
+  virtual const Row& ProbeRow(size_t p, size_t i, Row* scratch) = 0;
   /// True when only ProbeRow decodes a row past its key column, so an item
   /// it never reaches is a decode avoided.
   virtual bool lazy() const { return false; }
@@ -529,11 +530,11 @@ class BroadcastProbe final : public JoinProbeSource {
     return std::unique_ptr<JoinProbeSource>(std::move(src));
   }
   size_t size(size_t p) const override { return owned_[p].size(); }
-  Status Key(size_t p, size_t i, Value* key) const override {
+  Status Key(size_t p, size_t i, Value* key) override {
     *key = owned_[p][i].key;
     return Status::OK();
   }
-  const Row& ProbeRow(size_t p, size_t i, Row*) const override {
+  const Row& ProbeRow(size_t p, size_t i, Row*) override {
     return (*rows_)[owned_[p][i].row];
   }
 
@@ -549,6 +550,8 @@ class BroadcastProbe final : public JoinProbeSource {
 /// Shuffled probe: the rows cross the exchange as encoded buffers, so no
 /// Row is materialized on the way. A bound column-ref key decodes only
 /// its column; the full row decodes on the probe's first surviving match.
+/// Any other key decodes the full row to evaluate, and keeps it for that
+/// match, so no probe row decodes twice.
 class ShuffledProbe final : public JoinProbeSource {
  public:
   static Result<std::unique_ptr<JoinProbeSource>> Make(
@@ -564,21 +567,33 @@ class ShuffledProbe final : public JoinProbeSource {
       const auto* ref = static_cast<const ColumnRefExpr*>(key.get());
       if (ref->bound()) src->key_col_ = ref->index();
     }
+    if (src->key_col_ < 0) {
+      src->keyed_rows_.resize(src->rows_.size());
+      for (size_t p = 0; p < src->rows_.size(); ++p) {
+        src->keyed_rows_[p].resize(src->rows_[p].num_rows());
+      }
+    }
     src->key_ = std::move(key);
     return std::unique_ptr<JoinProbeSource>(std::move(src));
   }
   size_t size(size_t p) const override { return rows_[p].num_rows(); }
-  Status Key(size_t p, size_t i, Value* key) const override {
+  Status Key(size_t p, size_t i, Value* key) override {
     const uint8_t* payload = rows_[p].payload(i);
     if (key_col_ >= 0) {
       *key = DecodeColumn(payload, *schema_, key_col_);
       return Status::OK();
     }
-    IDF_ASSIGN_OR_RETURN(*key, key_->Eval(DecodeRow(payload, *schema_)));
+    Row& row = keyed_rows_[p][i];
+    row = DecodeRow(payload, *schema_);
+    IDF_ASSIGN_OR_RETURN(*key, key_->Eval(row));
     return Status::OK();
   }
-  const Row& ProbeRow(size_t p, size_t i, Row* scratch) const override {
-    *scratch = rows_[p].Decode(i, *schema_);
+  const Row& ProbeRow(size_t p, size_t i, Row* scratch) override {
+    if (key_col_ >= 0) {
+      *scratch = rows_[p].Decode(i, *schema_);
+    } else {
+      *scratch = std::move(keyed_rows_[p][i]);
+    }
     return *scratch;
   }
   bool lazy() const override { return key_col_ >= 0; }
@@ -588,6 +603,8 @@ class ShuffledProbe final : public JoinProbeSource {
   SchemaPtr schema_;
   ExprPtr key_;
   int key_col_ = -1;
+  /// The rows Key decoded for a key that is not a column ref, per item.
+  std::vector<RowVec> keyed_rows_;
 };
 
 /// Driver for point lookups: each key routes to its home partition and

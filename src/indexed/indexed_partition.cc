@@ -95,6 +95,18 @@ void RecordAppend(PartitionGeneration& g, uint64_t hash, PackedPointer ptr) {
   st.chain_len += 1;
 }
 
+/// Publishes `head` as the key's newest row: a store into the key's trie
+/// cell when the appender found one, else the key's first insert. Either
+/// way the key never shows without a head.
+void PublishHead(PartitionGeneration& g, uint64_t hash,
+                 std::atomic<uint64_t>* cell, PackedPointer head) {
+  if (cell != nullptr) {
+    cell->store(head.bits(), std::memory_order_release);
+  } else {
+    g.index.Insert(hash, head.bits());
+  }
+}
+
 }  // namespace
 
 void ChainStatsSnapshot::Merge(const ChainStatsSnapshot& o) {
@@ -144,13 +156,14 @@ Status IndexedPartition::AppendToGen(PartitionGeneration& g, const Row& row) {
   const Value& key = row[static_cast<size_t>(indexed_col_)];
   // Null keys are stored but unindexed; lookups of a null key return nothing.
   uint64_t h = 0;
+  std::atomic<uint64_t>* cell = nullptr;  // the key's head; null: a new key
   PackedPointer back_pointer = PackedPointer::Null();
   uint32_t prev_size = 0;
   if (!key.is_null()) {
     h = key.Hash();
-    std::optional<uint64_t> head = g.index.Lookup(h);
-    if (head.has_value()) {
-      back_pointer = PackedPointer(*head);
+    cell = g.index.Cell(h);
+    if (cell != nullptr) {
+      back_pointer = PackedPointer(cell->load(std::memory_order_relaxed));
       prev_size = EncodedRowSize(g.store.PayloadAt(back_pointer), *schema_);
     }
   }
@@ -160,7 +173,7 @@ Status IndexedPartition::AppendToGen(PartitionGeneration& g, const Row& row) {
     // Head first, row count second (see the file comment in the header):
     // a reader that sees the head can dereference the staged row, and a
     // watermark that covers the row finds it from the head.
-    g.index.Insert(h, ptr.bits());
+    PublishHead(g, h, cell, ptr);
     RecordAppend(g, h, ptr);
   }
   g.store.PublishStaged();
@@ -175,10 +188,12 @@ Status IndexedPartition::AppendBatch(const std::vector<EncodedRowRef>& rows,
   PartitionGeneration& g = *gen_;  // caller holds the partition write lock
   SecondaryIndexSetPtr sec =
       std::atomic_load_explicit(&g.secondary, std::memory_order_acquire);
-  // The head of each key touched by this batch: seeded from the trie on
-  // first occurrence, then advanced locally so intra-batch chain links are
-  // built without republishing intermediate heads.
+  // The head of each key touched by this batch: seeded from the key's trie
+  // cell on first occurrence (one descent), then advanced locally so
+  // intra-batch chain links are built without republishing intermediate
+  // heads.
   struct LocalHead {
+    std::atomic<uint64_t>* cell = nullptr;  // null: the key is new
     PackedPointer head;
     uint32_t head_size = 0;
   };
@@ -201,13 +216,10 @@ Status IndexedPartition::AppendBatch(const std::vector<EncodedRowRef>& rows,
       auto [it, inserted] = heads.try_emplace(row.hash);
       slot = &it->second;
       if (inserted) {
-        std::optional<uint64_t> head = g.index.Lookup(row.hash);
-        if (head.has_value()) {
-          slot->head = PackedPointer(*head);
+        slot->cell = g.index.Cell(row.hash);
+        if (slot->cell != nullptr) {
+          slot->head = PackedPointer(slot->cell->load(std::memory_order_relaxed));
           slot->head_size = EncodedRowSize(g.store.PayloadAt(slot->head), *schema_);
-        } else {
-          slot->head = PackedPointer::Null();
-          slot->head_size = 0;
         }
       } else {
         local.links_coalesced += 1;
@@ -235,7 +247,7 @@ Status IndexedPartition::AppendBatch(const std::vector<EncodedRowRef>& rows,
   // watermark, and a view taken after finds every row from its head.
   for (const auto& [hash, slot] : heads) {
     if (slot.head.is_null()) continue;  // key never landed a row
-    g.index.Insert(hash, slot.head.bits());
+    PublishHead(g, hash, slot.cell, slot.head);
     local.keys_published += 1;
   }
   g.store.PublishStaged();
@@ -342,7 +354,7 @@ Status IndexedPartition::CompactLocked(CompactionResult* result) {
     std::vector<PackedPointer> ptrs;  // newest first (walk order)
   };
   std::vector<Chain> chains;
-  old_gen->index.ForEachLive([&](uint64_t hash, uint64_t head) {
+  old_gen->index.ForEach([&](uint64_t hash, uint64_t head) {
     Chain c;
     c.hash = hash;
     for (PackedPointer p(head); !p.is_null(); p = old_gen->store.BackPointerAt(p)) {

@@ -26,10 +26,11 @@
 // Rows are append-only and every chain runs newest first, so the watermark
 // alone names a version: a view looks keys up in the live cTrie and skips
 // the chain rows past its watermark. Pinning writes nothing, and the trie
-// is never snapshotted, so appends never re-copy a path a pin froze. An
-// append stages its rows, publishes their heads in the trie, and only then
-// publishes the rows to watermarks, so every row a view covers is
-// reachable from its key's live head.
+// is insert-only (ctrie/ctrie.h): an append that lands on a present key
+// stores the new head into that key's trie cell and allocates no trie
+// node. An append stages its rows, publishes their heads in the trie, and
+// only then publishes the rows to watermarks, so every row a view covers
+// is reachable from its key's live head.
 #pragma once
 
 #include <atomic>
@@ -158,9 +159,8 @@ struct PartitionGeneration {
   IDF_DISALLOW_COPY_AND_ASSIGN(PartitionGeneration);
 
   RowBatchStore store;
-  /// Written by the appender and the compactor only, never snapshotted and
-  /// never removed from: every node shares one generation, so a reader's
-  /// Lookup renews no path, meets no tomb and allocates nothing.
+  /// Written by the appender and the compactor only; readers' lookups
+  /// write nothing.
   CTrie index;
 
   /// Secondary indexes of this generation (null when the table has none).
@@ -469,8 +469,8 @@ class IndexedPartition {
 
   /// Memory accounting for the paper's "low memory overhead" claim:
   /// `index_bytes` is the live cTrie structure plus the row directory;
-  /// `arena_bytes` is every trie node allocated, including the ones
-  /// path-copying updates replaced, which the arena holds until the
+  /// `arena_bytes` is every trie node allocated, including the CNodes
+  /// that adding keys replaced, which the arena holds until the
   /// generation dies (the leak-until-destruction reclamation strategy).
   /// Both are safe while appends run and write nothing.
   size_t data_bytes() const { return gen()->store.used_bytes(); }

@@ -1,13 +1,14 @@
-// Functional tests for the CTrie: insert/lookup/remove semantics, snapshot
-// isolation, collision handling (LNodes), and structural contraction.
+// Functional tests for the CTrie: insert/lookup/update semantics, in-place
+// value cells, deep paths under shared hash prefixes, and live walks.
 #include "ctrie/ctrie.h"
 
+#include <atomic>
 #include <map>
-#include <set>
 
 #include <gtest/gtest.h>
 
 #include "common/hash.h"
+#include "ctrie_deep_keys.h"
 
 namespace idf {
 namespace {
@@ -36,23 +37,6 @@ TEST(CTrieTest, InsertReturnsPreviousValue) {
   EXPECT_EQ(t.Size(), 1u);
 }
 
-TEST(CTrieTest, RemoveReturnsValue) {
-  CTrie t;
-  t.Insert(9, 90);
-  auto removed = t.Remove(9);
-  ASSERT_TRUE(removed.has_value());
-  EXPECT_EQ(*removed, 90u);
-  EXPECT_FALSE(t.Lookup(9).has_value());
-  EXPECT_FALSE(t.Remove(9).has_value());
-}
-
-TEST(CTrieTest, RemoveMissingKeyIsNoop) {
-  CTrie t;
-  t.Insert(1, 1);
-  EXPECT_FALSE(t.Remove(2).has_value());
-  EXPECT_EQ(t.Size(), 1u);
-}
-
 TEST(CTrieTest, ManyKeysRoundTrip) {
   CTrie t;
   for (uint64_t i = 0; i < 50000; ++i) t.Insert(i, i * 3 + 1);
@@ -66,28 +50,6 @@ TEST(CTrieTest, ManyKeysRoundTrip) {
   EXPECT_FALSE(t.Lookup(50001).has_value());
 }
 
-TEST(CTrieTest, InsertRemoveInterleaved) {
-  CTrie t;
-  for (uint64_t i = 0; i < 10000; ++i) t.Insert(i, i);
-  for (uint64_t i = 0; i < 10000; i += 2) t.Remove(i);
-  EXPECT_EQ(t.Size(), 5000u);
-  for (uint64_t i = 0; i < 10000; ++i) {
-    EXPECT_EQ(t.Lookup(i).has_value(), i % 2 == 1) << i;
-  }
-}
-
-TEST(CTrieTest, RemoveAllLeavesEmptyTrie) {
-  CTrie t;
-  for (uint64_t i = 0; i < 1000; ++i) t.Insert(i, i);
-  for (uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(t.Remove(i).has_value()) << i;
-  }
-  EXPECT_EQ(t.Size(), 0u);
-  // Reuse after emptying must still work (contraction left a valid root).
-  t.Insert(5, 55);
-  EXPECT_EQ(*t.Lookup(5), 55u);
-}
-
 TEST(CTrieTest, ForEachVisitsAllPairs) {
   CTrie t;
   std::map<uint64_t, uint64_t> expected;
@@ -98,112 +60,6 @@ TEST(CTrieTest, ForEachVisitsAllPairs) {
   std::map<uint64_t, uint64_t> seen;
   t.ForEach([&seen](uint64_t k, uint64_t v) { seen[k] = v; });
   EXPECT_EQ(seen, expected);
-}
-
-TEST(CTrieTest, SnapshotIsolatedFromLaterWrites) {
-  CTrie t;
-  for (uint64_t i = 0; i < 1000; ++i) t.Insert(i, i);
-  CTrie snap = t.ReadOnlySnapshot();
-  for (uint64_t i = 1000; i < 2000; ++i) t.Insert(i, i);
-  for (uint64_t i = 0; i < 500; ++i) t.Remove(i);
-  t.Insert(0, 9999);  // overwrite after remove
-
-  EXPECT_EQ(snap.Size(), 1000u);
-  for (uint64_t i = 0; i < 1000; ++i) {
-    auto v = snap.Lookup(i);
-    ASSERT_TRUE(v.has_value()) << i;
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(snap.Lookup(1500).has_value());
-  EXPECT_EQ(t.Size(), 1501u);
-}
-
-TEST(CTrieTest, WritableSnapshotDivergesIndependently) {
-  CTrie t;
-  for (uint64_t i = 0; i < 100; ++i) t.Insert(i, i);
-  CTrie snap = t.Snapshot();
-  EXPECT_FALSE(snap.read_only());
-  snap.Insert(200, 1);
-  t.Insert(300, 2);
-  EXPECT_TRUE(snap.Lookup(200).has_value());
-  EXPECT_FALSE(snap.Lookup(300).has_value());
-  EXPECT_FALSE(t.Lookup(200).has_value());
-  EXPECT_TRUE(t.Lookup(300).has_value());
-  EXPECT_EQ(snap.Size(), 101u);
-  EXPECT_EQ(t.Size(), 101u);
-}
-
-TEST(CTrieTest, SnapshotOfSnapshot) {
-  CTrie t;
-  t.Insert(1, 1);
-  CTrie s1 = t.ReadOnlySnapshot();
-  t.Insert(2, 2);
-  CTrie s2 = t.ReadOnlySnapshot();
-  t.Insert(3, 3);
-  EXPECT_EQ(s1.Size(), 1u);
-  EXPECT_EQ(s2.Size(), 2u);
-  EXPECT_EQ(t.Size(), 3u);
-  CTrie s3 = s2.ReadOnlySnapshot();
-  EXPECT_EQ(s3.Size(), 2u);
-}
-
-TEST(CTrieTest, ReadOnlySnapshotOfEmptyTrie) {
-  CTrie t;
-  CTrie snap = t.ReadOnlySnapshot();
-  t.Insert(1, 1);
-  EXPECT_EQ(snap.Size(), 0u);
-  EXPECT_FALSE(snap.Lookup(1).has_value());
-}
-
-// Degenerate hash: all keys collide into 16 buckets, forcing deep paths
-// and LNode collision lists.
-uint64_t BadHash(uint64_t k) { return k & 0xF; }
-
-TEST(CTrieCollisionTest, LNodeInsertLookup) {
-  CTrie t(&BadHash);
-  for (uint64_t i = 0; i < 500; ++i) t.Insert(i, i + 1);
-  EXPECT_EQ(t.Size(), 500u);
-  for (uint64_t i = 0; i < 500; ++i) {
-    auto v = t.Lookup(i);
-    ASSERT_TRUE(v.has_value()) << i;
-    EXPECT_EQ(*v, i + 1);
-  }
-  EXPECT_FALSE(t.Lookup(1000).has_value());
-}
-
-TEST(CTrieCollisionTest, LNodeUpdateReturnsPrevious) {
-  CTrie t(&BadHash);
-  for (uint64_t i = 0; i < 100; ++i) t.Insert(i, i);
-  auto prev = t.Insert(37, 999);
-  ASSERT_TRUE(prev.has_value());
-  EXPECT_EQ(*prev, 37u);
-  EXPECT_EQ(*t.Lookup(37), 999u);
-  EXPECT_EQ(t.Size(), 100u);
-}
-
-TEST(CTrieCollisionTest, LNodeRemove) {
-  CTrie t(&BadHash);
-  for (uint64_t i = 0; i < 64; ++i) t.Insert(i, i);
-  for (uint64_t i = 0; i < 64; i += 2) {
-    auto removed = t.Remove(i);
-    ASSERT_TRUE(removed.has_value()) << i;
-  }
-  EXPECT_EQ(t.Size(), 32u);
-  for (uint64_t i = 1; i < 64; i += 2) {
-    EXPECT_TRUE(t.Lookup(i).has_value()) << i;
-  }
-}
-
-TEST(CTrieCollisionTest, SnapshotWithCollisions) {
-  CTrie t(&BadHash);
-  for (uint64_t i = 0; i < 200; ++i) t.Insert(i, i);
-  CTrie snap = t.ReadOnlySnapshot();
-  for (uint64_t i = 200; i < 400; ++i) t.Insert(i, i);
-  for (uint64_t i = 0; i < 100; ++i) t.Remove(i);
-  EXPECT_EQ(snap.Size(), 200u);
-  EXPECT_EQ(t.Size(), 300u);
-  EXPECT_TRUE(snap.Lookup(50).has_value());
-  EXPECT_FALSE(t.Lookup(50).has_value());
 }
 
 TEST(CTrieTest, MoveTransfersContents) {
@@ -223,48 +79,110 @@ TEST(CTrieTest, AllocatedNodesGrowWithInserts) {
   EXPECT_GT(t.MemoryBytesEstimate(), 0u);
 }
 
+TEST(CTrieTest, UpdatesAllocateNothing) {
+  CTrie t;
+  for (uint64_t i = 0; i < 5000; ++i) t.Insert(i, i);
+  const size_t nodes = t.allocated_nodes();
+  for (uint64_t i = 0; i < 5000; ++i) {
+    auto prev = t.Insert(i, i + 7);
+    ASSERT_TRUE(prev.has_value()) << i;
+    EXPECT_EQ(*prev, i) << i;
+  }
+  EXPECT_EQ(t.allocated_nodes(), nodes);
+  EXPECT_EQ(t.size_hint(), 5000u);
+  for (uint64_t i = 0; i < 5000; ++i) EXPECT_EQ(*t.Lookup(i), i + 7) << i;
+}
+
+TEST(CTrieTest, CellIsTheKeysCellAcrossLaterInserts) {
+  CTrie t;
+  EXPECT_EQ(t.Cell(DeepKey(0)), nullptr);
+  t.Insert(DeepKey(0), 1);
+  std::atomic<uint64_t>* cell = t.Cell(DeepKey(0));
+  ASSERT_NE(cell, nullptr);
+  EXPECT_EQ(cell->load(), 1u);
+  // Every later key shares the first nine levels with DeepKey(0), so the
+  // inserts push its leaf down and copy every CNode above it.
+  for (uint64_t i = 1; i < kDeepKeys; ++i) t.Insert(DeepKey(i), i);
+  EXPECT_EQ(t.Cell(DeepKey(0)), cell);
+  const size_t nodes = t.allocated_nodes();
+  cell->store(42, std::memory_order_release);
+  EXPECT_EQ(*t.Lookup(DeepKey(0)), 42u);
+  EXPECT_EQ(*t.Insert(DeepKey(0), 43), 42u);
+  EXPECT_EQ(cell->load(), 43u);
+  EXPECT_EQ(t.allocated_nodes(), nodes);
+}
+
+// --- Deep paths --------------------------------------------------------------
+
+TEST(CTrieDeepPathTest, DeepKeysShareTheirFirstNineLevels) {
+  Random64 rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t h = rng.Next();
+    ASSERT_EQ(Mix64(UnMix64(h)), h);
+  }
+  constexpr uint64_t kLow54 = (uint64_t{1} << 54) - 1;
+  for (uint64_t i = 0; i < kDeepKeys; ++i) {
+    ASSERT_EQ(Mix64(DeepKey(i)) & kLow54, Mix64(DeepKey(0)) & kLow54) << i;
+    ASSERT_EQ(Mix64(DeepKey(i)) >> 54, i);
+  }
+  // The second key splits the first one's root slot into a chain of one
+  // INode and one CNode per shared level (1-8), ending in a two-leaf CNode
+  // at level 9: 20 nodes with its leaf and the root's CNode copy.
+  CTrie t;
+  t.Insert(DeepKey(0), 0);
+  const size_t before = t.allocated_nodes();
+  t.Insert(DeepKey(1), 1);
+  EXPECT_EQ(t.allocated_nodes() - before, 20u);
+}
+
+TEST(CTrieDeepPathTest, InsertLookup) {
+  CTrie t;
+  for (uint64_t i = 0; i < 500; ++i) t.Insert(DeepKey(i), i + 1);
+  EXPECT_EQ(t.Size(), 500u);
+  for (uint64_t i = 0; i < 500; ++i) {
+    auto v = t.Lookup(DeepKey(i));
+    ASSERT_TRUE(v.has_value()) << i;
+    EXPECT_EQ(*v, i + 1);
+  }
+  EXPECT_FALSE(t.Lookup(DeepKey(1000)).has_value());
+}
+
+TEST(CTrieDeepPathTest, UpdateReturnsPrevious) {
+  CTrie t;
+  for (uint64_t i = 0; i < 100; ++i) t.Insert(DeepKey(i), i);
+  auto prev = t.Insert(DeepKey(37), 999);
+  ASSERT_TRUE(prev.has_value());
+  EXPECT_EQ(*prev, 37u);
+  EXPECT_EQ(*t.Lookup(DeepKey(37)), 999u);
+  EXPECT_EQ(t.Size(), 100u);
+}
+
 // --- Live walks --------------------------------------------------------------
 
 std::map<uint64_t, uint64_t> LiveContents(const CTrie& t) {
   std::map<uint64_t, uint64_t> seen;
-  t.ForEachLive([&seen](uint64_t k, uint64_t v) { seen[k] = v; });
+  t.ForEach([&seen](uint64_t k, uint64_t v) { seen[k] = v; });
   return seen;
 }
 
 TEST(CTrieLiveWalkTest, NeverSnapshottedTrieIsReadWithoutAllocating) {
-  CTrie t(&BadHash);  // colliding hashes: LNodes as well as CNodes
+  CTrie t;  // deep keys: long INode chains as well as wide CNodes
   std::map<uint64_t, uint64_t> model;
   for (uint64_t i = 0; i < 600; ++i) {
-    t.Insert(i, i * 3);
-    model[i] = i * 3;
+    t.Insert(DeepKey(i), i * 3);
+    model[DeepKey(i)] = i * 3;
   }
   const size_t nodes = t.allocated_nodes();
   for (uint64_t k = 0; k < 1000; ++k) {
-    auto v = t.Lookup(k);
+    auto v = t.Lookup(DeepKey(k));
     EXPECT_EQ(v.has_value(), k < 600) << k;
-    if (v.has_value()) EXPECT_EQ(*v, k * 3) << k;
+    if (v.has_value()) {
+      EXPECT_EQ(*v, k * 3) << k;
+    }
   }
   EXPECT_EQ(LiveContents(t), model);
-  const size_t bytes = t.LiveMemoryBytes();
+  EXPECT_GT(t.LiveMemoryBytes(), 0u);
   EXPECT_EQ(t.allocated_nodes(), nodes);
-  EXPECT_EQ(bytes, t.ReadOnlySnapshot().LiveMemoryBytes());
-}
-
-TEST(CTrieLiveWalkTest, LiveWalkSeesEachHandlesOwnVersion) {
-  CTrie t;
-  std::map<uint64_t, uint64_t> base;
-  for (uint64_t i = 0; i < 500; ++i) {
-    t.Insert(i, i);
-    base[i] = i;
-  }
-  CTrie frozen = t.ReadOnlySnapshot();
-  std::map<uint64_t, uint64_t> live = base;
-  for (uint64_t i = 0; i < 200; ++i) {
-    t.Insert(i, i + 1000);
-    live[i] = i + 1000;
-  }
-  EXPECT_EQ(LiveContents(frozen), base);
-  EXPECT_EQ(LiveContents(t), live);
 }
 
 class CTrieSweepTest : public ::testing::TestWithParam<size_t> {};
@@ -293,23 +211,7 @@ TEST_P(CTrieSweepTest, InsertLookupRemoveAtScale) {
     ASSERT_TRUE(found.has_value());
     EXPECT_EQ(*found, v);
   }
-  // Remove a random half and re-verify against the model.
-  size_t removed = 0;
-  for (auto it = model.begin(); it != model.end();) {
-    if (rng.Uniform(2) == 0) {
-      auto r = t.Remove(it->first);
-      ASSERT_TRUE(r.has_value());
-      EXPECT_EQ(*r, it->second);
-      it = model.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  EXPECT_EQ(t.Size(), model.size());
-  for (const auto& [k, v] : model) {
-    EXPECT_EQ(*t.Lookup(k), v);
-  }
+  EXPECT_EQ(LiveContents(t), model);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CTrieSweepTest,

@@ -456,6 +456,36 @@ TEST(IndexedPartitionPinTest, PinsAllocateNoTrieNodes) {
   EXPECT_EQ(part.arena_bytes(), before);
 }
 
+TEST(IndexedPartitionPinTest, AppendsToPresentKeysAllocateNoTrieNodes) {
+  // Keys are i % 97: after the first 200 rows every key is present, so
+  // both append paths store each new head into the key's trie cell.
+  SchemaPtr schema = WideSchema();
+  IndexedPartition part(schema, 0, TinyBatchConfig());
+  for (int64_t i = 0; i < 200; ++i) ASSERT_TRUE(part.Append(WideRow(i)).ok());
+  const size_t nodes = part.gen()->index.allocated_nodes();
+  std::vector<IndexedPartition::View> held;
+  for (int64_t i = 200; i < 400; ++i) {
+    held.push_back(part.Snapshot());
+    ASSERT_TRUE(part.Append(WideRow(i)).ok());
+  }
+  for (int64_t b = 400; b < 1000; b += 32) {
+    held.push_back(part.Snapshot());
+    const EncodedRows batch = EncodeRows(*schema, WideRows(b, b + 32));
+    ASSERT_TRUE(part.AppendBatch(batch.refs).ok());
+  }
+  EXPECT_EQ(part.gen()->index.allocated_nodes(), nodes);
+  // Each view still reads exactly its own prefix of every key's chain.
+  for (const IndexedPartition::View& view : held) {
+    for (int64_t k : {1, 5, 96}) {
+      size_t expected = 0;
+      for (int64_t i = 0; i < static_cast<int64_t>(view.num_rows()); ++i) {
+        expected += i % 9 != 0 && i % 97 == k;
+      }
+      EXPECT_EQ(view.GetRows(Value(k)).size(), expected) << view.num_rows();
+    }
+  }
+}
+
 TEST(IndexedPartitionPinTest, AppendsAfterPinsAllocateLikeUnpinnedAppends) {
   // K rounds of (pin, 32-row batch) against K unpinned batches of the same
   // rows: a pin that froze the trie would make the next batch re-copy the

@@ -11,6 +11,7 @@
 // under TSan in CI.
 #include <atomic>
 #include <cmath>
+#include <latch>
 #include <random>
 #include <string>
 #include <thread>
@@ -496,8 +497,14 @@ TEST(MaterializedViewTest, ConcurrentSubscribeUnsubscribeWhileAppending) {
 
   std::atomic<bool> stop{false};
   std::atomic<int64_t> oid_counter{0};
+  // The appender starts once every churner has subscribed, so churner 0's
+  // first subscription, which shares `held`'s arrangement, always lands
+  // before `stop`.
+  constexpr int kChurners = 3;
+  std::latch all_subscribed(kChurners);
 
   std::thread appender([&] {
+    all_subscribed.wait();
     std::mt19937 rng(47);
     for (int i = 0; i < 60; ++i) {
       RowVec rows;
@@ -520,10 +527,15 @@ TEST(MaterializedViewTest, ConcurrentSubscribeUnsubscribeWhileAppending) {
       "SELECT COUNT(*) FROM orders",
   };
   std::vector<std::thread> churners;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < kChurners; ++t) {
     churners.emplace_back([&, t] {
+      bool counted = false;
       while (!stop.load(std::memory_order_acquire)) {
         auto r = service->Subscribe(kSqls[t]);
+        if (!counted) {
+          all_subscribed.count_down();
+          counted = true;
+        }
         ASSERT_TRUE(r.ok()) << r.status().ToString();
         ViewSubscriptionPtr sub = r.ValueOrDie();
         uint64_t last = 0;

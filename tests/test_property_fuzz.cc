@@ -1,5 +1,6 @@
 // Property-based and fuzz-style tests: randomized inputs against model
 // implementations and malformed-input robustness.
+#include <atomic>
 #include <map>
 #include <string>
 
@@ -7,6 +8,7 @@
 
 #include "common/hash.h"
 #include "ctrie/ctrie.h"
+#include "ctrie_deep_keys.h"
 #include "indexed/indexed_partition.h"
 #include "io/csv.h"
 #include "sql/predicate_compiler.h"
@@ -18,50 +20,41 @@ namespace idf {
 namespace {
 
 // ---------------------------------------------------------------------------
-// CTrie vs std::map model, with snapshot validation
+// CTrie vs std::map model
 // ---------------------------------------------------------------------------
 
 class CTrieModelTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CTrieModelTest, RandomOpsMatchModelAndSnapshotsStayFrozen) {
   Random64 rng(GetParam());
-  // Degenerate hashes on some seeds to force collision paths.
-  CTrie::HashFn hash = nullptr;
-  if (GetParam() % 2 != 0) {
-    hash = [](uint64_t k) { return k % 97; };
-  }
-  CTrie trie(hash);
+  // Keys sharing their first nine trie levels on odd seeds: deep paths.
+  const bool deep = GetParam() % 2 != 0;
+  CTrie trie;
   std::map<uint64_t, uint64_t> model;
-  std::vector<std::pair<CTrie, std::map<uint64_t, uint64_t>>> snapshots;
 
   const uint64_t key_space = 1 + rng.Uniform(500);
   for (int op = 0; op < 20000; ++op) {
-    uint64_t key = rng.Uniform(key_space);
+    const uint64_t i = rng.Uniform(key_space);
+    const uint64_t key = deep ? DeepKey(i) : i;
     switch (rng.Uniform(10)) {
       case 0:
       case 1:
-      case 2: {  // remove
-        auto got = trie.Remove(key);
-        auto it = model.find(key);
-        if (it == model.end()) {
-          ASSERT_FALSE(got.has_value()) << "op " << op;
-        } else {
-          ASSERT_TRUE(got.has_value());
-          ASSERT_EQ(*got, it->second);
-          model.erase(it);
-        }
-        break;
-      }
-      case 3: {  // lookup
+      case 2: {  // lookup
         auto got = trie.Lookup(key);
         auto it = model.find(key);
         ASSERT_EQ(got.has_value(), it != model.end()) << "op " << op;
-        if (got.has_value()) ASSERT_EQ(*got, it->second);
+        if (got.has_value()) {
+          ASSERT_EQ(*got, it->second);
+        }
         break;
       }
-      case 4: {  // snapshot (keep a few)
-        if (snapshots.size() < 4) {
-          snapshots.emplace_back(trie.ReadOnlySnapshot(), model);
+      case 3: {  // in-place store into a present key's cell
+        std::atomic<uint64_t>* cell = trie.Cell(key);
+        ASSERT_EQ(cell != nullptr, model.count(key) == 1) << "op " << op;
+        if (cell != nullptr) {
+          const uint64_t value = rng.Next();
+          cell->store(value);
+          model[key] = value;
         }
         break;
       }
@@ -81,20 +74,17 @@ TEST_P(CTrieModelTest, RandomOpsMatchModelAndSnapshotsStayFrozen) {
     }
   }
 
-  // Final state equals the model.
+  // Final state equals the model, by lookup and by a live walk.
   ASSERT_EQ(trie.Size(), model.size());
+  ASSERT_EQ(trie.size_hint(), model.size());
   for (const auto& [k, v] : model) {
     auto got = trie.Lookup(k);
     ASSERT_TRUE(got.has_value()) << k;
     ASSERT_EQ(*got, v);
   }
-  // Every snapshot still equals the model at its capture point.
-  for (auto& [snap, snap_model] : snapshots) {
-    ASSERT_EQ(snap.Size(), snap_model.size());
-    std::map<uint64_t, uint64_t> contents;
-    snap.ForEach([&contents](uint64_t k, uint64_t v) { contents[k] = v; });
-    ASSERT_EQ(contents, snap_model);
-  }
+  std::map<uint64_t, uint64_t> contents;
+  trie.ForEach([&contents](uint64_t k, uint64_t v) { contents[k] = v; });
+  ASSERT_EQ(contents, model);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CTrieModelTest,
