@@ -177,17 +177,19 @@ void FlushChunkStats(ExecutorContext& ctx, const ChunkStats& stats) {
   }
 }
 
-/// Selects the payloads of a span that pass the compiled filter into
-/// `sel` and returns how many were kept. Without a compiled filter every
-/// payload is kept for the residual.
-size_t SelectPayloads(const std::optional<VectorizedPredicate>& vec,
-                      const uint8_t* const* payloads, size_t n, uint32_t* sel,
-                      VectorScratch* vs, ChunkStats* stats) {
+/// Selects the rows that pass the compiled filter into `sel` and returns
+/// how many were kept. Without a compiled filter every row is kept for the
+/// residual. A store run is filtered on its column images; scattered
+/// payloads are gathered.
+size_t SelectRows(const std::optional<VectorizedPredicate>& vec,
+                  const RowRun& rows, uint32_t* sel, VectorScratch* vs,
+                  ChunkStats* stats) {
+  const size_t n = rows.count;
   if (!vec) {
     std::iota(sel, sel + n, 0u);
     return n;
   }
-  const size_t kept = vec->FilterBatch(payloads, n, sel, vs);
+  const size_t kept = vec->FilterBatch(rows, sel, vs);
   stats->vector_batches += VectorizedPredicate::NumBatches(n);
   stats->filtered_vectorized += n - kept;
   stats->filtered_encoded += n - kept;
@@ -264,13 +266,9 @@ Result<PartitionVec> MorselScanDense(ExecutorContext& ctx,
         ctx.metrics().AddTask();
         ForEachSegment(flat, begin, end, [&](size_t p, size_t first, size_t last) {
           Row* dst = rows[p].data() + first;
-          snap.view(static_cast<int>(p))
-              .ForEachPayloadRun(first, last,
-                                 [&](const uint8_t* const* payloads, size_t cnt) {
-                                   for (size_t j = 0; j < cnt; ++j) {
-                                     *dst++ = per_row(payloads[j]);
-                                   }
-                                 });
+          snap.view(static_cast<int>(p)).ForEachRun(first, last, [&](const RowRun& run) {
+            for (size_t j = 0; j < run.count; ++j) *dst++ = per_row(run.payloads[j]);
+          });
         });
       },
       ctx.cancellation());
@@ -391,15 +389,13 @@ Result<PartitionVec> VectorizedScanFilter(ExecutorContext& ctx,
             std::min(end - begin, RowBatchStore::kDirectoryChunkRows));
         ForEachSegment(flat, begin, end, [&](size_t p, size_t first, size_t last) {
           MorselPiece piece{p, {}};
-          // Each directory run is one contiguous payload span: the kernel
-          // filters it in place, no pointer copy.
-          snap.view(static_cast<int>(p))
-              .ForEachPayloadRun(first, last,
-                                 [&](const uint8_t* const* payloads, size_t cnt) {
-            const size_t kept = SelectPayloads(vec, payloads, cnt, sel.data(),
-                                               &vs, &stats);
+          // Each run is one directory chunk's slice: the kernel filters
+          // its column images in place, and only the survivors' payloads
+          // are read.
+          snap.view(static_cast<int>(p)).ForEachRun(first, last, [&](const RowRun& run) {
+            const size_t kept = SelectRows(vec, run, sel.data(), &vs, &stats);
             for (size_t j = 0; j < kept; ++j) {
-              EmitFilteredRow(payloads[sel[j]], schema, residual, project_cols,
+              EmitFilteredRow(run.payloads[sel[j]], schema, residual, project_cols,
                               &piece.rows, &stats);
             }
           });
@@ -923,9 +919,9 @@ Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
           }
           if (!has_decoded) ++encoded_rows;
         };
-        auto accumulate_run = [&](const uint8_t* const* payloads, size_t cnt) {
-          const size_t kept =
-              SelectPayloads(vec, payloads, cnt, sel.data(), &vs, &stats);
+        auto accumulate_run = [&](const RowRun& run) {
+          const uint8_t* const* payloads = run.payloads;
+          const size_t kept = SelectRows(vec, run, sel.data(), &vs, &stats);
           if (!ungrouped_fast) {
             for (size_t j = 0; j < kept; ++j) accumulate_row(payloads[sel[j]]);
             return;
@@ -940,7 +936,7 @@ Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
           encoded_rows += kept;
         };
         ForEachSegment(flat, begin, end, [&](size_t p, size_t first, size_t last) {
-          snap.view(static_cast<int>(p)).ForEachPayloadRun(first, last, accumulate_run);
+          snap.view(static_cast<int>(p)).ForEachRun(first, last, accumulate_run);
         });
         FlushChunkStats(ctx, stats);
         if (encoded_rows > 0) {
@@ -1049,9 +1045,8 @@ Result<PartitionVec> IndexedJoinOp::Execute(ExecutorContext& ctx) {
           // build residual.
           auto flush = [&] {
             if (sel.size() < cand.size()) sel.resize(cand.size());
-            const size_t kept =
-                SelectPayloads(build_vec, cand.data(), cand.size(), sel.data(),
-                               &vs, &stats);
+            const size_t kept = SelectRows(build_vec, RowRun(cand.data(), cand.size()),
+                                           sel.data(), &vs, &stats);
             const Row* probe_row = nullptr;
             size_t probe_item = last;
             for (size_t j = 0; j < kept; ++j) {

@@ -29,9 +29,9 @@ SecondaryMaintenanceStats SecondaryIndexSet::PublishCut(const RowBatchStore& sto
     // builder and building its immutable cut.
     const auto t0 = std::chrono::steady_clock::now();
     uint64_t pos = indexed_;
-    store.ForEachPayloadRun(indexed_, limit, [&](const uint8_t* const* payloads,
-                                                 size_t n) {
-      for (size_t i = 0; i < n; ++i, ++pos) {
+    store.ForEachRun(indexed_, limit, [&](const RowRun& run) {
+      const uint8_t* const* payloads = run.payloads;
+      for (size_t i = 0; i < run.count; ++i, ++pos) {
         // Null keys are stored but unindexed (same contract as the cTrie);
         // ProbeMatches never matches a null, so probe == scan still holds.
         if (RawColumnIsNull(payloads[i], spec.column)) continue;
@@ -143,7 +143,7 @@ IndexedPartition::IndexedPartition(SchemaPtr schema, int indexed_col,
       indexed_col_(indexed_col),
       batch_bytes_(config.row_batch_bytes),
       max_row_bytes_(config.max_row_bytes),
-      gen_(std::make_shared<PartitionGeneration>(config.row_batch_bytes,
+      gen_(std::make_shared<PartitionGeneration>(*schema_, config.row_batch_bytes,
                                                  config.max_row_bytes)) {}
 
 Status IndexedPartition::Append(const Row& row) {
@@ -343,7 +343,8 @@ ChainStatsSnapshot IndexedPartition::ChainStats() const {
 
 Status IndexedPartition::CompactLocked(CompactionResult* result) {
   PartitionGenerationPtr old_gen = gen_;
-  auto fresh = std::make_shared<PartitionGeneration>(batch_bytes_, max_row_bytes_);
+  auto fresh =
+      std::make_shared<PartitionGeneration>(*schema_, batch_bytes_, max_row_bytes_);
   const Schema& schema = *schema_;
 
   // Collect every chain of the old generation: (hash, pointers newest
@@ -466,10 +467,9 @@ void IndexedPartition::View::Scan(const std::function<void(const Row&)>& fn) con
 
 void IndexedPartition::View::ScanRawFrom(
     size_t from, const std::function<void(const uint8_t*)>& fn) const {
-  ForEachPayloadRun(from, watermark_.num_rows,
-                    [&fn](const uint8_t* const* payloads, size_t n) {
-                      for (size_t i = 0; i < n; ++i) fn(payloads[i]);
-                    });
+  ForEachRun(from, watermark_.num_rows, [&fn](const RowRun& run) {
+    for (size_t i = 0; i < run.count; ++i) fn(run.payloads[i]);
+  });
 }
 
 namespace {

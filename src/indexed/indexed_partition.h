@@ -154,8 +154,9 @@ struct SecondaryProbeStats {
 /// swaps it in, after which the old generation is frozen and lives only as
 /// long as views referencing it.
 struct PartitionGeneration {
-  PartitionGeneration(size_t batch_bytes, size_t max_row_bytes)
-      : store(batch_bytes, max_row_bytes) {}
+  PartitionGeneration(const Schema& schema, size_t batch_bytes,
+                      size_t max_row_bytes)
+      : store(schema, batch_bytes, max_row_bytes) {}
   IDF_DISALLOW_COPY_AND_ASSIGN(PartitionGeneration);
 
   RowBatchStore store;
@@ -343,12 +344,13 @@ class IndexedPartition {
       ScanRawFrom(0, fn);
     }
 
-    /// Calls `fn(payloads, count)` on consecutive runs of the row
-    /// directory covering append ordinals [begin, end), in order; `end`
-    /// must not exceed num_rows(). The morsel drivers read rows this way.
+    /// Calls `fn(const RowRun&)` on consecutive runs of the row directory
+    /// and column images covering append ordinals [begin, end), in order;
+    /// `end` must not exceed num_rows(). The morsel drivers read rows this
+    /// way.
     template <typename Fn>
-    void ForEachPayloadRun(size_t begin, size_t end, Fn&& fn) const {
-      gen_->store.ForEachPayloadRun(begin, end, std::forward<Fn>(fn));
+    void ForEachRun(size_t begin, size_t end, Fn&& fn) const {
+      gen_->store.ForEachRun(begin, end, std::forward<Fn>(fn));
     }
 
     /// Visits the packed pointers of the chain for `key`, newest first
@@ -468,7 +470,8 @@ class IndexedPartition {
   size_t distinct_keys() const { return gen()->index.size_hint(); }
 
   /// Memory accounting for the paper's "low memory overhead" claim:
-  /// `index_bytes` is the live cTrie structure plus the row directory;
+  /// `index_bytes` is the live cTrie structure plus the row directory
+  /// and its column images;
   /// `arena_bytes` is every trie node allocated, including the CNodes
   /// that adding keys replaced, which the arena holds until the
   /// generation dies (the leak-until-destruction reclamation strategy).

@@ -45,6 +45,7 @@ struct Connection {
   std::string outbuf;
   size_t outpos = 0;
   bool close_after_flush = false;
+  bool epollout = false;  // EPOLLOUT is in the registered interest
 
   void Queue(std::string frame) { outbuf.append(frame); }
   bool want_write() const { return outpos < outbuf.size(); }
@@ -192,11 +193,16 @@ struct Server::Impl {
     close(epfd);
   }
 
+  /// Registers EPOLLOUT exactly while output is pending; most requests
+  /// flush in full and leave the interest as it was, with no syscall.
   void UpdateInterest(IoLoop* loop, Connection& conn) {
+    const bool want = conn.want_write();
+    if (want == conn.epollout) return;
     epoll_event ev{};
-    ev.events = EPOLLIN | (conn.want_write() ? EPOLLOUT : 0u);
+    ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
     ev.data.fd = conn.fd;
     epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
+    conn.epollout = want;
   }
 
   void CloseConn(IoLoop* loop, int fd) {
@@ -388,6 +394,10 @@ struct Server::Impl {
         conn.close_after_flush = true;
         break;
       }
+      // A short read drained the socket. The epoll set is level-triggered,
+      // so bytes that arrive later wake the loop again; reading on until
+      // EAGAIN would only add a syscall that returns nothing.
+      if (static_cast<size_t>(n) < sizeof(buf)) break;
     }
     Frame frame;
     while (conn.decoder.Next(&frame)) HandleFrame(conn, frame);

@@ -136,6 +136,7 @@ class PredicateCompiler {
   CompiledPredicate::Inst ColumnInst(int col) const {
     const CompiledAccessor acc = CompiledAccessor::ForColumn(schema_, col);
     CompiledPredicate::Inst inst{};
+    inst.col = static_cast<uint32_t>(col);
     inst.slot_off = acc.slot_offset();
     inst.null_byte = acc.null_byte();
     inst.null_mask = acc.null_mask();

@@ -88,6 +88,7 @@ class CompiledPredicate {
   struct Inst {
     OpCode op;
     CompareOp cmp = CompareOp::kEq;  // comparison opcodes only
+    uint32_t col = 0;                // schema column (its dense image)
     uint32_t slot_off = 0;           // precomputed bitmap_bytes + col * 8
     uint32_t null_byte = 0;          // byte offset of the column's null bit
     uint8_t null_mask = 0;

@@ -62,132 +62,126 @@ void DispatchCmp(CompareOp op, Fn&& fn) {
 }
 
 // ---------------------------------------------------------------------------
-// Gather pass: one strided walk over the batch's payload pointers per
-// column-reading instruction. Null bits unpack into a byte-per-lane mask;
-// slots load as raw 8-byte images (the fixed section always exists, so the
-// load is defined even for null lanes — the lane result just ignores it).
+// Lane loaders. A compare kernel reads lane i's raw 8-byte slot and null
+// flag through one of two loaders:
+//  - GatherLanes follows the batch's payload pointers (scattered rows:
+//    chain walks, probe output, string columns), reading the null bit and
+//    the slot together while the row's cache line is hot. The slot load is
+//    defined even for null lanes (the fixed section always exists).
+//  - DenseLanes reads a store run's column image (storage/
+//    row_batch_store.h): sequential slots and null bytes, no pointer chase.
+// Each kernel is one template per op and type, instantiated per loader.
 // ---------------------------------------------------------------------------
 
-// Each instruction makes exactly ONE pass over the batch's payload
-// pointers, reading the null bit and the slot together while the row's
-// cache line is hot — a split null-gather + slot-gather walks the batch
-// twice and pays the pointer-chase misses twice. The slot load is defined
-// even for null lanes (the fixed section always exists); the lane result
-// just ignores it.
+struct GatherLanes {
+  const uint8_t* const* payloads;
+  uint32_t slot_off;
+  uint32_t null_byte;
+  uint8_t null_mask;
 
-inline uint64_t LoadSlot64(const uint8_t* payload, uint32_t slot_off) {
-  uint64_t x;
-  std::memcpy(&x, payload + slot_off, 8);
-  return x;
-}
+  const uint8_t* Payload(size_t i) const { return payloads[i]; }
+  uint64_t Slot(size_t i) const {
+    uint64_t x;
+    std::memcpy(&x, payloads[i] + slot_off, 8);
+    return x;
+  }
+  bool Null(size_t i) const { return (payloads[i][null_byte] & null_mask) != 0; }
+};
 
-/// int32 slots load sign-extended to the int64 lane image (the widening
-/// Value::AsInt64 applies, exactly as in the row-at-a-time kCmpInt32).
-inline uint64_t LoadSlot32SignExtended(const uint8_t* payload,
-                                       uint32_t slot_off) {
-  int32_t x;
-  std::memcpy(&x, payload + slot_off, 4);
-  return std::bit_cast<uint64_t>(static_cast<int64_t>(x));
-}
+struct DenseLanes {
+  const uint64_t* slots;
+  const uint8_t* nulls;
 
-inline bool LoadNull(const uint8_t* payload, uint32_t null_byte,
-                     uint8_t null_mask) {
-  return (payload[null_byte] & null_mask) != 0;
+  uint64_t Slot(size_t i) const { return slots[i]; }
+  bool Null(size_t i) const { return nulls[i] != 0; }
+};
+
+/// Integer-backed slot as int64: int32 slots sign-extend their low word
+/// (the widening Value::AsInt64 applies, exactly as in the row-at-a-time
+/// kCmpInt32).
+template <bool narrow>
+inline int64_t SlotAsInt64(uint64_t slot) {
+  if constexpr (narrow) {
+    return static_cast<int32_t>(static_cast<uint32_t>(slot));
+  } else {
+    return std::bit_cast<int64_t>(slot);
+  }
 }
 
 // The lane loops write TriBool bytes; a plain uint8_t* store aliases
 // everything under the language rules, which would force the compiler to
 // reload the payload pointers and instruction fields on every iteration.
-// The kernels therefore take hoisted scalar operands and a restrict-
-// qualified output (the tri stack never overlaps payload memory).
+// The kernels therefore take the loader and hoisted scalar operands by
+// value and a restrict-qualified output (the tri stack never overlaps row
+// memory).
 #define IDF_RESTRICT __restrict__
 
-template <CompareOp op>
-void CmpInt64Lanes(const uint8_t* const* payloads, size_t n, uint32_t slot_off,
-                   uint32_t null_byte, uint8_t null_mask, int64_t imm,
-                   uint8_t* IDF_RESTRICT out) {
+template <CompareOp op, bool narrow, typename Lanes>
+void CmpIntLanes(Lanes in, size_t n, int64_t imm, uint8_t* IDF_RESTRICT out) {
   for (size_t i = 0; i < n; ++i) {
-    const uint8_t* p = payloads[i];
-    const int64_t v = std::bit_cast<int64_t>(LoadSlot64(p, slot_off));
-    const bool c = CmpLane<op>(v, imm);
-    out[i] = LoadNull(p, null_byte, null_mask) ? kN : (c ? kT : kF);
+    const bool c = CmpLane<op>(SlotAsInt64<narrow>(in.Slot(i)), imm);
+    out[i] = in.Null(i) ? kN : (c ? kT : kF);
   }
 }
 
-template <CompareOp op>
-void CmpInt32Lanes(const uint8_t* const* payloads, size_t n, uint32_t slot_off,
-                   uint32_t null_byte, uint8_t null_mask, int64_t imm,
-                   uint8_t* IDF_RESTRICT out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint8_t* p = payloads[i];
-    const int64_t v =
-        std::bit_cast<int64_t>(LoadSlot32SignExtended(p, slot_off));
-    const bool c = CmpLane<op>(v, imm);
-    out[i] = LoadNull(p, null_byte, null_mask) ? kN : (c ? kT : kF);
-  }
-}
-
-template <CompareOp op, bool narrow>
-void CmpIntAsDoubleLanes(const uint8_t* const* payloads, size_t n,
-                         uint32_t slot_off, uint32_t null_byte,
-                         uint8_t null_mask, double imm,
+template <CompareOp op, bool narrow, typename Lanes>
+void CmpIntAsDoubleLanes(Lanes in, size_t n, double imm,
                          uint8_t* IDF_RESTRICT out) {
   for (size_t i = 0; i < n; ++i) {
-    const uint8_t* p = payloads[i];
-    const uint64_t s = narrow ? LoadSlot32SignExtended(p, slot_off)
-                              : LoadSlot64(p, slot_off);
-    const double v = static_cast<double>(std::bit_cast<int64_t>(s));
-    out[i] = LoadNull(p, null_byte, null_mask)
-                 ? kN
-                 : (CmpLane<op>(v, imm) ? kT : kF);
+    const double v = static_cast<double>(SlotAsInt64<narrow>(in.Slot(i)));
+    out[i] = in.Null(i) ? kN : (CmpLane<op>(v, imm) ? kT : kF);
   }
 }
 
+template <CompareOp op, typename Lanes>
+void CmpDoubleLanes(Lanes in, size_t n, double imm, uint8_t* IDF_RESTRICT out) {
+  for (size_t i = 0; i < n; ++i) {
+    const double v = std::bit_cast<double>(in.Slot(i));
+    out[i] = in.Null(i) ? kN : (CmpLane<op>(v, imm) ? kT : kF);
+  }
+}
+
+/// Strings live out of line, so they always gather.
 template <CompareOp op>
-void CmpDoubleLanes(const uint8_t* const* payloads, size_t n, uint32_t slot_off,
-                    uint32_t null_byte, uint8_t null_mask, double imm,
+void CmpStringLanes(GatherLanes in, size_t n, std::string_view want,
                     uint8_t* IDF_RESTRICT out) {
   for (size_t i = 0; i < n; ++i) {
-    const uint8_t* p = payloads[i];
-    const double v = std::bit_cast<double>(LoadSlot64(p, slot_off));
-    out[i] = LoadNull(p, null_byte, null_mask)
-                 ? kN
-                 : (CmpLane<op>(v, imm) ? kT : kF);
-  }
-}
-
-template <CompareOp op>
-void CmpStringLanes(const uint8_t* const* payloads, size_t n,
-                    uint32_t slot_off, uint32_t null_byte, uint8_t null_mask,
-                    std::string_view want, uint8_t* IDF_RESTRICT out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint8_t* p = payloads[i];
     // The slot of a null lane is garbage; the view must not be formed for
     // it (the ternary short-circuits the deref).
-    out[i] = LoadNull(p, null_byte, null_mask)
-                 ? kN
-                 : (CmpLane<op>(RawColumnString(p, LoadSlot64(p, slot_off)),
-                                want)
-                        ? kT
-                        : kF);
+    out[i] = in.Null(i) ? kN
+                        : (CmpLane<op>(RawColumnString(in.Payload(i), in.Slot(i)),
+                                       want)
+                               ? kT
+                               : kF);
   }
 }
 
-void BoolColLanes(const uint8_t* const* payloads, size_t n, uint32_t slot_off,
-                  uint32_t null_byte, uint8_t null_mask,
-                  uint8_t* IDF_RESTRICT out) {
+template <typename Lanes>
+void BoolColLanes(Lanes in, size_t n, uint8_t* IDF_RESTRICT out) {
   for (size_t i = 0; i < n; ++i) {
-    const uint8_t* p = payloads[i];
-    const uint8_t t = LoadSlot64(p, slot_off) != 0 ? kT : kF;
-    out[i] = LoadNull(p, null_byte, null_mask) ? kN : t;
+    const uint8_t t = in.Slot(i) != 0 ? kT : kF;
+    out[i] = in.Null(i) ? kN : t;
   }
 }
 
-void IsNullLanes(const uint8_t* const* payloads, size_t n, uint32_t null_byte,
-                 uint8_t null_mask, bool negated, uint8_t* IDF_RESTRICT out) {
+template <typename Lanes>
+void IsNullLanes(Lanes in, size_t n, bool negated, uint8_t* IDF_RESTRICT out) {
   for (size_t i = 0; i < n; ++i) {
-    const bool isnull = LoadNull(payloads[i], null_byte, null_mask);
-    out[i] = (isnull != negated) ? kT : kF;
+    out[i] = (in.Null(i) != negated) ? kT : kF;
+  }
+}
+
+/// Calls `fn(lanes)` with the loader for rows [base, ...) of column
+/// instruction `inst`: its dense image when `rows` carries one, else the
+/// payload gather.
+template <typename Inst, typename Fn>
+void WithLanes(const RowRun& rows, size_t base, const Inst& inst, Fn&& fn) {
+  const ColumnSlice image = rows.Column(static_cast<int>(inst.col));
+  if (image.slots != nullptr) {
+    fn(DenseLanes{image.slots + base, image.nulls + base});
+  } else {
+    fn(GatherLanes{rows.payloads + base, inst.slot_off, inst.null_byte,
+                   inst.null_mask});
   }
 }
 
@@ -281,8 +275,8 @@ VectorizedPredicate::VectorizedPredicate(const CompiledPredicate& program)
   }
 }
 
-void VectorizedPredicate::EvalOneBatch(const uint8_t* const* payloads, size_t n,
-                                       VectorScratch* scratch) const {
+void VectorizedPredicate::EvalOneBatch(const RowRun& rows, size_t base,
+                                       size_t n, VectorScratch* scratch) const {
   if (scratch->tri.size() < depth_ * kBatchRows) {
     scratch->tri.resize(depth_ * kBatchRows);
   }
@@ -296,57 +290,54 @@ void VectorizedPredicate::EvalOneBatch(const uint8_t* const* payloads, size_t n,
         ++sp;
         break;
       case CompiledPredicate::OpCode::kBoolCol:
-        BoolColLanes(payloads, n, inst.slot_off, inst.null_byte,
-                     inst.null_mask, top);
+        WithLanes(rows, base, inst, [&](auto lanes) { BoolColLanes(lanes, n, top); });
         ++sp;
         break;
       case CompiledPredicate::OpCode::kIsNull:
-        IsNullLanes(payloads, n, inst.null_byte, inst.null_mask,
-                    inst.imm_tri != 0, top);
-        ++sp;
-        break;
-      case CompiledPredicate::OpCode::kCmpInt64:
-        DispatchCmp(inst.cmp, [&](auto opc) {
-          CmpInt64Lanes<opc.value>(payloads, n, inst.slot_off, inst.null_byte,
-                                   inst.null_mask, inst.imm_i64, top);
+        WithLanes(rows, base, inst, [&](auto lanes) {
+          IsNullLanes(lanes, n, inst.imm_tri != 0, top);
         });
         ++sp;
         break;
+      case CompiledPredicate::OpCode::kCmpInt64:
       case CompiledPredicate::OpCode::kCmpInt32:
-        DispatchCmp(inst.cmp, [&](auto opc) {
-          CmpInt32Lanes<opc.value>(payloads, n, inst.slot_off, inst.null_byte,
-                                   inst.null_mask, inst.imm_i64, top);
+        WithLanes(rows, base, inst, [&](auto lanes) {
+          DispatchCmp(inst.cmp, [&](auto opc) {
+            if (inst.op == CompiledPredicate::OpCode::kCmpInt32) {
+              CmpIntLanes<opc.value, true>(lanes, n, inst.imm_i64, top);
+            } else {
+              CmpIntLanes<opc.value, false>(lanes, n, inst.imm_i64, top);
+            }
+          });
         });
         ++sp;
         break;
       case CompiledPredicate::OpCode::kCmpIntAsDouble:
-        DispatchCmp(inst.cmp, [&](auto opc) {
-          if (inst.imm_tri != 0) {  // int32 column: sign-extend the low word
-            CmpIntAsDoubleLanes<opc.value, true>(payloads, n, inst.slot_off,
-                                                 inst.null_byte,
-                                                 inst.null_mask, inst.imm_f64,
-                                                 top);
-          } else {
-            CmpIntAsDoubleLanes<opc.value, false>(payloads, n, inst.slot_off,
-                                                  inst.null_byte,
-                                                  inst.null_mask, inst.imm_f64,
-                                                  top);
-          }
+        WithLanes(rows, base, inst, [&](auto lanes) {
+          DispatchCmp(inst.cmp, [&](auto opc) {
+            if (inst.imm_tri != 0) {  // int32 column: sign-extend the low word
+              CmpIntAsDoubleLanes<opc.value, true>(lanes, n, inst.imm_f64, top);
+            } else {
+              CmpIntAsDoubleLanes<opc.value, false>(lanes, n, inst.imm_f64, top);
+            }
+          });
         });
         ++sp;
         break;
       case CompiledPredicate::OpCode::kCmpDouble:
-        DispatchCmp(inst.cmp, [&](auto opc) {
-          CmpDoubleLanes<opc.value>(payloads, n, inst.slot_off, inst.null_byte,
-                                    inst.null_mask, inst.imm_f64, top);
+        WithLanes(rows, base, inst, [&](auto lanes) {
+          DispatchCmp(inst.cmp, [&](auto opc) {
+            CmpDoubleLanes<opc.value>(lanes, n, inst.imm_f64, top);
+          });
         });
         ++sp;
         break;
       case CompiledPredicate::OpCode::kCmpString:
         DispatchCmp(inst.cmp, [&](auto opc) {
-          CmpStringLanes<opc.value>(payloads, n, inst.slot_off, inst.null_byte,
-                                    inst.null_mask,
-                                    program_->strings_[inst.imm_str], top);
+          CmpStringLanes<opc.value>(
+              GatherLanes{rows.payloads + base, inst.slot_off, inst.null_byte,
+                          inst.null_mask},
+              n, program_->strings_[inst.imm_str], top);
         });
         ++sp;
         break;
@@ -366,23 +357,21 @@ void VectorizedPredicate::EvalOneBatch(const uint8_t* const* payloads, size_t n,
   // Result lanes are at the bottom of the stack (stack[0..n)).
 }
 
-void VectorizedPredicate::EvalBatch(const uint8_t* const* payloads, size_t n,
-                                    uint8_t* out_tri,
+void VectorizedPredicate::EvalBatch(const RowRun& rows, uint8_t* out_tri,
                                     VectorScratch* scratch) const {
-  for (size_t base = 0; base < n; base += kBatchRows) {
-    const size_t bn = std::min(kBatchRows, n - base);
-    EvalOneBatch(payloads + base, bn, scratch);
+  for (size_t base = 0; base < rows.count; base += kBatchRows) {
+    const size_t bn = std::min(kBatchRows, rows.count - base);
+    EvalOneBatch(rows, base, bn, scratch);
     std::memcpy(out_tri + base, scratch->tri.data(), bn);
   }
 }
 
-size_t VectorizedPredicate::FilterBatch(const uint8_t* const* payloads,
-                                        size_t n, uint32_t* sel,
+size_t VectorizedPredicate::FilterBatch(const RowRun& rows, uint32_t* sel,
                                         VectorScratch* scratch) const {
   size_t count = 0;
-  for (size_t base = 0; base < n; base += kBatchRows) {
-    const size_t bn = std::min(kBatchRows, n - base);
-    EvalOneBatch(payloads + base, bn, scratch);
+  for (size_t base = 0; base < rows.count; base += kBatchRows) {
+    const size_t bn = std::min(kBatchRows, rows.count - base);
+    EvalOneBatch(rows, base, bn, scratch);
     const uint8_t* tri = scratch->tri.data();
     for (size_t i = 0; i < bn; ++i) {
       // Branch-free append: the write always happens, the cursor only

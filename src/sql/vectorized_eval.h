@@ -3,12 +3,15 @@
 // program once per payload pointer, VectorizedPredicate evaluates one
 // instruction over a whole batch of rows at a time:
 //
-//  1. Gather + compare: each column-reading instruction makes one strided
-//     pass over the batch's payload pointers via the precomputed
-//     CompiledAccessor offsets, reading the null bit and the slot together
-//     while the row is cache-hot and writing a TriBool byte lane. The
-//     comparison operator is dispatched ONCE per batch (template
-//     instantiation), so the loop body is free of per-row dispatch.
+//  1. Load + compare: each column-reading instruction makes one pass over
+//     the batch and writes a TriBool byte lane. Its lane loader reads the
+//     column's dense image when the rows are a store run (RowRun from
+//     RowBatchStore::ForEachRun: sequential slots and null bytes), and
+//     otherwise gathers the null bit and the slot through each payload
+//     pointer via the precomputed CompiledAccessor offsets (scattered
+//     rows, and string columns always). The comparison operator is
+//     dispatched ONCE per batch (template instantiation), so the loop body
+//     is free of per-row dispatch.
 //  2. Combine: AND/OR/NOT run as branch-free Kleene byte-lane kernels
 //     (AND = min, OR = max, NOT = 2 - x on the TriBool encoding), with
 //     explicit SSE2/AVX2 intrinsics behind the IDF_SIMD feature macro and
@@ -20,9 +23,9 @@
 // the join build-side filter without any per-row predicate dispatch.
 //
 // Contract: for every lane, the batch result is bit-identical to
-// EvalEncoded on that lane's payload (the differential fuzzer in
-// tests/test_property_fuzz.cc enforces this, under ASan/UBSan/TSan and
-// with the SIMD macro forced off).
+// EvalEncoded on that lane's payload, whichever loader read it (the
+// differential fuzzer in tests/test_property_fuzz.cc enforces this, under
+// ASan/UBSan/TSan and with the SIMD macro forced off).
 #pragma once
 
 #include <cstddef>
@@ -30,6 +33,7 @@
 #include <vector>
 
 #include "sql/predicate_compiler.h"
+#include "storage/row_batch_store.h"
 
 // IDF_SIMD: explicit x86 byte-lane intrinsics for the Kleene combinators.
 // Build with -DIDF_DISABLE_SIMD (CMake: -DIDF_ENABLE_SIMD=OFF) to force
@@ -73,23 +77,25 @@ class VectorizedPredicate {
     return (n + kBatchRows - 1) / kBatchRows;
   }
 
-  /// Evaluates the program over payloads[0..n); out_tri[i] receives the
-  /// TriBool of row i (as its uint8_t encoding). Batches internally, so
-  /// any n is accepted.
-  void EvalBatch(const uint8_t* const* payloads, size_t n, uint8_t* out_tri,
+  /// Evaluates the program over the rows of `rows`; out_tri[i] receives
+  /// the TriBool of row i (as its uint8_t encoding). Fixed-width columns
+  /// are read from the run's column images where it has them, everything
+  /// else from the payloads. Batches internally, so any count is accepted.
+  void EvalBatch(const RowRun& rows, uint8_t* out_tri,
                  VectorScratch* scratch) const;
 
   /// Filter form: writes the ascending indexes of rows whose tri-state is
-  /// TRUE into sel (capacity >= n) and returns how many there are.
-  size_t FilterBatch(const uint8_t* const* payloads, size_t n, uint32_t* sel,
+  /// TRUE into sel (capacity >= the row count) and returns how many there
+  /// are.
+  size_t FilterBatch(const RowRun& rows, uint32_t* sel,
                      VectorScratch* scratch) const;
 
   size_t stack_depth() const { return depth_; }
 
  private:
-  /// One batch of at most kBatchRows rows; the result lanes are left at
-  /// the bottom of the scratch tri stack.
-  void EvalOneBatch(const uint8_t* const* payloads, size_t n,
+  /// Rows [base, base + n) of `rows`, n at most kBatchRows; the result
+  /// lanes are left at the bottom of the scratch tri stack.
+  void EvalOneBatch(const RowRun& rows, size_t base, size_t n,
                     VectorScratch* scratch) const;
 
   const CompiledPredicate* program_;

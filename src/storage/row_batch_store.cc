@@ -2,14 +2,21 @@
 
 namespace idf {
 
-RowBatchStore::RowBatchStore(size_t batch_bytes, size_t max_row_bytes,
-                             size_t max_batches)
+RowBatchStore::RowBatchStore(const Schema& schema, size_t batch_bytes,
+                             size_t max_row_bytes, size_t max_batches)
     : batch_bytes_(batch_bytes),
       max_row_bytes_(max_row_bytes),
       max_batches_(max_batches),
-      slots_(new std::atomic<RowBatch*>[max_batches]) {
+      slots_(new std::atomic<RowBatch*>[max_batches]),
+      bitmap_bytes_(EncodedBitmapBytes(schema.num_fields())) {
   for (size_t i = 0; i < max_batches_; ++i) {
     slots_[i].store(nullptr, std::memory_order_relaxed);
+  }
+  image_of_col_.assign(static_cast<size_t>(schema.num_fields()), -1);
+  for (int col = 0; col < schema.num_fields(); ++col) {
+    if (schema.field(col).type == TypeId::kString) continue;
+    image_of_col_[static_cast<size_t>(col)] = static_cast<int32_t>(image_cols_.size());
+    image_cols_.push_back(col);
   }
 }
 
@@ -82,25 +89,49 @@ Result<PackedPointer> RowBatchStore::StageEncoded(const uint8_t* payload, size_t
 
 void RowBatchStore::AppendToDirectory(const uint8_t* payload) {
   const size_t c = directory_rows_ / kDirectoryChunkRows;
-  if (directory_rows_ % kDirectoryChunkRows == 0) {
-    const Spine* live = spines_.empty() ? nullptr : spines_.back().get();
-    if (live == nullptr || c == live->capacity) {
-      // Double the spine; the replaced one stays readable (and owned) for
-      // readers that acquired it, and costs less than the new one.
-      auto grown = std::make_unique<Spine>(live == nullptr ? 4 : 2 * live->capacity);
-      for (size_t i = 0; i < c; ++i) grown->chunks[i] = live->chunks[i];
-      directory_bytes_.fetch_add(grown->capacity * sizeof(const uint8_t**),
-                                 std::memory_order_relaxed);
-      spines_.push_back(std::move(grown));
+  const size_t r = directory_rows_ % kDirectoryChunkRows;
+  if (r == 0) OpenChunk(c);
+  chunks_[c][r] = payload;
+  if (!image_cols_.empty()) {
+    uint64_t* column = image_chunks_[c].get();
+    for (int col : image_cols_) {
+      column[r] = RawColumnSlot(payload, bitmap_bytes_, col);
+      reinterpret_cast<uint8_t*>(column + kDirectoryChunkRows)[r] =
+          RawColumnIsNull(payload, col) ? 1 : 0;
+      column += kImageColumnWords;
     }
-    chunks_.emplace_back(new const uint8_t*[kDirectoryChunkRows]);
-    directory_bytes_.fetch_add(kDirectoryChunkRows * sizeof(const uint8_t*),
-                               std::memory_order_relaxed);
-    spines_.back()->chunks[c] = chunks_.back().get();
-    spine_.store(spines_.back().get(), std::memory_order_release);
   }
-  chunks_[c][directory_rows_ % kDirectoryChunkRows] = payload;
   ++directory_rows_;
+}
+
+void RowBatchStore::OpenChunk(size_t c) {
+  const Spine* live = spines_.empty() ? nullptr : spines_.back().get();
+  if (live == nullptr || c == live->capacity) {
+    // Double the spine; the replaced one stays readable (and owned) for
+    // readers that acquired it, and costs less than the new one.
+    auto grown = std::make_unique<Spine>(live == nullptr ? 4 : 2 * live->capacity);
+    for (size_t i = 0; i < c; ++i) {
+      grown->chunks[i] = live->chunks[i];
+      grown->images[i] = live->images[i];
+    }
+    directory_bytes_.fetch_add(
+        grown->capacity * (sizeof(const uint8_t**) + sizeof(const uint64_t*)),
+        std::memory_order_relaxed);
+    spines_.push_back(std::move(grown));
+  }
+  chunks_.emplace_back(new const uint8_t*[kDirectoryChunkRows]);
+  size_t bytes = kDirectoryChunkRows * sizeof(const uint8_t*);
+  const uint64_t* images = nullptr;
+  if (!image_cols_.empty()) {
+    const size_t words = image_cols_.size() * kImageColumnWords;
+    image_chunks_.emplace_back(new uint64_t[words]);
+    images = image_chunks_.back().get();
+    bytes += words * sizeof(uint64_t);
+  }
+  directory_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  spines_.back()->chunks[c] = chunks_.back().get();
+  spines_.back()->images[c] = images;
+  spine_.store(spines_.back().get(), std::memory_order_release);
 }
 
 StoreWatermark RowBatchStore::Watermark() const {

@@ -12,18 +12,28 @@
 //
 // The row directory maps each row's append ordinal to its payload, so a
 // scan reads row positions instead of decoding every row's variable-width
-// tail to find the next one. It is chunked (kDirectoryChunkRows pointers
-// per chunk) behind a spine that doubles when full; a replaced spine stays
+// tail to find the next one. It is chunked (kDirectoryChunkRows rows per
+// chunk) behind a spine that doubles when full; a replaced spine stays
 // alive until the store dies, so a reader holding it never reads freed
 // memory. The appender writes a row's entry (and any new chunk or spine)
 // before the release store of num_rows_, so every ordinal below an
 // acquired row count is readable without locks.
 //
+// Beside the directory, every fixed-width column (bool, int32, int64,
+// timestamp, float64) has a dense column image: the row's raw 8-byte slot
+// and a null byte (1 = NULL), in chunks parallel to the directory's. The
+// appender fills a row's images with its directory entry, from slot
+// offsets derived from the schema at construction, so the same release
+// store of num_rows_ publishes both. Scan filters read these images
+// sequentially instead of fetching one payload cache line per row (the
+// PAX layout, kept beside the row store rather than in its place).
+//
 // Appends may be staged: a staged row is written (bytes, header, directory
 // entry) and addressable by its packed pointer, but no row count or
 // watermark covers it until PublishStaged(). IndexedPartition stages a
 // batch, links it into the cTrie, then publishes, so every row a watermark
-// covers is already reachable from its key's head.
+// covers is already reachable from its key's head. A staged row's images
+// are written too, but no reader looks at them before PublishStaged().
 #pragma once
 
 #include <algorithm>
@@ -33,6 +43,7 @@
 
 #include "common/config.h"
 #include "storage/row_batch.h"
+#include "types/schema.h"
 
 namespace idf {
 
@@ -54,15 +65,55 @@ struct StoreWatermark {
   }
 };
 
+/// Dense image of one fixed-width column over consecutive rows: row i's
+/// raw 8-byte slot is slots[i] and its null flag (0 or 1) nulls[i].
+/// Both null when the column is not mirrored (strings).
+struct ColumnSlice {
+  const uint64_t* slots = nullptr;
+  const uint8_t* nulls = nullptr;
+};
+
+/// Rows to read column-at-a-time: their payload pointers and, for a run
+/// of one directory chunk, the dense images of their fixed-width columns.
+/// A run views memory it does not own: the store's (alive while the store
+/// is), or the caller's payload array.
+struct RowRun {
+  RowRun() = default;
+  /// Scattered payloads (chain walks, probe output) with no images:
+  /// every column is read from the payloads.
+  RowRun(const uint8_t* const* rows, size_t n) : payloads(rows), count(n) {}
+
+  const uint8_t* const* payloads = nullptr;
+  size_t count = 0;
+
+  /// Image of schema column `col` over this run's rows.
+  ColumnSlice Column(int col) const;
+
+ private:
+  friend class RowBatchStore;
+  const uint64_t* images_ = nullptr;   // the chunk's image block
+  size_t offset_ = 0;                  // first row's index in its chunk
+  const int32_t* image_of_col_ = nullptr;
+  size_t num_cols_ = 0;
+};
+
 class RowBatchStore {
  public:
-  /// Row-directory entries per chunk (32 KiB of payload pointers).
-  static constexpr size_t kDirectoryChunkRows = 4096;
+  /// Rows per directory chunk: 8 KiB of payload pointers plus 9 KiB per
+  /// column image. Small enough that a partition's partly filled last
+  /// chunk costs little, large enough that a run spans several kernel
+  /// batches.
+  static constexpr size_t kDirectoryChunkRows = 1024;
+  /// 64-bit words of one column image in a chunk: the slots, then one
+  /// null byte per row (a multiple of a cache line).
+  static constexpr size_t kImageColumnWords =
+      kDirectoryChunkRows + kDirectoryChunkRows / sizeof(uint64_t);
 
-  /// `max_batches` bounds the slot directory (the paper allows 2^31
-  /// batches per partition; we preallocate pointers for `max_batches` and
-  /// fail with CapacityError beyond — configurable).
-  RowBatchStore(size_t batch_bytes, size_t max_row_bytes,
+  /// Rows are encoded against `schema`, whose fixed-width columns get
+  /// dense images. `max_batches` bounds the slot directory (the paper
+  /// allows 2^31 batches per partition; we preallocate pointers for
+  /// `max_batches` and fail with CapacityError beyond — configurable).
+  RowBatchStore(const Schema& schema, size_t batch_bytes, size_t max_row_bytes,
                 size_t max_batches = 65536);
   ~RowBatchStore();
 
@@ -117,18 +168,24 @@ class RowBatchStore {
     return spine->chunks[pos / kDirectoryChunkRows][pos % kDirectoryChunkRows];
   }
 
-  /// Calls `fn(payloads, count)` on consecutive directory runs that cover
-  /// the ordinals [begin, end) in append order; a run never crosses a
-  /// chunk. Same thread-safety contract as PayloadOfRow for `end`.
+  /// Calls `fn(const RowRun&)` on consecutive runs that cover the
+  /// ordinals [begin, end) in append order; a run never crosses a chunk.
+  /// Same thread-safety contract as PayloadOfRow for `end`.
   template <typename Fn>
-  void ForEachPayloadRun(size_t begin, size_t end, Fn&& fn) const {
+  void ForEachRun(size_t begin, size_t end, Fn&& fn) const {
     if (begin >= end) return;
     const Spine* spine = spine_.load(std::memory_order_acquire);
+    RowRun run;
+    run.image_of_col_ = image_of_col_.data();
+    run.num_cols_ = image_of_col_.size();
     while (begin < end) {
-      const size_t off = begin % kDirectoryChunkRows;
-      const size_t n = std::min(end - begin, kDirectoryChunkRows - off);
-      fn(spine->chunks[begin / kDirectoryChunkRows] + off, n);
-      begin += n;
+      const size_t c = begin / kDirectoryChunkRows;
+      run.offset_ = begin % kDirectoryChunkRows;
+      run.count = std::min(end - begin, kDirectoryChunkRows - run.offset_);
+      run.payloads = spine->chunks[c] + run.offset_;
+      run.images_ = spine->images[c];
+      fn(static_cast<const RowRun&>(run));
+      begin += run.count;
     }
   }
 
@@ -146,8 +203,9 @@ class RowBatchStore {
   size_t allocated_bytes() const { return num_batches() * batch_bytes_; }
   size_t used_bytes() const;
 
-  /// Bytes of the row directory: its chunks plus its live and replaced
-  /// spines. Thread-safe (the appender keeps an atomic count).
+  /// Bytes of the row directory: its chunks, its column images and its
+  /// live and replaced spines. Thread-safe (the appender keeps an atomic
+  /// count).
   size_t directory_bytes() const {
     return directory_bytes_.load(std::memory_order_relaxed);
   }
@@ -166,16 +224,39 @@ class RowBatchStore {
   // Row directory. Readers touch only the spine they acquire and the
   // chunks it names; the vectors below are appender-only ownership.
   struct Spine {
-    explicit Spine(size_t cap) : capacity(cap), chunks(new const uint8_t**[cap]) {}
+    explicit Spine(size_t cap)
+        : capacity(cap),
+          chunks(new const uint8_t**[cap]),
+          images(new const uint64_t*[cap]) {}
     size_t capacity;
     std::unique_ptr<const uint8_t**[]> chunks;
+    std::unique_ptr<const uint64_t*[]> images;  // null without image columns
   };
   void AppendToDirectory(const uint8_t* payload);
+  /// Opens chunk `c` and publishes it in the live spine (or a grown one).
+  void OpenChunk(size_t c);
   std::atomic<const Spine*> spine_{nullptr};
   std::vector<std::unique_ptr<Spine>> spines_;  // live one last
   std::vector<std::unique_ptr<const uint8_t*[]>> chunks_;
+  std::vector<std::unique_ptr<uint64_t[]>> image_chunks_;
+
+  // Column images: the mirrored schema columns in image order, and each
+  // schema column's image index (-1: not mirrored).
+  size_t bitmap_bytes_;
+  std::vector<int> image_cols_;
+  std::vector<int32_t> image_of_col_;
   size_t directory_rows_ = 0;  // appender's count of directory entries
   std::atomic<size_t> directory_bytes_{0};
 };
+
+inline ColumnSlice RowRun::Column(int col) const {
+  if (col < 0 || static_cast<size_t>(col) >= num_cols_) return {};
+  const int j = image_of_col_[col];
+  if (j < 0) return {};
+  const uint64_t* base = images_ + static_cast<size_t>(j) * RowBatchStore::kImageColumnWords;
+  return {base + offset_,
+          reinterpret_cast<const uint8_t*>(base + RowBatchStore::kDirectoryChunkRows) +
+              offset_};
+}
 
 }  // namespace idf

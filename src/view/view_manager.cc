@@ -314,7 +314,7 @@ Result<std::vector<uint32_t>> MaterializedViewManager::FilterDelta(
       }
     }
     sel.resize(n);
-    const size_t kept = filter->vec->FilterBatch(delta->payloads.data(), n,
+    const size_t kept = filter->vec->FilterBatch(RowRun(delta->payloads.data(), n),
                                                  sel.data(), &filter->scratch);
     sel.resize(kept);
     if (filter->split.residual != nullptr) {

@@ -1,7 +1,13 @@
 // Network front end: wire framing (round trips, torn reads, oversized
 // frames), value/schema serialization, loopback prepare/execute/query
-// against a live server, concurrent clients under a live append stream,
-// and CapacityError-to-BUSY backpressure mapping.
+// against a live server, frames torn across socket reads and a reply
+// larger than the socket buffer, concurrent clients under a live append
+// stream, and CapacityError-to-BUSY backpressure mapping.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -230,6 +236,87 @@ TEST(NetProtocolTest, ErrorReplyLeavesConnectionUsable) {
   EXPECT_FALSE(client->Execute(12345, {Value(int64_t{1})}).ok());
   RowsReply ok = client->Query("SELECT COUNT(*) FROM people").ValueOrDie();
   EXPECT_EQ(ok.rows[0][0].int64_value(), 10);
+}
+
+/// A blocking loopback socket to `port`, for driving the server with raw
+/// bytes.
+int RawConnect(int port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
+void WriteAll(int fd, const std::string& bytes) {
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = write(fd, bytes.data() + done, bytes.size() - done);
+    ASSERT_GT(n, 0);
+    done += static_cast<size_t>(n);
+  }
+}
+
+/// Reads until `count` frames have arrived.
+std::vector<Frame> ReadFrames(int fd, size_t count) {
+  FrameDecoder decoder;
+  std::vector<Frame> frames;
+  char buf[4096];
+  while (frames.size() < count) {
+    const ssize_t n = read(fd, buf, sizeof(buf));
+    if (n <= 0) break;
+    EXPECT_TRUE(decoder.Feed(buf, static_cast<size_t>(n)).ok());
+    Frame f;
+    while (decoder.Next(&f)) frames.push_back(std::move(f));
+  }
+  return frames;
+}
+
+std::string QueryFrame(const std::string& sql) {
+  std::string payload;
+  WireWriter w(&payload);
+  w.PutString(sql);
+  return EncodeFrame(Op::kQuery, payload);
+}
+
+TEST(NetProtocolTest, TornFramesAndAReplyLargerThanTheSocketBuffer) {
+  constexpr int64_t kRows = 100000;
+  auto service = MakeServiceWithTable(kRows);
+  auto server = Server::Start(service, ServerConfig{}).ValueOrDie();
+  const int fd = RawConnect(server->port());
+
+  // Two requests, sent in pieces that split the length prefix and the
+  // payload, with pauses so each piece arrives as its own short read.
+  const std::string bytes = QueryFrame("SELECT COUNT(*) FROM people") +
+                            QueryFrame("SELECT id, name FROM people");
+  for (size_t at = 0, step = 1; at < bytes.size(); at += step, step = step * 2 + 1) {
+    WriteAll(fd, bytes.substr(at, step));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // The second reply (about 1.5 MB) outgrows the socket buffers while
+  // nothing reads it, so the server must park it and finish on EPOLLOUT.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::vector<Frame> replies = ReadFrames(fd, 2);
+  ASSERT_EQ(replies.size(), 2u);
+  ASSERT_EQ(replies[0].op, Op::kOkRows);
+  EXPECT_EQ(DecodeOkRows(replies[0].payload).ValueOrDie().rows[0][0].int64_value(),
+            kRows);
+  ASSERT_EQ(replies[1].op, Op::kOkRows);
+  EXPECT_GT(replies[1].payload.size(), size_t{1} << 20);
+  RowsReply all = DecodeOkRows(replies[1].payload).ValueOrDie();
+  ASSERT_EQ(all.rows.size(), static_cast<size_t>(kRows));
+
+  // Drained: the connection serves the next request without waiting on a
+  // stale write interest.
+  WriteAll(fd, QueryFrame("SELECT name FROM people WHERE id = 7"));
+  replies = ReadFrames(fd, 1);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(DecodeOkRows(replies[0].payload).ValueOrDie().rows[0][0].string_value(),
+            "n7");
+  close(fd);
 }
 
 TEST(NetProtocolTest, ConcurrentClientsUnderAppendStream) {

@@ -15,6 +15,7 @@
 #include "sql/session.h"
 #include "sql/vectorized_eval.h"
 #include "storage/row_batch.h"
+#include "storage/row_batch_store.h"
 
 namespace idf {
 namespace {
@@ -417,6 +418,37 @@ TEST_P(PredicateFuzzTest, CompiledMatchesInterpreterBitForBit) {
           << "seed " << GetParam() << " trial " << trial << ": "
           << bound->ToString();
     }
+
+    // The same filter as a scan runs it: the compiled part over a store's
+    // runs (fixed-width columns read from the column images), the
+    // residual on the survivors.
+    if (split.compiled.has_value()) {
+      RowBatchStore store(*schema, 4096, 1024);
+      for (const Row& row : rows) {
+        ASSERT_TRUE(store.AppendRow(*schema, row, PackedPointer::Null(), 0).ok());
+      }
+      VectorizedPredicate vec(*split.compiled);
+      VectorScratch scratch;
+      std::vector<uint32_t> sel(rows.size());
+      size_t base = 0;
+      store.ForEachRun(0, rows.size(), [&](const RowRun& run) {
+        const size_t kept = vec.FilterBatch(run, sel.data(), &scratch);
+        size_t j = 0;
+        for (size_t i = 0; i < run.count; ++i) {
+          const Row& row = rows[base + i];
+          const bool selected = j < kept && sel[j] == i;
+          if (selected) ++j;
+          const bool keeps =
+              selected && (split.residual == nullptr ||
+                           InterpreterTri(split.residual, row) == TriBool::kTrue);
+          ASSERT_EQ(keeps, InterpreterTri(bound, row) == TriBool::kTrue)
+              << "seed " << GetParam() << " trial " << trial << " row " << base + i
+              << " (column images): " << bound->ToString();
+        }
+        ASSERT_EQ(j, kept);
+        base += run.count;
+      });
+    }
   }
   // The generator must actually produce compilable trees, not fall back on
   // everything (which would turn this test into interpreter-vs-itself).
@@ -432,8 +464,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PredicateFuzzTest,
 // EvalEncoded bit-for-bit (full tri-state, including NULL), FilterBatch
 // must select exactly the kTrue lanes in ascending order, and the split
 // path (batch filter through the compiled conjunction, residual on the
-// survivors) must keep the original filter decision. Runs under the
-// ASan/UBSan and TSan CI jobs and in the SIMD-off matrix leg.
+// survivors) must keep the original filter decision. Each check runs on
+// gathered payloads and on the runs of a store holding the same rows
+// (column images). Runs under the ASan/UBSan and TSan CI jobs and in the
+// SIMD-off matrix leg.
 // ---------------------------------------------------------------------------
 
 class VectorizedFuzzTest : public ::testing::TestWithParam<uint64_t> {};
@@ -451,9 +485,11 @@ TEST_P(VectorizedFuzzTest, BatchEvalMatchesEvalEncodedBitForBit) {
     SchemaPtr schema = Schema::Make(std::move(fields));
 
     // Cross the internal batch boundary on some trials so the batching
-    // loop is exercised, not just one partial batch.
-    const size_t num_rows =
-        trial % 29 == 0 ? VectorizedPredicate::kBatchRows + 37 : 64;
+    // loop is exercised, not just one partial batch, and a directory chunk
+    // boundary on a few, so a scan splits into several runs.
+    const size_t num_rows = trial % 53 == 0   ? RowBatchStore::kDirectoryChunkRows + 37
+                            : trial % 29 == 0 ? VectorizedPredicate::kBatchRows + 37
+                                              : 64;
     RowVec rows;
     std::vector<std::vector<uint8_t>> payloads;
     for (size_t r = 0; r < num_rows; ++r) {
@@ -468,6 +504,25 @@ TEST_P(VectorizedFuzzTest, BatchEvalMatchesEvalEncodedBitForBit) {
     std::vector<const uint8_t*> ptrs;
     ptrs.reserve(num_rows);
     for (const auto& buf : payloads) ptrs.push_back(buf.data());
+    RowBatchStore store(*schema, 4096, 1024);
+    for (const Row& row : rows) {
+      ASSERT_TRUE(store.AppendRow(*schema, row, PackedPointer::Null(), 0).ok());
+    }
+    // Runs the filter over the store's runs; returns the selected row
+    // ordinals, in order.
+    auto dense_filter = [&](const VectorizedPredicate& vec, VectorScratch* vs) {
+      std::vector<uint32_t> out;
+      std::vector<uint32_t> run_sel(num_rows);
+      size_t base = 0;
+      store.ForEachRun(0, num_rows, [&](const RowRun& run) {
+        const size_t kept = vec.FilterBatch(run, run_sel.data(), vs);
+        for (size_t j = 0; j < kept; ++j) {
+          out.push_back(static_cast<uint32_t>(base + run_sel[j]));
+        }
+        base += run.count;
+      });
+      return out;
+    };
 
     ExprPtr pred = RandomPredicate(rng, *schema, 3);
     ExprPtr bound = BindExpr(pred, *schema).ValueOrDie();
@@ -481,15 +536,27 @@ TEST_P(VectorizedFuzzTest, BatchEvalMatchesEvalEncodedBitForBit) {
     if (whole.has_value()) {
       ++vectorized_trees;
       VectorizedPredicate vec(*whole);
-      vec.EvalBatch(ptrs.data(), num_rows, tri.data(), &scratch);
+      vec.EvalBatch(RowRun(ptrs.data(), num_rows), tri.data(), &scratch);
+      std::vector<uint8_t> dense_tri(num_rows);
+      size_t base = 0;
+      store.ForEachRun(0, num_rows, [&](const RowRun& run) {
+        vec.EvalBatch(run, dense_tri.data() + base, &scratch);
+        base += run.count;
+      });
       const size_t kept =
-          vec.FilterBatch(ptrs.data(), num_rows, sel.data(), &scratch);
+          vec.FilterBatch(RowRun(ptrs.data(), num_rows), sel.data(), &scratch);
+      ASSERT_EQ(dense_filter(vec, &scratch),
+                std::vector<uint32_t>(sel.begin(), sel.begin() + static_cast<long>(kept)))
+          << "seed " << GetParam() << " trial " << trial << ": " << bound->ToString();
       size_t expect_kept = 0;
       for (size_t r = 0; r < num_rows; ++r) {
         const TriBool want = whole->EvalEncoded(ptrs[r]);
         ASSERT_EQ(static_cast<int>(tri[r]), static_cast<int>(want))
             << "seed " << GetParam() << " trial " << trial << " row " << r
             << ": " << bound->ToString();
+        ASSERT_EQ(static_cast<int>(dense_tri[r]), static_cast<int>(want))
+            << "seed " << GetParam() << " trial " << trial << " row " << r
+            << " (column images): " << bound->ToString();
         if (want == TriBool::kTrue) {
           ASSERT_LT(expect_kept, kept);
           ASSERT_EQ(sel[expect_kept], r)
@@ -508,7 +575,10 @@ TEST_P(VectorizedFuzzTest, BatchEvalMatchesEvalEncodedBitForBit) {
     if (split.compiled.has_value()) {
       VectorizedPredicate vec(*split.compiled);
       const size_t kept =
-          vec.FilterBatch(ptrs.data(), num_rows, sel.data(), &scratch);
+          vec.FilterBatch(RowRun(ptrs.data(), num_rows), sel.data(), &scratch);
+      ASSERT_EQ(dense_filter(vec, &scratch),
+                std::vector<uint32_t>(sel.begin(), sel.begin() + static_cast<long>(kept)))
+          << "seed " << GetParam() << " trial " << trial << ": " << bound->ToString();
       std::vector<bool> keeps(num_rows, false);
       for (size_t j = 0; j < kept; ++j) {
         const size_t r = sel[j];

@@ -2,7 +2,8 @@
 // (sql/vectorized_eval.h, DESIGN.md §12) and its operator integration.
 // The kernel must reproduce the row-at-a-time EvalEncoded tri-state
 // bit-for-bit lane by lane (including NULL, NaN, -0.0, and type-widening
-// edges), and the fused operators — scan-filter, scan-aggregate, and the
+// edges), through both lane loaders (gathered payloads and a store run's
+// column images), and the fused operators — scan-filter, scan-aggregate, and the
 // join build-side filter — must return the rows the same query returns on
 // an unindexed session (interpreted Expr::Eval) while reporting the vector
 // metrics. Random-tree coverage lives in test_property_fuzz.cc.
@@ -17,6 +18,8 @@
 
 #include "indexed/indexed_dataframe.h"
 #include "indexed/indexed_operators.h"
+#include "indexed/indexed_partition.h"
+#include "reference_walk.h"
 #include "sql/session.h"
 #include "storage/row_batch.h"
 
@@ -45,7 +48,8 @@ class VectorizedEvalTest : public ::testing::Test {
   }
 
   // Compiles `expr` (must succeed) and checks EvalBatch lane-for-lane and
-  // FilterBatch's selection vector against row-at-a-time EvalEncoded.
+  // FilterBatch's selection vector against row-at-a-time EvalEncoded, on
+  // gathered payloads and on the runs of a store holding the same rows.
   void ExpectBatchAgrees(const ExprPtr& expr, const RowVec& rows) {
     ExprPtr bound = BindExpr(expr, *schema_).ValueOrDie();
     std::optional<CompiledPredicate> compiled =
@@ -61,10 +65,10 @@ class VectorizedEvalTest : public ::testing::Test {
     VectorizedPredicate vec(*compiled);
     VectorScratch scratch;
     std::vector<uint8_t> tri(rows.size());
-    vec.EvalBatch(ptrs.data(), ptrs.size(), tri.data(), &scratch);
+    vec.EvalBatch(RowRun(ptrs.data(), ptrs.size()), tri.data(), &scratch);
     std::vector<uint32_t> sel(rows.size());
     const size_t kept =
-        vec.FilterBatch(ptrs.data(), ptrs.size(), sel.data(), &scratch);
+        vec.FilterBatch(RowRun(ptrs.data(), ptrs.size()), sel.data(), &scratch);
     size_t want_kept = 0;
     for (size_t r = 0; r < rows.size(); ++r) {
       const TriBool want = compiled->EvalEncoded(ptrs[r]);
@@ -77,6 +81,30 @@ class VectorizedEvalTest : public ::testing::Test {
       }
     }
     EXPECT_EQ(kept, want_kept) << bound->ToString();
+
+    RowBatchStore store(*schema_, 4096, 1024);
+    for (const Row& row : rows) {
+      ASSERT_TRUE(store.AppendRow(*schema_, row, PackedPointer::Null(), 0).ok());
+    }
+    size_t base = 0;
+    store.ForEachRun(0, rows.size(), [&](const RowRun& run) {
+      std::vector<uint8_t> dense(run.count);
+      vec.EvalBatch(run, dense.data(), &scratch);
+      std::vector<uint32_t> dense_sel(run.count);
+      const size_t dense_kept = vec.FilterBatch(run, dense_sel.data(), &scratch);
+      size_t j = 0;
+      for (size_t i = 0; i < run.count; ++i) {
+        ASSERT_EQ(dense[i], tri[base + i])
+            << bound->ToString() << " row " << base + i << " (column images)";
+        if (dense[i] == static_cast<uint8_t>(TriBool::kTrue)) {
+          ASSERT_LT(j, dense_kept);
+          EXPECT_EQ(dense_sel[j++], i);
+        }
+      }
+      EXPECT_EQ(dense_kept, j) << bound->ToString();
+      base += run.count;
+    });
+    EXPECT_EQ(base, rows.size());
   }
 
   // Edge-heavy rows: NULL in every column, both zero signs, NaN, int32/64
@@ -168,6 +196,69 @@ TEST_F(VectorizedEvalTest, CrossesInternalBatchBoundary) {
   ExpectBatchAgrees(And(Lt(Col("i64"), Lit(Value(int64_t{60}))),
                         Ne(Col("s"), Lit(Value("s3")))),
                     rows);
+}
+
+TEST_F(VectorizedEvalTest, CrossesDirectoryChunkBoundary) {
+  // Enough rows for several store runs, the last one partly filled.
+  RowVec rows;
+  const size_t n = 2 * RowBatchStore::kDirectoryChunkRows + 99;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t v = static_cast<int64_t>(i % 100) - 50;
+    rows.push_back({i % 13 == 0 ? Value::Null() : Value(v),
+                    i % 9 == 0 ? Value::Null() : Value(static_cast<int32_t>(-v)),
+                    Value(0.5 * v), Value(i % 2 == 0), Value("s" + std::to_string(i % 5)),
+                    Value(static_cast<int64_t>(i))});
+  }
+  ExpectBatchAgrees(Or(Lt(Col("i64"), Lit(Value(int64_t{-20}))),
+                       And(Ge(Col("i32"), Lit(Value(int32_t{10}))), Col("b"))),
+                    rows);
+  ExpectBatchAgrees(Gt(Col("ts"), Lit(Value(int64_t{1500}))), rows);
+}
+
+TEST_F(VectorizedEvalTest, CompactedGenerationImagesMatchPayloads) {
+  // Compaction rewrites a partition into a fresh generation in chain
+  // order; its store must mirror the rewritten payloads, and the filter
+  // over its runs must match row-at-a-time evaluation.
+  EngineConfig cfg;
+  cfg.row_batch_bytes = 1024;
+  cfg.max_row_bytes = 512;
+  IndexedPartition part(schema_, 0, cfg);
+  const size_t n = 2 * RowBatchStore::kDirectoryChunkRows + 500;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t key = static_cast<int64_t>(i % 37);
+    ASSERT_TRUE(part.Append({i % 41 == 0 ? Value::Null() : Value(key),
+                             i % 7 == 0 ? Value::Null() : Value(static_cast<int32_t>(-key)),
+                             i % 3 == 0 ? Value(-0.0) : Value(0.25 * static_cast<double>(i)),
+                             Value(i % 4 == 0), Value("c" + std::to_string(i % 11)),
+                             Value(static_cast<int64_t>(i))})
+                    .ok());
+  }
+  const PartitionGenerationPtr before = part.Snapshot().generation();
+  IndexedPartition::CompactionResult result;
+  ASSERT_TRUE(part.CompactLocked(&result).ok());
+  IndexedPartition::View view = part.Snapshot();
+  ASSERT_NE(view.generation(), before);
+  ASSERT_EQ(view.num_rows(), n);
+  EXPECT_EQ(ExpectImagesMatchPayloads(part.store(), *schema_, 0, n), n);
+
+  ExprPtr bound = BindExpr(And(Le(Col("i32"), Lit(Value(int32_t{-10}))),
+                               Or(Col("b"), Lt(Col("f64"), Lit(Value(100.0))))),
+                           *schema_)
+                      .ValueOrDie();
+  const CompiledPredicate compiled = *CompiledPredicate::Compile(bound, *schema_);
+  VectorizedPredicate vec(compiled);
+  VectorScratch scratch;
+  size_t seen = 0;
+  view.ForEachRun(0, n, [&](const RowRun& run) {
+    std::vector<uint8_t> tri(run.count);
+    vec.EvalBatch(run, tri.data(), &scratch);
+    for (size_t i = 0; i < run.count; ++i) {
+      ASSERT_EQ(tri[i], static_cast<uint8_t>(compiled.EvalEncoded(run.payloads[i])))
+          << "row " << seen + i;
+    }
+    seen += run.count;
+  });
+  EXPECT_EQ(seen, n);
 }
 
 TEST_F(VectorizedEvalTest, SelectionVectorAllAndNone) {
